@@ -8,10 +8,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "engine/runner.h"
+#include "io/result_sink.h"
+#include "io/sweep_cache.h"
 #include "sim/engine.h"
 #include "sim/system.h"
 
@@ -460,6 +464,77 @@ TEST(AdversarialSweep, DegenerateSpecsThrow)
         EXPECT_THROW(engine::runAdversarialSweep(adv),
                      std::invalid_argument);
     }
+}
+
+/** A Fig. 13-shaped grid small enough for a unit test: 2 cases x 2
+ *  providers x {1, 2} traces = 6 defended cells, 3 references. */
+engine::AdversarialSpec
+pinnedAdvSpec(unsigned threads)
+{
+    engine::AdversarialSpec adv;
+    adv.config.cores = 4;
+    adv.requestsPerCore = 500;
+    adv.threads = threads;
+    adv.cases.push_back({"Hydra-thrash", "hydra",
+                         {sim::adversarialHydraTrace(500, 3)}});
+    adv.cases.push_back({"RRS-swap", "rrs",
+                         {sim::adversarialRrsTrace(500, 3, 1537),
+                          sim::adversarialRrsTrace(500, 3, 5011)}});
+    adv.providers = {engine::ProviderSpec::uniform(),
+                     engine::ProviderSpec::svard("S3")};
+    return adv;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+/** Run pinnedAdvSpec(threads) with a CSV sink at `csv_path`. */
+std::vector<engine::AdversarialResult>
+runPinnedAdv(unsigned threads, const std::string &csv_path,
+             std::shared_ptr<io::SweepCache> cache = nullptr,
+             engine::SweepIoStats *stats = nullptr)
+{
+    engine::AdversarialSpec adv = pinnedAdvSpec(threads);
+    adv.sink = std::make_shared<io::CsvSink>(csv_path);
+    adv.cache = std::move(cache);
+    return engine::runAdversarialSweep(adv, stats);
+}
+
+TEST(AdversarialSweep, ThreadCountInvariantAndPinned)
+{
+    // Digest of the aggregated results, recorded before the
+    // adversarial grid moved onto the shared grid executor: any
+    // change to what the sweep computes shows up here.
+    constexpr uint64_t kPinnedDigest = 0xcd8c3d76eed53624ULL;
+    const std::string path1 = ::testing::TempDir() + "svard_adv_t1.csv";
+    const std::string path4 = ::testing::TempDir() + "svard_adv_t4.csv";
+    const auto a = runPinnedAdv(1, path1);
+    const auto b = runPinnedAdv(4, path4);
+    EXPECT_EQ(slurp(path1), slurp(path4));
+    ASSERT_EQ(a.size(), 4u); // cases x providers
+    ASSERT_EQ(a.size(), b.size());
+    HashStream h;
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].caseName, b[i].caseName) << i;
+        EXPECT_EQ(a[i].defense, b[i].defense) << i;
+        EXPECT_EQ(a[i].provider, b[i].provider) << i;
+        EXPECT_EQ(a[i].benignWs, b[i].benignWs) << i;
+        EXPECT_EQ(a[i].slowdown, b[i].slowdown) << i;
+        EXPECT_EQ(a[i].normalizedSlowdown, b[i].normalizedSlowdown)
+            << i;
+        h.mix(a[i].caseName).mix(a[i].defense).mix(a[i].provider);
+        h.mix(a[i].benignWs).mix(a[i].slowdown);
+        h.mix(a[i].normalizedSlowdown);
+    }
+    EXPECT_EQ(h.value(), kPinnedDigest)
+        << std::hex << "digest 0x" << h.value();
 }
 
 } // namespace
