@@ -132,14 +132,6 @@ main(int argc, char **argv)
         return res.interrupted ? 130 : 0;
     }
 
-    // Paper-scale sweeps run for hours; keep a heartbeat on stderr.
-    spec.onProgress = [](size_t done, size_t total) {
-        const size_t stride = std::max<size_t>(1, total / 20);
-        if (done % stride == 0 || done == total)
-            std::fprintf(stderr, "fig12: %zu/%zu cells done\n", done,
-                         total);
-    };
-
     const auto sweep_start = std::chrono::steady_clock::now();
     engine::ExperimentRunner runner(std::move(spec));
     runner.run();

@@ -54,6 +54,8 @@ struct TimingParams
     Tick tREFI = 7800000;      ///< average refresh interval (7.8us)
     Tick tREFW = 64 * kPsPerMs;///< refresh window (64ms at <= 85C)
 
+    bool operator==(const TimingParams &) const = default;
+
     /** Minimum legal on-time of an activated row: tRAS. */
     Tick minOnTime() const { return tRAS; }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -29,6 +29,8 @@
 namespace svard::engine {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 double
 safeRatio(double num, double den)
@@ -57,26 +59,20 @@ class ErrorLatch
     void
     capture()
     {
-        MutexLock lock(mu_);
-        if (!error_)
-            error_ = std::current_exception();
+        std::call_once(once_, [&] { error_ = std::current_exception(); });
     }
 
+    /** After the pool joined (the join orders the capture). */
     void
     rethrow()
     {
-        std::exception_ptr err;
-        {
-            MutexLock lock(mu_);
-            err = error_;
-        }
-        if (err)
-            std::rethrow_exception(err);
+        if (error_)
+            std::rethrow_exception(error_);
     }
 
   private:
-    Mutex mu_;
-    std::exception_ptr error_ SVARD_GUARDED_BY(mu_);
+    std::once_flag once_;
+    std::exception_ptr error_;
 };
 
 /**
@@ -157,16 +153,6 @@ hashTrace(HashStream &h, const std::vector<sim::TraceEntry> &trace)
         h.mix(e.gap).mix(e.write ? 1 : 0).mix(e.address);
 }
 
-void
-hashParams(
-    HashStream &h,
-    const std::vector<std::pair<std::string, double>> &params)
-{
-    h.mix(params.size());
-    for (const auto &[name, value] : params)
-        h.mix(name).mix(value);
-}
-
 /**
  * Reject typoed module labels on the caller's thread: inside a
  * sharded worker, moduleByLabel's fatal() would kill the sweep
@@ -175,13 +161,12 @@ hashParams(
 void
 validateProviderLabels(const std::vector<ProviderSpec> &providers)
 {
+    const auto &modules = dram::allModules();
     for (const auto &p : providers) {
-        if (p.moduleLabel.empty())
-            continue;
-        bool known = false;
-        for (const auto &m : dram::allModules())
-            known = known || m.label == p.moduleLabel;
-        if (!known)
+        if (!p.moduleLabel.empty() &&
+            std::none_of(modules.begin(), modules.end(), [&](auto &m) {
+                return m.label == p.moduleLabel;
+            }))
             throw std::invalid_argument(
                 "unknown module label \"" + p.moduleLabel +
                 "\" in provider spec \"" + p.name + "\"");
@@ -209,62 +194,276 @@ labelMatchesOrganization(const sim::SimConfig &g)
     if (!sim::presets::contains(g.geometry))
         return true; // custom label: the caller's to keep
     const sim::SimConfig p = sim::presets::get(g.geometry);
-    const dram::TimingParams &a = g.timing;
-    const dram::TimingParams &b = p.timing;
     return g.standard == p.standard && g.channels == p.channels &&
            g.ranks == p.ranks && g.bankGroups == p.bankGroups &&
            g.banksPerGroup == p.banksPerGroup &&
-           g.rowsPerBank == p.rowsPerBank &&
-           g.rowBytes == p.rowBytes && a.tCK == b.tCK &&
-           a.tRCD == b.tRCD && a.tRP == b.tRP && a.tRAS == b.tRAS &&
-           a.tRC == b.tRC && a.tCL == b.tCL && a.tCWL == b.tCWL &&
-           a.tBL == b.tBL && a.tCCD_S == b.tCCD_S &&
-           a.tCCD_L == b.tCCD_L && a.tRRD_S == b.tRRD_S &&
-           a.tRRD_L == b.tRRD_L && a.tFAW == b.tFAW &&
-           a.tWR == b.tWR && a.tRTP == b.tRTP &&
-           a.tWTR_S == b.tWTR_S && a.tWTR_L == b.tWTR_L &&
-           a.tRFC == b.tRFC && a.tREFI == b.tREFI &&
-           a.tREFW == b.tREFW;
+           g.rowsPerBank == p.rowsPerBank && g.rowBytes == p.rowBytes &&
+           g.timing == p.timing;
 }
 
-/** Queue high-water mark when the sink is an AsyncSink (else 0). */
-uint64_t
-sinkQueueHighWater(io::ResultSink *sink)
+using ProfileMap =
+    std::map<std::pair<uint32_t, std::string>,
+             std::shared_ptr<const core::VulnProfile>>;
+
+/** Module profiles of every (geometry index, provider label) pair,
+ *  each resampled onto its geometry; built in parallel, read-only
+ *  once sharding starts. */
+ProfileMap
+buildProfiles(const std::vector<sim::SimConfig> &geoms,
+              const std::vector<ProviderSpec> &providers,
+              unsigned threads)
 {
-    if (auto *async = dynamic_cast<io::AsyncSink *>(sink))
-        return async->maxDepthSeen();
-    return 0;
+    ProfileMap out;
+    std::vector<std::pair<uint32_t, std::string>> wanted;
+    for (uint32_t g = 0; g < geoms.size(); ++g)
+        for (const auto &p : providers)
+            if (!p.moduleLabel.empty() &&
+                out.emplace(std::make_pair(g, p.moduleLabel), nullptr)
+                    .second)
+                wanted.push_back({g, p.moduleLabel});
+    // Assign through find(): keys were inserted serially above, and
+    // map::find is data-race-const, unlike operator[].
+    parallelFor(wanted.size(), threads, [&](size_t i) {
+        const sim::SimConfig &cfg = geoms[wanted[i].first];
+        const auto &spec = dram::moduleByLabel(wanted[i].second);
+        fault::VulnerabilityModel model(
+            spec, std::make_shared<dram::SubarrayMap>(spec));
+        out.find(wanted[i])->second =
+            std::make_shared<core::VulnProfile>(
+                core::VulnProfile::fromModel(model).resampledTo(
+                    cfg.banksPerRank(), cfg.rowsPerBank));
+    });
+    return out;
 }
 
-/** Seconds since a steady-clock start point. */
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/** Microseconds since a steady-clock start point (histograms). */
-uint64_t
-microsSince(std::chrono::steady_clock::time_point start)
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-}
-
-/** Build a module's profile resampled onto a geometry. */
+/** `base` scaled to a worst-case threshold, its lazy occupancy settled
+ *  here so concurrently running cells can share it read-only. */
 std::shared_ptr<const core::VulnProfile>
-buildProfile(const std::string &label, const sim::SimConfig &cfg)
+sharedScaled(const core::VulnProfile &base, double threshold)
 {
-    const auto &spec = dram::moduleByLabel(label);
-    auto sa = std::make_shared<dram::SubarrayMap>(spec);
-    fault::VulnerabilityModel model(spec, sa);
-    return std::make_shared<core::VulnProfile>(
-        core::VulnProfile::fromModel(model).resampledTo(
-            cfg.banksPerRank(), cfg.rowsPerBank));
+    auto scaled =
+        std::make_shared<core::VulnProfile>(base.scaledTo(threshold));
+    scaled->minThreshold(); // settle the lazy occupancy
+    return scaled;
+}
+
+/** A cell's threshold provider, fresh per cell (its lookup counters
+ *  mutate): Svärd over the shared scaled profile of its module, or
+ *  the uniform worst case when the provider names none. */
+std::shared_ptr<const core::ThresholdProvider>
+cellProvider(const ProfileMap &scaled, uint32_t geom,
+             const std::string &label, double threshold,
+             uint32_t rows_per_bank)
+{
+    if (label.empty())
+        return std::make_shared<core::UniformThreshold>(threshold,
+                                                        rows_per_bank);
+    return std::make_shared<core::Svard>(scaled.at({geom, label}));
+}
+
+/** Alone-IPC baseline record of one benchmark (the IPC rides in
+ *  weightedSpeedup, clamped away from zero). */
+sim::MixMetrics
+aloneRun(const sim::SimConfig &cfg, uint32_t bench, size_t requests,
+         uint64_t seed)
+{
+    std::vector<std::vector<sim::TraceEntry>> traces;
+    traces.push_back(sim::generateTrace(sim::benchmarkSuite()[bench],
+                                        requests, seed,
+                                        sim::coreTraceOffset(seed, 0)));
+    sim::System sys(cfg, std::move(traces), requests, nullptr);
+    sim::MixMetrics m;
+    m.weightedSpeedup = std::max(sys.run().ipc[0], 1e-9);
+    return m;
+}
+
+/** Fill a resolved cell from its checkpoint; false on a miss. */
+bool
+restoreCell(io::SweepCache *cache, CellResult &out)
+{
+    CellResult cached;
+    if (!cache || !cache->lookup(out.seed, out.fingerprint, &cached))
+        return false;
+    out.metrics = cached.metrics;
+    out.normalized = cached.normalized;
+    out.drift = cached.drift;
+    return true;
+}
+
+/** What a batch of runs (grid cells or baselines) did. */
+struct RunCounts
+{
+    size_t executed = 0;      ///< runs simulated
+    size_t cached = 0;        ///< runs served from the cache
+    bool interrupted = false; ///< the stop flag dropped unstarted cells
+};
+
+/**
+ * Resolve baseline records in place, sharded: a checkpointed record
+ * keeps its metrics; a miss runs `compute` and is checkpointed under
+ * the same fingerprint scheme as grid cells, so a partial resume stops
+ * recomputing it. Cache I/O failures are rethrown after the pool joins.
+ */
+void
+cacheOrCompute(
+    io::SweepCache *cache, unsigned threads,
+    std::vector<CellResult> &records,
+    const std::function<sim::MixMetrics(const CellResult &)> &compute,
+    RunCounts *counts)
+{
+    std::atomic<size_t> executed{0};
+    ErrorLatch io_errors;
+    parallelFor(records.size(), threads, [&](size_t i) {
+        CellResult &rec = records[i];
+        if (restoreCell(cache, rec))
+            return;
+        rec.metrics = compute(rec);
+        executed.fetch_add(1);
+        try {
+            if (cache)
+                cache->store(rec);
+        } catch (...) {
+            io_errors.capture();
+        }
+    });
+    io_errors.rethrow();
+    counts->executed += executed.load();
+    counts->cached += records.size() - executed.load();
+}
+
+/**
+ * The grid executor of both grid kinds; `spec` is a SweepSpec or an
+ * AdversarialSpec (they spell the I/O fields alike). `results` holds
+ * every cell's resolved seed and fingerprint in enumeration order.
+ * Cached cells keep their checkpointed metrics; `prepare` runs only
+ * when some cell misses; `execute(i)` fills results[i]. Cells stream
+ * to the sink in final order, bit-identical at any thread count.
+ */
+template <class Spec>
+RunCounts
+runGrid(const Spec &spec, std::vector<CellResult> &results,
+        const char *span_name,
+        const std::function<void(obs::Span &, const CellResult &)>
+            &span_args,
+        const std::function<void()> &prepare,
+        const std::function<void(size_t)> &execute)
+{
+    static const obs::MetricId cells_executed =
+        obs::counter("sweep.cells_executed");
+    static const obs::MetricId cells_cached =
+        obs::counter("sweep.cells_cached");
+    static const obs::MetricId cell_wall =
+        obs::histogram("sweep.cell_wall_us");
+
+    io::SweepCache *cache = spec.cache.get();
+    io::ResultSink *sink = spec.sink.get();
+    RunCounts run;
+    std::vector<size_t> pending;
+    std::vector<char> hit(results.size(), 0);
+    {
+        obs::Span probe_span("sweep", "cache_probe");
+        for (size_t i = 0; i < results.size(); ++i) {
+            if (restoreCell(cache, results[i]))
+                hit[i] = 1;
+            else
+                pending.push_back(i);
+        }
+        run.cached = results.size() - pending.size();
+        probe_span.arg("hits", static_cast<uint64_t>(run.cached));
+    }
+    obs::add(cells_cached, run.cached);
+    obs::ProgressMeter progress(spec.progressLabel, results.size());
+    progress.addCached(run.cached);
+
+    // A fully cached re-run executes nothing: no baselines, no
+    // profiles, zero simulated cells.
+    if (!pending.empty())
+        prepare();
+
+    // Cached cells are complete up front (a resumed sweep's sink emits
+    // the finished prefix at once, on the caller's thread where sink
+    // errors may throw), their drift counts in the heartbeat too.
+    OrderedEmitter emitter(results, sink);
+    for (size_t i = 0; i < results.size(); ++i)
+        if (hit[i]) {
+            emitter.complete(i);
+            progress.addEscapes(results[i].drift.escapes);
+            progress.addRecalibrations(results[i].drift.recalibrations);
+        }
+
+    ErrorLatch io_errors;
+    std::atomic<size_t> executed{0};
+    parallelFor(pending.size(), spec.threads, [&](size_t j) {
+        const size_t i = pending[j];
+        // Graceful stop: drop not-yet-started cells; in-flight ones
+        // finish and checkpoint, so a resume continues from here.
+        if (spec.stopFlag && spec.stopFlag->load(std::memory_order_relaxed))
+            return;
+        obs::Span cell_span("sweep", span_name);
+        span_args(cell_span, results[i]);
+        const auto cell_start = Clock::now();
+        // Checkpoint before emitting: a kill between the two loses
+        // sink tail rows (rewritten on resume) but never cached work.
+        // I/O failures are latched, not thrown, on worker threads.
+        try {
+            // Kill/stall drills at cell granularity (no bytes in
+            // flight here, so eio/short/torn outcomes are ignored).
+            faults::check("runner.cell");
+            execute(i);
+            executed.fetch_add(1);
+            if (cache)
+                cache->store(results[i]);
+            emitter.complete(i);
+            progress.addEscapes(results[i].drift.escapes);
+            progress.addRecalibrations(results[i].drift.recalibrations);
+        } catch (...) {
+            io_errors.capture();
+            emitter.disable();
+        }
+        const auto cell_us = std::chrono::duration_cast<
+            std::chrono::microseconds>(Clock::now() - cell_start);
+        obs::observe(cell_wall, static_cast<uint64_t>(cell_us.count()));
+        obs::add(cells_executed);
+        progress.tick();
+    });
+    io_errors.rethrow();
+    run.executed = executed.load();
+    run.interrupted =
+        spec.stopFlag && spec.stopFlag->load(std::memory_order_relaxed);
+    if (sink)
+        sink->flush();
+    progress.finish();
+    return run;
+}
+
+/** Fill the manifest fields both grid kinds share and write it; the
+ *  caller has set the kind-specific ones (kind, geometries, spec
+ *  fingerprint). */
+template <class Spec>
+void
+writeGridManifest(const Spec &spec, obs::RunManifest &m,
+                  Clock::time_point start, size_t cells,
+                  const RunCounts &run, const RunCounts &base)
+{
+    m.baseSeed = spec.baseSeed;
+    m.threads = resolveThreadCount(spec.threads);
+    m.requestsPerCore = spec.requestsPerCore;
+    m.simdImpl = simd::implName(simd::activeImpl());
+    m.buildFlags = obs::buildFlagsString();
+    m.wallSeconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    m.cellsTotal = cells;
+    m.cellsExecuted = run.executed;
+    m.cellsCached = run.cached;
+    m.baselinesExecuted = base.executed;
+    m.baselinesCached = base.cached;
+    // Queue high-water mark when the sink is an AsyncSink (else 0).
+    if (auto *async = dynamic_cast<io::AsyncSink *>(spec.sink.get()))
+        m.sinkQueueHighWater = async->maxDepthSeen();
+    m.interrupted = run.interrupted;
+    if (spec.cache)
+        m.cachePath = spec.cache->path();
+    writeManifest(spec.manifestPath, m, obs::snapshot());
 }
 
 } // anonymous namespace
@@ -338,33 +537,6 @@ ExperimentRunner::driftSeed(const SweepCell &c) const
     return h.value();
 }
 
-uint64_t
-ExperimentRunner::cellFingerprint(const CellResult &r) const
-{
-    const ProviderSpec &prov = spec_.providers[r.cell.provider];
-    const sim::WorkloadMix &mix = spec_.mixes[r.cell.mix];
-    HashStream h;
-    // v2: the drift axis joined the cell identity (and the cache
-    // format moved to SVC4); v1 records predate temporal drift.
-    h.mix(std::string("svard-cell-v2"));
-    h.mix(r.seed); // covers baseSeed and the coordinate-derived RNG
-    hashConfig(h, geoms_[r.cell.geom]);
-    h.mix(spec_.requestsPerCore);
-    h.mix(r.defense);
-    h.mix(r.threshold);
-    h.mix(prov.name).mix(prov.moduleLabel);
-    h.mix(mix.name).mix(mix.benchIdx.size());
-    for (uint32_t b : mix.benchIdx)
-        h.mix(b);
-    hashParams(h, r.params);
-    // Canonicalized drift entry: the default axis hashes exactly like
-    // an explicit static entry, so a spec that never mentions drift
-    // and one that spells out {"none","none",0,0} share fingerprints.
-    const DriftSpec &ds = drifts_[r.cell.drift];
-    h.mix(ds.model).mix(ds.policy).mix(ds.epochs).mix(ds.guardband);
-    return h.value();
-}
-
 void
 ExperimentRunner::resolveCellMeta(const SweepCell &c,
                                   CellResult *out) const
@@ -383,95 +555,30 @@ ExperimentRunner::resolveCellMeta(const SweepCell &c,
     out->guardband = ds.guardband;
     out->params.assign(spec_.defenseParams.begin(),
                        spec_.defenseParams.end());
-    out->fingerprint = cellFingerprint(*out);
-}
 
-std::shared_ptr<const core::VulnProfile>
-ExperimentRunner::baseProfile(uint32_t geom,
-                              const std::string &label) const
-{
-    const auto it = profiles_.find({geom, label});
-    SVARD_ASSERT(it != profiles_.end(),
-                 "profile not prebuilt: " + label);
-    return it->second;
-}
-
-std::shared_ptr<const core::ThresholdProvider>
-ExperimentRunner::makeProvider(uint32_t geom, const ProviderSpec &p,
-                               double threshold) const
-{
-    if (p.moduleLabel.empty())
-        return std::make_shared<core::UniformThreshold>(
-            threshold, geoms_[geom].rowsPerBank);
-    uint64_t bits = 0;
-    std::memcpy(&bits, &threshold, sizeof(bits));
-    const auto it =
-        scaledProfiles_.find({geom, p.moduleLabel, bits});
-    if (it != scaledProfiles_.end())
-        return std::make_shared<core::Svard>(it->second);
-    // Not prebuilt (direct calls outside run()): fall back to a
-    // private copy.
-    return std::make_shared<core::Svard>(
-        std::make_shared<core::VulnProfile>(
-            baseProfile(geom, p.moduleLabel)->scaledTo(threshold)));
-}
-
-CellResult
-ExperimentRunner::aloneMeta(uint32_t geom, uint32_t bench) const
-{
-    CellResult r;
-    r.cell = {geom, 0, 0, 0, bench};
-    r.seed = hashSeed({spec_.baseSeed, geom, bench, 0xA10EULL});
-    r.geometry = geoms_[geom].geometry;
-    r.defense = "none";
-    r.provider = "(alone)";
-    r.mix = sim::benchmarkSuite()[bench].name;
+    const ProviderSpec &prov = spec_.providers[c.provider];
+    const sim::WorkloadMix &mix = spec_.mixes[c.mix];
     HashStream h;
-    h.mix(std::string("svard-alone-v1"));
-    h.mix(r.seed);
-    hashConfig(h, geoms_[geom]);
+    // v2: the drift axis joined the cell identity (and the cache
+    // format moved to SVC4); v1 records predate temporal drift.
+    h.mix(std::string("svard-cell-v2"));
+    h.mix(out->seed); // covers baseSeed and the coordinate-derived RNG
+    hashConfig(h, geoms_[c.geom]);
     h.mix(spec_.requestsPerCore);
-    h.mix(static_cast<uint64_t>(bench));
-    r.fingerprint = h.value();
-    return r;
-}
-
-CellResult
-ExperimentRunner::mixBaseMeta(uint32_t geom, uint32_t mix) const
-{
-    const sim::WorkloadMix &m = spec_.mixes[mix];
-    CellResult r;
-    SweepCell base;
-    base.geom = geom;
-    base.mix = mix;
-    r.cell = base;
-    // Keep the seed the baseline *run* already used, so cached and
-    // freshly-simulated baselines are bit-identical by construction.
-    r.seed = cellSeed(base);
-    r.geometry = geoms_[geom].geometry;
-    r.defense = "none";
-    r.provider = "(baseline)";
-    r.mix = m.name;
-    HashStream h;
-    h.mix(std::string("svard-base-v1"));
-    h.mix(r.seed);
-    hashConfig(h, geoms_[geom]);
-    h.mix(spec_.requestsPerCore);
-    h.mix(m.name).mix(m.benchIdx.size());
-    for (uint32_t b : m.benchIdx)
+    h.mix(out->defense);
+    h.mix(out->threshold);
+    h.mix(prov.name).mix(prov.moduleLabel);
+    h.mix(mix.name).mix(mix.benchIdx.size());
+    for (uint32_t b : mix.benchIdx)
         h.mix(b);
-    r.fingerprint = h.value();
-    return r;
-}
-
-std::vector<uint32_t>
-ExperimentRunner::benchesUsed() const
-{
-    std::set<uint32_t> used;
-    for (const auto &mix : spec_.mixes)
-        for (uint32_t b : mix.benchIdx)
-            used.insert(b);
-    return {used.begin(), used.end()};
+    h.mix(out->params.size());
+    for (const auto &[name, value] : out->params)
+        h.mix(name).mix(value);
+    // Canonicalized drift entry: the default axis hashes exactly like
+    // an explicit static entry, so a spec that never mentions drift
+    // and one that spells out {"none","none",0,0} share fingerprints.
+    h.mix(ds.model).mix(ds.policy).mix(ds.epochs).mix(ds.guardband);
+    out->fingerprint = h.value();
 }
 
 sim::MixMetrics
@@ -497,47 +604,19 @@ ExperimentRunner::runMixCell(
 }
 
 void
-ExperimentRunner::computeBaselines()
+ExperimentRunner::ensureBaselines()
 {
-    // Phase 0: module profiles (read-only once sharding starts).
-    std::vector<std::pair<uint32_t, std::string>> wanted;
-    for (uint32_t g = 0; g < geoms_.size(); ++g)
-        for (const auto &p : spec_.providers)
-            if (!p.moduleLabel.empty() &&
-                !profiles_.count({g, p.moduleLabel})) {
-                profiles_[{g, p.moduleLabel}] = nullptr;
-                wanted.push_back({g, p.moduleLabel});
-            }
-    // Assign through find(): keys were inserted serially above, and
-    // map::find is data-race-const, unlike operator[].
-    parallelFor(wanted.size(), spec_.threads, [&](size_t i) {
-        profiles_.find(wanted[i])->second =
-            buildProfile(wanted[i].second, geoms_[wanted[i].first]);
-    });
-
-    // Phase 0b: one shared scaled profile per (geometry, label,
-    // threshold) configuration. Occupancy is refreshed here, on one
-    // thread, so the otherwise-immutable profile is safe to share
-    // across concurrently-running cells.
-    for (uint32_t g = 0; g < geoms_.size(); ++g)
-        for (const auto &p : spec_.providers) {
-            if (p.moduleLabel.empty())
-                continue;
-            for (double threshold : spec_.thresholds) {
-                uint64_t bits = 0;
-                std::memcpy(&bits, &threshold, sizeof(bits));
-                auto &slot =
-                    scaledProfiles_[{g, p.moduleLabel, bits}];
-                if (slot)
-                    continue;
-                auto scaled =
-                    std::make_shared<core::VulnProfile>(
-                        baseProfile(g, p.moduleLabel)
-                            ->scaledTo(threshold));
-                scaled->minThreshold(); // settle the lazy occupancy
-                slot = std::move(scaled);
-            }
-        }
+    if (baselinesReady_)
+        return;
+    obs::Span base_span("sweep", "baselines");
+    // Phase 0: module profiles, and one shared scaled profile per
+    // (geometry, label, threshold) configuration.
+    profiles_ = buildProfiles(geoms_, spec_.providers, spec_.threads);
+    scaledProfiles_.resize(spec_.thresholds.size());
+    for (const auto &[key, profile] : profiles_)
+        for (size_t t = 0; t < spec_.thresholds.size(); ++t)
+            scaledProfiles_[t][key] =
+                sharedScaled(*profile, spec_.thresholds[t]);
 
     // Phase 1: per-mix traces (seeded by the base seed only, so one
     // generation serves every geometry and defense configuration).
@@ -552,75 +631,80 @@ ExperimentRunner::computeBaselines()
                 sim::coreTraceOffset(spec_.baseSeed, c)));
     });
 
-    // Phase 2: per-(geometry, benchmark) alone IPCs. Checkpointed
-    // under the same fingerprint scheme as grid cells, so a partial
-    // resume stops recomputing them. Cache I/O failures are latched
-    // (workers must not throw) and rethrown by the caller.
-    ErrorLatch base_io_errors;
-    const auto benches = benchesUsed();
+    // Phase 2: per-(geometry, benchmark) alone IPCs; phase 3: per-
+    // (geometry, mix) no-defense baselines against them.
+    RunCounts counts;
+    std::set<uint32_t> benches;
+    for (const auto &mix : spec_.mixes)
+        benches.insert(mix.benchIdx.begin(), mix.benchIdx.end());
+    std::vector<CellResult> recs;
+    for (uint32_t g = 0; g < geoms_.size(); ++g)
+        for (uint32_t b : benches) {
+            CellResult r{.cell = {g, 0, 0, 0, b},
+                         .seed = hashSeed({spec_.baseSeed, g, b, 0xA10EULL}),
+                         .geometry = geoms_[g].geometry,
+                         .defense = "none",
+                         .provider = "(alone)",
+                         .mix = suite[b].name};
+            HashStream h;
+            hashConfig(h.mix(std::string("svard-alone-v1")).mix(r.seed),
+                       geoms_[g]);
+            h.mix(spec_.requestsPerCore).mix(static_cast<uint64_t>(b));
+            r.fingerprint = h.value();
+            recs.push_back(std::move(r));
+        }
+    cacheOrCompute(
+        spec_.cache.get(), spec_.threads, recs,
+        [&](const CellResult &r) {
+            return aloneRun(geoms_[r.cell.geom], r.cell.mix,
+                            spec_.requestsPerCore, spec_.baseSeed);
+        },
+        &counts);
     aloneIpc_.assign(geoms_.size(),
                      std::vector<double>(suite.size(), 0.0));
-    parallelFor(geoms_.size() * benches.size(), spec_.threads,
-                [&](size_t i) {
-        const uint32_t g = static_cast<uint32_t>(i / benches.size());
-        const uint32_t b = benches[i % benches.size()];
-        CellResult meta = aloneMeta(g, b);
-        CellResult cached;
-        if (spec_.cache &&
-            spec_.cache->lookup(meta.seed, meta.fingerprint,
-                                &cached)) {
-            aloneIpc_[g][b] = cached.metrics.weightedSpeedup;
-            cachedBase_.fetch_add(1);
-            return;
-        }
-        std::vector<std::vector<sim::TraceEntry>> traces;
-        traces.push_back(sim::generateTrace(
-            suite[b], spec_.requestsPerCore, spec_.baseSeed,
-            sim::coreTraceOffset(spec_.baseSeed, 0)));
-        sim::System sys(geoms_[g], std::move(traces),
-                        spec_.requestsPerCore, nullptr);
-        aloneIpc_[g][b] = std::max(sys.run().ipc[0], 1e-9);
-        executedBase_.fetch_add(1);
-        meta.metrics.weightedSpeedup = aloneIpc_[g][b];
-        try {
-            if (spec_.cache)
-                spec_.cache->store(meta);
-        } catch (...) {
-            base_io_errors.capture();
-        }
-    });
-    base_io_errors.rethrow();
+    for (const CellResult &r : recs)
+        aloneIpc_[r.cell.geom][r.cell.mix] = r.metrics.weightedSpeedup;
 
-    // Phase 3: per-(geometry, mix) no-defense baselines, cached the
-    // same way.
+    recs.clear();
+    for (uint32_t g = 0; g < geoms_.size(); ++g)
+        for (uint32_t m = 0; m < spec_.mixes.size(); ++m) {
+            const sim::WorkloadMix &mix = spec_.mixes[m];
+            const SweepCell cell{g, 0, 0, 0, m};
+            // Keep the seed the baseline *run* already used, so cached
+            // and freshly-simulated baselines are bit-identical by
+            // construction.
+            CellResult r{.cell = cell,
+                         .seed = cellSeed(cell),
+                         .geometry = geoms_[g].geometry,
+                         .defense = "none",
+                         .provider = "(baseline)",
+                         .mix = mix.name};
+            HashStream h;
+            hashConfig(h.mix(std::string("svard-base-v1")).mix(r.seed),
+                       geoms_[g]);
+            h.mix(spec_.requestsPerCore);
+            h.mix(mix.name).mix(mix.benchIdx.size());
+            for (uint32_t b : mix.benchIdx)
+                h.mix(b);
+            r.fingerprint = h.value();
+            recs.push_back(std::move(r));
+        }
+    cacheOrCompute(
+        spec_.cache.get(), spec_.threads, recs,
+        [&](const CellResult &r) {
+            return runMixCell(r.cell.geom, r.cell.mix, "none", nullptr,
+                              r.seed);
+        },
+        &counts);
     mixBase_.assign(geoms_.size(), std::vector<sim::MixMetrics>(
                                        spec_.mixes.size()));
-    parallelFor(geoms_.size() * spec_.mixes.size(), spec_.threads,
-                [&](size_t i) {
-        const uint32_t g =
-            static_cast<uint32_t>(i / spec_.mixes.size());
-        const uint32_t m =
-            static_cast<uint32_t>(i % spec_.mixes.size());
-        CellResult meta = mixBaseMeta(g, m);
-        CellResult cached;
-        if (spec_.cache &&
-            spec_.cache->lookup(meta.seed, meta.fingerprint,
-                                &cached)) {
-            mixBase_[g][m] = cached.metrics;
-            cachedBase_.fetch_add(1);
-            return;
-        }
-        mixBase_[g][m] = runMixCell(g, m, "none", nullptr, meta.seed);
-        executedBase_.fetch_add(1);
-        meta.metrics = mixBase_[g][m];
-        try {
-            if (spec_.cache)
-                spec_.cache->store(meta);
-        } catch (...) {
-            base_io_errors.capture();
-        }
-    });
-    base_io_errors.rethrow();
+    for (const CellResult &r : recs)
+        mixBase_[r.cell.geom][r.cell.mix] = r.metrics;
+    executedBase_ = counts.executed;
+    cachedBase_ = counts.cached;
+    base_span.arg("executed", static_cast<uint64_t>(executedBase_));
+    base_span.arg("cached", static_cast<uint64_t>(cachedBase_));
+    baselinesReady_ = true;
 }
 
 size_t
@@ -658,87 +742,64 @@ ExperimentRunner::prepareCells()
     return cells_.size();
 }
 
-void
-ExperimentRunner::ensureBaselines()
-{
-    if (baselinesReady_)
-        return;
-    obs::Span base_span("sweep", "baselines");
-    computeBaselines();
-    base_span.arg("executed",
-                  static_cast<uint64_t>(executedBase_.load()));
-    base_span.arg("cached",
-                  static_cast<uint64_t>(cachedBase_.load()));
-    baselinesReady_ = true;
-}
-
 bool
 ExperimentRunner::executeCell(size_t i)
 {
     SVARD_ASSERT(prepared_ && baselinesReady_ && i < cells_.size(),
                  "executeCell needs prepareCells + ensureBaselines");
+    if (restoreCell(spec_.cache.get(), results_[i]))
+        return false;
+    faults::check("runner.cell");
+    simulateCell(i);
+    executed_.fetch_add(1);
+    if (spec_.cache)
+        spec_.cache->store(results_[i]);
+    return true;
+}
+
+void
+ExperimentRunner::simulateCell(size_t i)
+{
     const SweepCell &c = cells_[i];
     CellResult &out = results_[i];
-    CellResult cached;
-    if (spec_.cache &&
-        spec_.cache->lookup(out.seed, out.fingerprint, &cached)) {
-        out.metrics = cached.metrics;
-        out.normalized = cached.normalized;
-        out.drift = cached.drift;
-        return false;
-    }
-    // Kill/stall drills at cell granularity (no bytes in flight
-    // here, so eio/short/torn outcomes are ignored).
-    faults::check("runner.cell");
     const DriftSpec &ds = drifts_[c.drift];
+    const sim::SimConfig &cfg = geoms_[c.geom];
+    const std::string &label = spec_.providers[c.provider].moduleLabel;
     double recal_duty = 0.0;
     if (!ds.isStatic()) {
         // Drift evaluation first: it is pure and cheap, and its
         // recalibration cost parameterizes the mix simulation below.
-        DriftEvalInput in;
-        in.model = fault::DriftModelSpec::parse(ds.model);
-        in.policy = core::RecalPolicy::parse(ds.policy);
-        in.epochs = ds.epochs;
-        in.guardband = ds.guardband;
-        in.seed = driftSeed(c);
-        const sim::SimConfig &cfg = geoms_[c.geom];
-        in.banks = cfg.banksPerRank();
-        in.rowsPerBank = cfg.rowsPerBank;
-        const std::string &label =
-            spec_.providers[c.provider].moduleLabel;
-        std::shared_ptr<const core::VulnProfile> prof;
-        if (!label.empty()) {
-            prof = baseProfile(c.geom, label);
-            in.profile = prof.get();
-        }
-        in.tRcPs = static_cast<double>(cfg.timing.tRC);
-        in.tRefwPs = static_cast<double>(cfg.timing.tREFW);
-        out.drift = evaluateDrift(in);
+        out.drift = evaluateDrift(
+            {.model = fault::DriftModelSpec::parse(ds.model),
+             .policy = core::RecalPolicy::parse(ds.policy),
+             .epochs = ds.epochs,
+             .guardband = ds.guardband,
+             .seed = driftSeed(c),
+             .banks = cfg.banksPerRank(),
+             .rowsPerBank = cfg.rowsPerBank,
+             .profile = label.empty()
+                            ? nullptr
+                            : profiles_.at({c.geom, label}).get(),
+             .tRcPs = static_cast<double>(cfg.timing.tRC),
+             .tRefwPs = static_cast<double>(cfg.timing.tREFW)});
         recal_duty = out.drift.recalCost;
         watchdog_.recordEscapes(out.drift.escapes);
         watchdog_.recordRecalibrations(out.drift.recalibrations);
     }
     out.metrics = runMixCell(
         c.geom, c.mix, out.defense,
-        makeProvider(c.geom, spec_.providers[c.provider],
-                     out.threshold),
+        cellProvider(scaledProfiles_[c.threshold], c.geom, label,
+                     out.threshold, cfg.rowsPerBank),
         out.seed, recal_duty);
+    const sim::MixMetrics &m = out.metrics;
     const sim::MixMetrics &base = mixBase_[c.geom][c.mix];
-    out.normalized.weightedSpeedup =
-        safeRatio(out.metrics.weightedSpeedup, base.weightedSpeedup);
-    out.normalized.harmonicSpeedup =
-        safeRatio(out.metrics.harmonicSpeedup, base.harmonicSpeedup);
-    out.normalized.maxSlowdown =
-        safeRatio(out.metrics.maxSlowdown, base.maxSlowdown);
-    executed_.fetch_add(1);
-    if (spec_.cache) {
-        // The recalibration write path: storing a drift-annotated
-        // record is what a mid-recal kill drill must tear.
-        if (!ds.isStatic())
-            faults::check("recal.write");
-        spec_.cache->store(out);
-    }
-    return true;
+    out.normalized = {safeRatio(m.weightedSpeedup, base.weightedSpeedup),
+                      safeRatio(m.harmonicSpeedup, base.harmonicSpeedup),
+                      safeRatio(m.maxSlowdown, base.maxSlowdown)};
+    // The recalibration write path: the caller checkpoints this record
+    // next, which is what a mid-recal kill drill must tear.
+    if (spec_.cache && !ds.isStatic())
+        faults::check("recal.write");
 }
 
 const std::vector<CellResult> &
@@ -746,122 +807,26 @@ ExperimentRunner::run()
 {
     if (ran_)
         return results_;
-    // A retry after a latched sink/cache error re-enters here with
-    // ran_ still false; counters restart so they never double-count.
-    executed_.store(0);
-    executedBase_.store(0);
-    cachedBase_.store(0);
-    interrupted_ = false;
-
-    const auto wall_start = std::chrono::steady_clock::now();
+    const auto wall_start = Clock::now();
     obs::Span run_span("sweep", "run");
-
     prepareCells();
     run_span.arg("cells", static_cast<uint64_t>(cells_.size()));
 
-    // Probe the cache: hits keep their checkpointed metrics, misses
-    // are scheduled.
-    std::vector<size_t> pending;
-    std::vector<char> hit(cells_.size(), 0);
-    {
-        obs::Span probe_span("sweep", "cache_probe");
-        for (size_t i = 0; i < cells_.size(); ++i) {
-            CellResult &out = results_[i];
-            CellResult cached;
-            if (spec_.cache &&
-                spec_.cache->lookup(out.seed, out.fingerprint,
-                                    &cached)) {
-                out.metrics = cached.metrics;
-                out.normalized = cached.normalized;
-                out.drift = cached.drift;
-                hit[i] = 1;
-            } else {
-                pending.push_back(i);
-            }
-        }
-        probe_span.arg("hits",
-                       static_cast<uint64_t>(cells_.size() -
-                                             pending.size()));
-    }
-    cachedHits_ = cells_.size() - pending.size();
-
-    obs::ProgressMeter progress(spec_.progressLabel, cells_.size());
-    progress.addCached(cachedHits_);
-    // Cached drift cells surface their escape/recal counts in the
-    // heartbeat immediately; executed cells add theirs as they land.
-    for (size_t i = 0; i < cells_.size(); ++i)
-        if (hit[i]) {
-            progress.addEscapes(results_[i].drift.escapes);
-            progress.addRecalibrations(
-                results_[i].drift.recalibrations);
-        }
-
-    // A fully cached re-run executes nothing: no baselines, no
-    // profiles, zero simulated cells.
-    if (!pending.empty())
-        ensureBaselines();
-
-    // Stream cells out in final order as they finish; cached cells
-    // are complete up front (so a resumed sweep's sink emits the
-    // already-finished prefix immediately — still on the caller's
-    // thread, where sink errors may throw directly).
-    OrderedEmitter emitter(results_, spec_.sink.get());
-    ErrorLatch io_errors;
-    for (size_t i = 0; i < cells_.size(); ++i)
-        if (hit[i])
-            emitter.complete(i);
-
-    static const obs::MetricId cells_executed =
-        obs::counter("sweep.cells_executed");
-    static const obs::MetricId cells_cached =
-        obs::counter("sweep.cells_cached");
-    static const obs::MetricId cell_wall =
-        obs::histogram("sweep.cell_wall_us");
-    obs::add(cells_cached, cachedHits_);
-
-    std::atomic<size_t> done{cachedHits_};
-    parallelFor(pending.size(), spec_.threads, [&](size_t j) {
-        const size_t i = pending[j];
-        // Graceful stop: drop not-yet-started cells; in-flight ones
-        // finish and checkpoint, so a resume continues from here.
-        if (spec_.stopFlag &&
-            spec_.stopFlag->load(std::memory_order_relaxed))
-            return;
-        const CellResult &out = results_[i];
-        obs::Span cell_span("sweep", "cell");
-        cell_span.arg("geometry", out.geometry);
-        cell_span.arg("defense", out.defense);
-        cell_span.arg("hc_first", out.threshold);
-        cell_span.arg("provider", out.provider);
-        cell_span.arg("mix", out.mix);
-        cell_span.arg("seed", out.seed);
-        const auto cell_start = std::chrono::steady_clock::now();
-        // Checkpoint (inside executeCell) before emitting: a kill
-        // between the two loses sink tail rows (rewritten on resume)
-        // but never cached work. I/O failures are latched, not
-        // thrown, on worker threads.
-        try {
-            executeCell(i);
-            emitter.complete(i);
-            progress.addEscapes(results_[i].drift.escapes);
-            progress.addRecalibrations(
-                results_[i].drift.recalibrations);
-        } catch (...) {
-            io_errors.capture();
-            emitter.disable();
-        }
-        obs::observe(cell_wall, microsSince(cell_start));
-        obs::add(cells_executed);
-        progress.tick();
-        if (spec_.onProgress)
-            spec_.onProgress(done.fetch_add(1) + 1, cells_.size());
-    });
-    io_errors.rethrow();
-    interrupted_ = spec_.stopFlag &&
-                   spec_.stopFlag->load(std::memory_order_relaxed);
-    if (spec_.sink)
-        spec_.sink->flush();
-    progress.finish();
+    const RunCounts grid = runGrid(
+        spec_, results_, "cell",
+        [](obs::Span &span, const CellResult &r) {
+            span.arg("geometry", r.geometry);
+            span.arg("defense", r.defense);
+            span.arg("hc_first", r.threshold);
+            span.arg("provider", r.provider);
+            span.arg("mix", r.mix);
+            span.arg("seed", r.seed);
+        },
+        [this] { ensureBaselines(); },
+        [this](size_t i) { simulateCell(i); });
+    executed_.store(grid.executed);
+    cachedHits_ = grid.cached;
+    interrupted_ = grid.interrupted;
     // An interrupted run is resumable, not finished: leave ran_
     // false so a later run() (same process, flag cleared) continues.
     ran_ = !interrupted_;
@@ -872,19 +837,6 @@ ExperimentRunner::run()
         for (const sim::SimConfig &g : geoms_)
             m.geometries.push_back(g.geometry);
         m.specFingerprint = specFingerprint_;
-        m.baseSeed = spec_.baseSeed;
-        m.threads = resolveThreadCount(spec_.threads);
-        m.requestsPerCore = spec_.requestsPerCore;
-        m.simdImpl = simd::implName(simd::activeImpl());
-        m.buildFlags = obs::buildFlagsString();
-        m.wallSeconds = secondsSince(wall_start);
-        m.cellsTotal = cells_.size();
-        m.cellsExecuted = executed_.load();
-        m.cellsCached = cachedHits_;
-        m.baselinesExecuted = executedBase_.load();
-        m.baselinesCached = cachedBase_.load();
-        m.sinkQueueHighWater = sinkQueueHighWater(spec_.sink.get());
-        m.interrupted = interrupted_;
         m.fabricWorkers = fabricWorkers_;
         // Drift observability: policy axis plus run-wide totals,
         // summed over the full result table so cached cells count
@@ -896,9 +848,8 @@ ExperimentRunner::run()
             m.escapes += r.drift.escapes;
             m.recalibrations += r.drift.recalibrations;
         }
-        if (spec_.cache)
-            m.cachePath = spec_.cache->path();
-        writeManifest(spec_.manifestPath, m, obs::snapshot());
+        writeGridManifest(spec_, m, wall_start, cells_.size(), grid,
+                          {executedBase_, cachedBase_});
     }
     return results_;
 }
@@ -988,7 +939,7 @@ runAdversarialSweep(const AdversarialSpec &adv,
     const sim::SimConfig &cfg = adv.config;
     const auto &suite = sim::benchmarkSuite();
 
-    const auto wall_start = std::chrono::steady_clock::now();
+    const auto wall_start = Clock::now();
     obs::Span run_span("sweep", "adversarial_run");
 
     // Typos must throw here, not inside a sharded worker thread.
@@ -1005,182 +956,45 @@ runAdversarialSweep(const AdversarialSpec &adv,
         requireSpec(!c.traces.empty(),
                     "case \"" + c.name + "\" has no traces");
 
-    SweepIoStats stats;
     // Shared fingerprint prefix: everything but the per-cell axes.
     // (The defense threshold is mixed into defended cells only; the
     // no-defense references do not depend on it.)
     auto base_hash = [&](const char *tag) {
         HashStream h;
-        h.mix(std::string(tag));
-        hashConfig(h, cfg);
+        hashConfig(h.mix(std::string(tag)), cfg);
         h.mix(adv.requestsPerCore).mix(adv.baseSeed);
         return h;
     };
 
-    // Benign companion mix: the fixed assignment MixRunner uses.
-    const sim::WorkloadMix benign = sim::adversarialBenignMix(cfg.cores);
-
-    // Filled only when some cell actually executes: a fully cached
-    // resume must skip profile building and baseline simulation
-    // entirely, just like the main sweep skips its baselines.
-    std::map<std::string, std::shared_ptr<const core::VulnProfile>>
-        profiles;
-    std::vector<double> alone(suite.size(), 0.0);
-
-    // Reference runs (no defense), shared across providers. These
-    // are checkpointed too: a resumed adversarial sweep re-executes
-    // nothing it already finished.
-    std::vector<std::vector<double>> ref(adv.cases.size());
-    std::vector<std::pair<uint32_t, uint32_t>> ref_cells;
-    for (uint32_t c = 0; c < adv.cases.size(); ++c) {
-        ref[c].assign(adv.cases[c].traces.size(), 0.0);
-        for (uint32_t t = 0; t < adv.cases[c].traces.size(); ++t)
-            ref_cells.push_back({c, t});
-    }
-    auto ref_meta = [&](uint32_t c, uint32_t t) {
-        CellResult r;
-        r.cell = {0, c, 0, 0, t};
-        r.seed = hashSeed({adv.baseSeed, c, t, 0xADF0ULL});
-        r.geometry = cfg.geometry;
-        r.defense = "none";
-        r.provider = "(reference)";
-        r.mix = adv.cases[c].name + "#" + std::to_string(t);
-        HashStream h = base_hash("svard-adv-ref-v1");
-        h.mix(r.seed);
-        hashTrace(h, adv.cases[c].traces[t]);
-        r.fingerprint = h.value();
-        return r;
-    };
-    std::vector<std::pair<uint32_t, uint32_t>> ref_pending;
-    for (const auto &[c, t] : ref_cells) {
-        const CellResult meta = ref_meta(c, t);
-        CellResult cached;
-        if (adv.cache &&
-            adv.cache->lookup(meta.seed, meta.fingerprint, &cached)) {
-            ref[c][t] = cached.metrics.weightedSpeedup;
-            ++stats.cached;
-        } else {
-            ref_pending.push_back({c, t});
-        }
-    }
-    // Defended runs: the full {case x provider x trace} grid, with
-    // cache consult before scheduling and in-order sink emission.
-    struct Cell
-    {
-        uint32_t c, p, t;
-    };
-    std::vector<Cell> cells;
-    for (uint32_t c = 0; c < adv.cases.size(); ++c)
-        for (uint32_t p = 0; p < adv.providers.size(); ++p)
-            for (uint32_t t = 0; t < adv.cases[c].traces.size(); ++t)
-                cells.push_back({c, p, t});
-
-    std::vector<CellResult> defended(cells.size());
-    std::vector<size_t> pending;
-    std::vector<char> hit(cells.size(), 0);
+    // Defended cells: the full {case x provider x trace} grid. Cell
+    // coordinates are {0, case, 0, provider, trace}.
+    std::vector<CellResult> cells;
     HashStream spec_hash;
     spec_hash.mix(std::string("svard-adv-spec-v1"));
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const Cell &cell = cells[i];
-        const ProviderSpec &prov = adv.providers[cell.p];
-        CellResult &out = defended[i];
-        out.cell = {0, cell.c, 0, cell.p, cell.t};
-        out.seed = hashSeed(
-            {adv.baseSeed, cell.c, cell.p, cell.t, 0xADF1ULL});
-        out.geometry = cfg.geometry;
-        out.defense = adv.cases[cell.c].defense;
-        out.threshold = adv.threshold;
-        out.provider = prov.name;
-        out.mix =
-            adv.cases[cell.c].name + "#" + std::to_string(cell.t);
-        HashStream h = base_hash("svard-adv-v1");
-        h.mix(out.seed);
-        h.mix(out.defense).mix(adv.threshold);
-        h.mix(prov.name).mix(prov.moduleLabel);
-        hashTrace(h, adv.cases[cell.c].traces[cell.t]);
-        out.fingerprint = h.value();
-        spec_hash.mix(out.fingerprint);
-        CellResult cached;
-        if (adv.cache &&
-            adv.cache->lookup(out.seed, out.fingerprint, &cached)) {
-            out.metrics = cached.metrics;
-            out.normalized = cached.normalized;
-            hit[i] = 1;
-            ++stats.cached;
-        } else {
-            pending.push_back(i);
-        }
-    }
-
-    // Baselines and profiles are only needed for cells that will
-    // actually execute.
-    if (!ref_pending.empty() || !pending.empty()) {
-        std::vector<std::string> labels;
-        for (const auto &p : adv.providers)
-            if (!p.moduleLabel.empty() &&
-                !profiles.count(p.moduleLabel)) {
-                profiles[p.moduleLabel] = nullptr;
-                labels.push_back(p.moduleLabel);
+    for (uint32_t c = 0; c < adv.cases.size(); ++c)
+        for (uint32_t p = 0; p < adv.providers.size(); ++p)
+            for (uint32_t t = 0; t < adv.cases[c].traces.size(); ++t) {
+                const ProviderSpec &prov = adv.providers[p];
+                CellResult out{
+                    .cell = {0, c, 0, p, t},
+                    .seed = hashSeed({adv.baseSeed, c, p, t, 0xADF1ULL}),
+                    .geometry = cfg.geometry,
+                    .defense = adv.cases[c].defense,
+                    .threshold = adv.threshold,
+                    .provider = prov.name,
+                    .mix = adv.cases[c].name + "#" + std::to_string(t)};
+                HashStream h = base_hash("svard-adv-v1");
+                h.mix(out.seed).mix(out.defense).mix(adv.threshold);
+                h.mix(prov.name).mix(prov.moduleLabel);
+                hashTrace(h, adv.cases[c].traces[t]);
+                out.fingerprint = h.value();
+                spec_hash.mix(out.fingerprint);
+                cells.push_back(std::move(out));
             }
-        parallelFor(labels.size(), adv.threads, [&](size_t i) {
-            profiles.find(labels[i])->second =
-                buildProfile(labels[i], cfg);
-        });
-
-        // Alone IPCs of the benign benchmarks, checkpointed like the
-        // main sweep's baselines so resumes skip them too.
-        ErrorLatch alone_io_errors;
-        std::atomic<size_t> alone_cached{0};
-        std::atomic<size_t> alone_executed{0};
-        const std::set<uint32_t> bench_set(benign.benchIdx.begin(),
-                                           benign.benchIdx.end());
-        const std::vector<uint32_t> benches(bench_set.begin(),
-                                            bench_set.end());
-        parallelFor(benches.size(), adv.threads, [&](size_t i) {
-            const uint32_t b = benches[i];
-            CellResult meta;
-            meta.cell = {0, 0, 0, 0, b};
-            meta.seed = hashSeed({adv.baseSeed, b, 0xA10FULL});
-            meta.geometry = cfg.geometry;
-            meta.defense = "none";
-            meta.provider = "(alone)";
-            meta.mix = suite[b].name;
-            HashStream h = base_hash("svard-adv-alone-v1");
-            h.mix(meta.seed).mix(static_cast<uint64_t>(b));
-            meta.fingerprint = h.value();
-            CellResult cached;
-            if (adv.cache &&
-                adv.cache->lookup(meta.seed, meta.fingerprint,
-                                  &cached)) {
-                alone[b] = cached.metrics.weightedSpeedup;
-                alone_cached.fetch_add(1);
-                return;
-            }
-            std::vector<std::vector<sim::TraceEntry>> traces;
-            traces.push_back(sim::generateTrace(
-                suite[b], adv.requestsPerCore, adv.baseSeed,
-                sim::coreTraceOffset(adv.baseSeed, 0)));
-            sim::System sys(cfg, std::move(traces),
-                            adv.requestsPerCore, nullptr);
-            alone[b] = std::max(sys.run().ipc[0], 1e-9);
-            alone_executed.fetch_add(1);
-            meta.metrics.weightedSpeedup = alone[b];
-            try {
-                if (adv.cache)
-                    adv.cache->store(meta);
-            } catch (...) {
-                alone_io_errors.capture();
-            }
-        });
-        alone_io_errors.rethrow();
-        // Keep executed/cached symmetric: baseline runs count on
-        // both sides (the main sweep reports baselines separately).
-        stats.cached += alone_cached.load();
-        stats.executed += alone_executed.load();
-    }
 
     // One adversarial system run: attacker on core 0 (shared
     // implementation with MixRunner::runAdversarial).
+    std::vector<double> alone(suite.size(), 0.0);
     auto run_one = [&](const std::vector<sim::TraceEntry> &attack,
                        const std::string &defense_name,
                        std::shared_ptr<const core::ThresholdProvider>
@@ -1192,127 +1006,117 @@ runAdversarialSweep(const AdversarialSpec &adv,
             [&](uint32_t b) { return alone[b]; });
     };
 
-    // One shared scaled profile per label, built serially with its
-    // lazy occupancy settled: scaledTo/minThreshold touch mutable
-    // profile state, so calling them from concurrent workers (the old
-    // make_provider) raced. Svard instances remain per cell.
-    std::map<std::string, std::shared_ptr<const core::VulnProfile>>
-        scaled_profiles;
-    for (const auto &[label, profile] : profiles) {
-        if (!profile)
-            continue;
-        auto scaled = std::make_shared<core::VulnProfile>(
-            profile->scaledTo(adv.threshold));
-        scaled->minThreshold(); // settle the lazy occupancy
-        scaled_profiles[label] = std::move(scaled);
-    }
+    // Baselines: alone IPCs of the benign benchmarks, then the
+    // no-defense reference runs (shared across providers), both
+    // checkpointed so a resume re-executes nothing it finished.
+    RunCounts base;
+    std::vector<std::vector<double>> ref(adv.cases.size());
+    auto resolve_refs = [&] {
+        const sim::WorkloadMix benign =
+            sim::adversarialBenignMix(cfg.cores);
+        std::vector<CellResult> metas;
+        for (uint32_t b : std::set<uint32_t>(benign.benchIdx.begin(),
+                                             benign.benchIdx.end())) {
+            CellResult meta{.cell = {0, 0, 0, 0, b},
+                            .seed = hashSeed({adv.baseSeed, b, 0xA10FULL}),
+                            .geometry = cfg.geometry,
+                            .defense = "none",
+                            .provider = "(alone)",
+                            .mix = suite[b].name};
+            meta.fingerprint = base_hash("svard-adv-alone-v1")
+                                   .mix(meta.seed)
+                                   .mix(static_cast<uint64_t>(b))
+                                   .value();
+            metas.push_back(std::move(meta));
+        }
+        cacheOrCompute(
+            adv.cache.get(), adv.threads, metas,
+            [&](const CellResult &m) {
+                return aloneRun(cfg, m.cell.mix, adv.requestsPerCore,
+                                adv.baseSeed);
+            },
+            &base);
+        for (const CellResult &m : metas)
+            alone[m.cell.mix] = m.metrics.weightedSpeedup;
 
-    auto make_provider = [&](const ProviderSpec &p)
-        -> std::shared_ptr<const core::ThresholdProvider> {
-        if (p.moduleLabel.empty())
-            return std::make_shared<core::UniformThreshold>(
-                adv.threshold, cfg.rowsPerBank);
-        return std::make_shared<core::Svard>(
-            scaled_profiles.at(p.moduleLabel));
+        metas.clear();
+        for (uint32_t c = 0; c < adv.cases.size(); ++c)
+            for (uint32_t t = 0; t < adv.cases[c].traces.size(); ++t) {
+                CellResult meta{
+                    .cell = {0, c, 0, 0, t},
+                    .seed = hashSeed({adv.baseSeed, c, t, 0xADF0ULL}),
+                    .geometry = cfg.geometry,
+                    .defense = "none",
+                    .provider = "(reference)",
+                    .mix = adv.cases[c].name + "#" + std::to_string(t)};
+                HashStream h = base_hash("svard-adv-ref-v1");
+                hashTrace(h.mix(meta.seed), adv.cases[c].traces[t]);
+                meta.fingerprint = h.value();
+                metas.push_back(std::move(meta));
+            }
+        cacheOrCompute(
+            adv.cache.get(), adv.threads, metas,
+            [&](const CellResult &m) {
+                sim::MixMetrics r;
+                r.weightedSpeedup = run_one(
+                    adv.cases[m.cell.defense].traces[m.cell.mix],
+                    "none", nullptr, m.seed);
+                return r;
+            },
+            &base);
+        for (const CellResult &m : metas)
+            ref[m.cell.defense].push_back(m.metrics.weightedSpeedup);
     };
 
-    ErrorLatch io_errors;
-    parallelFor(ref_pending.size(), adv.threads, [&](size_t i) {
-        const auto [c, t] = ref_pending[i];
-        CellResult out = ref_meta(c, t);
-        out.metrics.weightedSpeedup = run_one(
-            adv.cases[c].traces[t], "none", nullptr, out.seed);
-        ref[c][t] = out.metrics.weightedSpeedup;
-        try {
-            if (adv.cache)
-                adv.cache->store(out);
-        } catch (...) {
-            io_errors.capture();
-        }
-    });
-    stats.executed += ref_pending.size();
-    io_errors.rethrow();
+    // Module profiles, keyed {0, label}, scaled to the threshold after
+    // the baselines (the phase order fault drills count on).
+    ProfileMap profiles;
+    auto prepare = [&] {
+        profiles = buildProfiles({cfg}, adv.providers, adv.threads);
+        resolve_refs();
+        for (auto &[key, profile] : profiles)
+            profile = sharedScaled(*profile, adv.threshold);
+    };
 
-    const size_t defended_hits = cells.size() - pending.size();
-    obs::ProgressMeter progress(adv.progressLabel, cells.size());
-    progress.addCached(defended_hits);
-
-    OrderedEmitter emitter(defended, adv.sink.get());
-    for (size_t i = 0; i < cells.size(); ++i)
-        if (hit[i])
-            emitter.complete(i);
-    std::atomic<size_t> defended_executed{0};
-    parallelFor(pending.size(), adv.threads, [&](size_t j) {
-        const size_t i = pending[j];
-        // Graceful stop: skip cells that have not started yet.
-        if (adv.stopFlag &&
-            adv.stopFlag->load(std::memory_order_relaxed))
-            return;
-        const Cell &cell = cells[i];
-        CellResult &out = defended[i];
-        obs::Span cell_span("sweep", "adversarial_cell");
-        cell_span.arg("case", adv.cases[cell.c].name);
-        cell_span.arg("defense", out.defense);
-        cell_span.arg("provider", out.provider);
-        cell_span.arg("trace", static_cast<uint64_t>(cell.t));
-        cell_span.arg("seed", out.seed);
+    auto execute = [&](size_t i) {
+        CellResult &out = cells[i];
+        const AdversarialCase &ac = adv.cases[out.cell.defense];
         out.metrics.weightedSpeedup = run_one(
-            adv.cases[cell.c].traces[cell.t],
-            adv.cases[cell.c].defense,
-            make_provider(adv.providers[cell.p]), out.seed);
+            ac.traces[out.cell.mix], ac.defense,
+            cellProvider(profiles, 0,
+                         adv.providers[out.cell.provider].moduleLabel,
+                         adv.threshold, cfg.rowsPerBank),
+            out.seed);
         // Normalized WS vs. the shared no-defense reference (its
         // inverse is this trace's slowdown).
         out.normalized.weightedSpeedup =
             safeRatio(out.metrics.weightedSpeedup,
-                      ref[cell.c][cell.t]);
-        defended_executed.fetch_add(1);
-        try {
-            if (adv.cache)
-                adv.cache->store(out);
-            emitter.complete(i);
-        } catch (...) {
-            io_errors.capture();
-            emitter.disable();
-        }
-        progress.tick();
-    });
-    stats.executed += defended_executed.load();
-    io_errors.rethrow();
-    const bool adv_interrupted =
-        adv.stopFlag && adv.stopFlag->load(std::memory_order_relaxed);
-    if (adv.sink)
-        adv.sink->flush();
-    progress.finish();
+                      ref[out.cell.defense][out.cell.mix]);
+    };
+
+    const RunCounts grid = runGrid(
+        adv, cells, "adversarial_cell",
+        [&](obs::Span &span, const CellResult &r) {
+            span.arg("case", adv.cases[r.cell.defense].name);
+            span.arg("defense", r.defense);
+            span.arg("provider", r.provider);
+            span.arg("trace", static_cast<uint64_t>(r.cell.mix));
+            span.arg("seed", r.seed);
+        },
+        prepare, execute);
+    if (ref[0].empty())
+        resolve_refs(); // a fully cached grid never ran prepare()
     if (io_stats)
-        *io_stats = stats;
+        *io_stats = {grid.executed, grid.cached};
 
     if (!adv.manifestPath.empty()) {
         obs::RunManifest m;
         m.kind = "adversarial";
         m.geometries.push_back(cfg.geometry);
         m.specFingerprint = spec_hash.value();
-        m.baseSeed = adv.baseSeed;
-        m.threads = resolveThreadCount(adv.threads);
-        m.requestsPerCore = adv.requestsPerCore;
-        m.simdImpl = simd::implName(simd::activeImpl());
-        m.buildFlags = obs::buildFlagsString();
-        m.wallSeconds = secondsSince(wall_start);
-        m.cellsTotal = cells.size();
-        m.cellsExecuted = defended_executed.load();
-        m.cellsCached = defended_hits;
         // Reference + alone runs play the baseline role here.
-        m.baselinesExecuted = stats.executed - defended_executed.load();
-        m.baselinesCached = stats.cached - defended_hits;
-        m.sinkQueueHighWater = sinkQueueHighWater(adv.sink.get());
-        m.interrupted = adv_interrupted;
-        if (adv.cache)
-            m.cachePath = adv.cache->path();
-        writeManifest(adv.manifestPath, m, obs::snapshot());
+        writeGridManifest(adv, m, wall_start, cells.size(), grid, base);
     }
-
-    std::vector<double> ws(cells.size(), 0.0);
-    for (size_t i = 0; i < cells.size(); ++i)
-        ws[i] = defended[i].metrics.weightedSpeedup;
 
     // Aggregate: mean over each case's traces; normalize each case
     // to its first provider (the spec's baseline configuration).
@@ -1321,21 +1125,20 @@ runAdversarialSweep(const AdversarialSpec &adv,
     for (uint32_t c = 0; c < adv.cases.size(); ++c) {
         double baseline_slowdown = 1.0;
         for (uint32_t p = 0; p < adv.providers.size(); ++p) {
-            AdversarialResult r;
-            r.caseName = adv.cases[c].name;
-            r.defense = adv.cases[c].defense;
-            r.provider = adv.providers[p].name;
+            AdversarialResult r{.caseName = adv.cases[c].name,
+                                .defense = adv.cases[c].defense,
+                                .provider = adv.providers[p].name};
             const size_t n = adv.cases[c].traces.size();
             for (uint32_t t = 0; t < n; ++t, ++idx) {
-                r.benignWs += ws[idx];
-                r.slowdown += safeRatio(ref[c][t], ws[idx]);
+                const double ws = cells[idx].metrics.weightedSpeedup;
+                r.benignWs += ws;
+                r.slowdown += safeRatio(ref[c][t], ws);
             }
             r.benignWs /= static_cast<double>(n);
             r.slowdown /= static_cast<double>(n);
             if (p == 0)
                 baseline_slowdown = r.slowdown;
-            r.normalizedSlowdown =
-                safeRatio(r.slowdown, baseline_slowdown);
+            r.normalizedSlowdown = safeRatio(r.slowdown, baseline_slowdown);
             out.push_back(std::move(r));
         }
     }

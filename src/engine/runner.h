@@ -18,7 +18,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "common/table.h"
@@ -33,10 +32,12 @@ namespace svard::engine {
  * Execute an adversarial grid (Fig. 13): {attack case x provider x
  * trace} cells sharded across a thread pool, no-defense reference
  * runs shared across providers. Deterministic for any thread count.
- * Honors the spec's sink (defended cells stream out in enumeration
- * order) and cache (reference and defended cells are checkpointed
- * and skipped on resume); `io_stats`, when given, receives the
- * executed/cached cell counts.
+ * Runs through the same grid executor as ExperimentRunner::run():
+ * the spec's sink receives defended cells in enumeration order, and
+ * the cache checkpoints alone-IPC, reference and defended runs, all
+ * skipped on resume. `io_stats`, when given, receives the
+ * executed/cached counts of defended cells (baselines are reported
+ * in the run manifest).
  */
 std::vector<AdversarialResult>
 runAdversarialSweep(const AdversarialSpec &adv,
@@ -105,11 +106,11 @@ class ExperimentRunner
     size_t cachedCells() const { return cachedHits_; }
 
     /** Baseline runs (alone-IPC + no-defense mixes) simulated. */
-    size_t executedBaselines() const { return executedBase_.load(); }
+    size_t executedBaselines() const { return executedBase_; }
 
     /** Baseline runs satisfied from the sweep cache — a partial
      *  resume stops recomputing them. */
-    size_t cachedBaselines() const { return cachedBase_.load(); }
+    size_t cachedBaselines() const { return cachedBase_; }
 
     /** Order-sensitive hash over every cell fingerprint (the whole
      *  grid's identity; recorded in the run manifest). 0 before
@@ -162,34 +163,20 @@ class ExperimentRunner
     uint64_t driftSeed(const SweepCell &c) const;
 
     /**
-     * Cache fingerprint of a metadata-resolved cell: hashes the
-     * cell's seed and every input that shapes its result (geometry +
-     * timing, request count, defense name, threshold value, provider,
-     * workload mix, parameter bag). Two runs compute the same
+     * Fill a cell's metadata (coords, seed, resolved axis values)
+     * without executing it, and its cache fingerprint: a hash of the
+     * seed and every input that shapes its result (geometry + timing,
+     * request count, defense name, threshold value, provider, workload
+     * mix, parameter bag, drift entry). Two runs compute the same
      * fingerprint for a cell iff the cell would simulate identically,
      * which is what makes the sweep cache safe across spec edits.
      */
-    uint64_t cellFingerprint(const CellResult &resolved) const;
-
-    /** Fill a cell's metadata (coords, seed, fingerprint, resolved
-     *  axis values) without executing it. */
     void resolveCellMeta(const SweepCell &c, CellResult *out) const;
 
-    /** Resampled base profile of (geometry, module label), cached. */
-    std::shared_ptr<const core::VulnProfile>
-    baseProfile(uint32_t geom, const std::string &label) const;
+    /** Simulate cell `i` into results_[i] (drift evaluation, mix run,
+     *  normalization); the caller checkpoints it. */
+    void simulateCell(size_t i);
 
-    /** Build the cell's threshold provider (fresh per cell: provider
-     *  lookup counters are mutable and must not be shared across
-     *  worker threads). */
-    std::shared_ptr<const core::ThresholdProvider>
-    makeProvider(uint32_t geom, const ProviderSpec &p,
-                 double threshold) const;
-
-    /** Benchmarks referenced by the spec's mixes (alone baselines). */
-    std::vector<uint32_t> benchesUsed() const;
-
-    void computeBaselines();
     sim::MixMetrics runMixCell(uint32_t geom, uint32_t mix,
                                const std::string &defense_name,
                                std::shared_ptr<
@@ -202,18 +189,17 @@ class ExperimentRunner
     std::vector<sim::SimConfig> geoms_;
     std::vector<DriftSpec> drifts_; ///< defaulted + canonicalized
     core::GuardbandWatchdog watchdog_;
-    std::map<std::pair<uint32_t, std::string>,
-             std::shared_ptr<const core::VulnProfile>>
-        profiles_; ///< built before sharding; read-only afterwards
+    /** (geometry, module label) -> profile. */
+    using ProfileMap = std::map<std::pair<uint32_t, std::string>,
+                                std::shared_ptr<const core::VulnProfile>>;
+    ProfileMap profiles_; ///< built before sharding; read-only afterwards
 
-    /** Scaled (geom, label, threshold) profiles, also prebuilt: the
-     *  cells sharing a provider configuration share one immutable
-     *  profile (occupancy pre-refreshed) instead of each copying and
-     *  rescaling megabytes of bin data. Svard instances stay
-     *  per-cell — their lookup counters and budget memos mutate. */
-    std::map<std::tuple<uint32_t, std::string, uint64_t>,
-             std::shared_ptr<const core::VulnProfile>>
-        scaledProfiles_;
+    /** profiles_ scaled to each threshold (by axis index), also
+     *  prebuilt: the cells sharing a provider configuration share one
+     *  immutable profile (occupancy pre-refreshed) instead of each
+     *  copying and rescaling megabytes of bin data. Svard instances
+     *  stay per-cell — their lookup counters and budget memos mutate. */
+    std::vector<ProfileMap> scaledProfiles_;
 
     /** Per-mix core traces, generated once and copied into each cell
      *  (traces depend only on the base seed, not the geometry).
@@ -223,13 +209,6 @@ class ExperimentRunner
     std::vector<std::vector<std::vector<sim::TraceEntry>>> mixTraces_;
     std::vector<std::vector<double>> aloneIpc_;         ///< [geom][bench]
     std::vector<std::vector<sim::MixMetrics>> mixBase_; ///< [geom][mix]
-    /** Cache record metadata of an alone-IPC baseline (stored under
-     *  the same fingerprint scheme as grid cells). */
-    CellResult aloneMeta(uint32_t geom, uint32_t bench) const;
-
-    /** Cache record metadata of a (geometry, mix) no-defense run. */
-    CellResult mixBaseMeta(uint32_t geom, uint32_t mix) const;
-
     std::vector<CellResult> results_;
     std::vector<SweepCell> cells_; ///< enumeration order (prepareCells)
     bool prepared_ = false;
@@ -238,8 +217,8 @@ class ExperimentRunner
     bool ran_ = false;
     std::atomic<size_t> executed_{0};
     size_t cachedHits_ = 0;
-    std::atomic<size_t> executedBase_{0};
-    std::atomic<size_t> cachedBase_{0};
+    size_t executedBase_ = 0;
+    size_t cachedBase_ = 0;
     uint64_t specFingerprint_ = 0;
     std::vector<obs::FabricWorkerStats> fabricWorkers_;
 };

@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -136,13 +135,6 @@ struct SweepSpec
     unsigned threads = 0;
 
     /**
-     * Progress hook invoked after each defense cell completes, as
-     * (cells_done, cells_total). Called concurrently from worker
-     * threads — keep it cheap and thread-safe (an fprintf is fine).
-     */
-    std::function<void(size_t, size_t)> onProgress;
-
-    /**
      * Defense parameter bag applied to every cell's DefenseContext
      * (registry-driven sweeps, e.g. {"blacklist_fraction", 0.25} for
      * BlockHammer). Recorded per cell and part of the cache
@@ -220,10 +212,10 @@ struct CellResult
     uint32_t driftEpochs = 0;
     double guardband = 0.0;
     /** Defense parameter bag the cell ran under (sorted by name). */
-    std::vector<std::pair<std::string, double>> params;
-    sim::MixMetrics metrics;    ///< raw paper metrics
-    sim::MixMetrics normalized; ///< vs. same-geometry/mix no-defense run
-    DriftMetrics drift;         ///< escapes / recals (static: zeros)
+    std::vector<std::pair<std::string, double>> params{};
+    sim::MixMetrics metrics{};    ///< raw paper metrics
+    sim::MixMetrics normalized{}; ///< vs. same-geometry/mix no-defense run
+    DriftMetrics drift{};         ///< escapes / recals (static: zeros)
 };
 
 /** Mean normalized metrics of one configuration across its mixes. */
@@ -283,8 +275,8 @@ struct AdversarialSpec
 /** Cache effectiveness of one sweep execution. */
 struct SweepIoStats
 {
-    size_t executed = 0; ///< cells actually simulated this run
-    size_t cached = 0;   ///< cells satisfied from the cache
+    size_t executed = 0; ///< grid cells actually simulated this run
+    size_t cached = 0;   ///< grid cells satisfied from the cache
 };
 
 struct AdversarialResult

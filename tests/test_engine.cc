@@ -13,7 +13,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "engine/runner.h"
+#include "fault_inject/fault_inject.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
 #include "sim/engine.h"
@@ -535,6 +539,46 @@ TEST(AdversarialSweep, ThreadCountInvariantAndPinned)
     }
     EXPECT_EQ(h.value(), kPinnedDigest)
         << std::hex << "digest 0x" << h.value();
+}
+
+TEST(AdversarialSweep, KilledSweepResumesByteIdentical)
+{
+    // The runner.cell kill drill through the adversarial grid: the
+    // child dies at its second executed cell, and a resume from its
+    // checkpoint reproduces an uninterrupted run byte for byte.
+    if (!faults::compiled())
+        GTEST_SKIP() << "fault harness compiled out";
+    const std::string ref_csv = ::testing::TempDir() + "svard_adv_kill_ref.csv";
+    const std::string res_csv = ::testing::TempDir() + "svard_adv_kill_res.csv";
+    const std::string cache_path =
+        ::testing::TempDir() + "svard_adv_kill.cache";
+    std::remove(cache_path.c_str());
+    runPinnedAdv(1, ref_csv);
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        try {
+            faults::configure("runner.cell:kill@2");
+            runPinnedAdv(1, ::testing::TempDir() + "svard_adv_kill_child.csv",
+                         std::make_shared<io::SweepCache>(cache_path));
+        } catch (...) {
+            ::_Exit(3);
+        }
+        ::_Exit(0); // fault did not fire
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 137)
+        << "the injected kill must fire mid-sweep";
+
+    engine::SweepIoStats stats;
+    runPinnedAdv(4, res_csv, std::make_shared<io::SweepCache>(cache_path),
+                 &stats);
+    EXPECT_EQ(stats.cached, 1u) << "the first cell was checkpointed";
+    EXPECT_EQ(stats.executed, 5u);
+    EXPECT_EQ(slurp(ref_csv), slurp(res_csv));
 }
 
 } // namespace

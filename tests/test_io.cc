@@ -468,10 +468,9 @@ TEST(AdversarialSweep, CacheResumesAndSinkStreamsDefendedCells)
     engine::SweepIoStats cold_stats;
     const auto cold_rows = engine::runAdversarialSweep(cold,
                                                        &cold_stats);
-    // 3 reference runs + {case x provider x trace} = 3 + 6 defended,
-    // plus the benign alone-IPC baselines (3 distinct benchmarks),
-    // which are checkpointed and counted like reference runs.
-    EXPECT_EQ(cold_stats.executed, 12u);
+    // The counts cover the {case x provider x trace} = 6 defended
+    // cells; reference and alone-IPC runs are baselines.
+    EXPECT_EQ(cold_stats.executed, 6u);
     EXPECT_EQ(cold_stats.cached, 0u);
     EXPECT_EQ(collect->rows.size(), 6u); // defended cells streamed
 
@@ -480,7 +479,7 @@ TEST(AdversarialSweep, CacheResumesAndSinkStreamsDefendedCells)
     engine::SweepIoStats hot_stats;
     const auto hot_rows = engine::runAdversarialSweep(hot, &hot_stats);
     EXPECT_EQ(hot_stats.executed, 0u);
-    EXPECT_EQ(hot_stats.cached, 9u);
+    EXPECT_EQ(hot_stats.cached, 6u);
     ASSERT_EQ(hot_rows.size(), cold_rows.size());
     for (size_t i = 0; i < cold_rows.size(); ++i) {
         EXPECT_EQ(cold_rows[i].caseName, hot_rows[i].caseName);
@@ -496,7 +495,8 @@ TEST(SweepCache, SinkFailureSurfacesAsExceptionAndKeepsCheckpoint)
 {
     // A sink that fails mid-stream: the error is raised on a worker
     // thread (workers emit as cells finish), and must surface as an
-    // exception from run() rather than terminating the process.
+    // exception from the grid run rather than terminating the
+    // process — for both grid kinds.
     class FailAfterOne : public io::ResultSink
     {
       public:
@@ -511,17 +511,38 @@ TEST(SweepCache, SinkFailureSurfacesAsExceptionAndKeepsCheckpoint)
         int written_ = 0;
     };
 
-    const std::string cache_path = tmpPath("sinkfail.cache");
-    std::remove(cache_path.c_str());
-    engine::SweepSpec spec = ioSpec(4);
-    auto cache = std::make_shared<io::SweepCache>(cache_path);
-    spec.cache = cache;
-    spec.sink = std::make_shared<FailAfterOne>();
-    engine::ExperimentRunner runner(std::move(spec));
-    EXPECT_THROW(runner.run(), std::runtime_error);
-    // Every cell that finished before the failure stayed
-    // checkpointed, so a retry resumes instead of starting over.
-    EXPECT_GT(cache->size(), 0u);
+    for (const bool adversarial : {false, true}) {
+        SCOPED_TRACE(adversarial ? "adversarial grid" : "sweep grid");
+        const std::string cache_path =
+            tmpPath(adversarial ? "sinkfail_adv.cache" : "sinkfail.cache");
+        std::remove(cache_path.c_str());
+        auto cache = std::make_shared<io::SweepCache>(cache_path);
+        if (adversarial) {
+            engine::AdversarialSpec adv;
+            adv.config.cores = 4;
+            adv.requestsPerCore = 600;
+            adv.threads = 4;
+            adv.cases.push_back(
+                {"RRS-swap", "rrs",
+                 {sim::adversarialRrsTrace(600, 3, 1537),
+                  sim::adversarialRrsTrace(600, 3, 5011)}});
+            adv.providers = {engine::ProviderSpec::uniform(),
+                             engine::ProviderSpec::svard("S3")};
+            adv.cache = cache;
+            adv.sink = std::make_shared<FailAfterOne>();
+            EXPECT_THROW(engine::runAdversarialSweep(adv),
+                         std::runtime_error);
+        } else {
+            engine::SweepSpec spec = ioSpec(4);
+            spec.cache = cache;
+            spec.sink = std::make_shared<FailAfterOne>();
+            engine::ExperimentRunner runner(std::move(spec));
+            EXPECT_THROW(runner.run(), std::runtime_error);
+        }
+        // Every cell that finished before the failure stayed
+        // checkpointed, so a retry resumes instead of starting over.
+        EXPECT_GT(cache->size(), 0u);
+    }
 }
 
 TEST(SweepCache, ConcurrentSinkFailureDoesNotRaceEmission)
