@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -59,20 +58,26 @@ class ErrorLatch
     void
     capture()
     {
-        std::call_once(once_, [&] { error_ = std::current_exception(); });
+        MutexLock lock(mu_);
+        if (!error_)
+            error_ = std::current_exception();
     }
 
-    /** After the pool joined (the join orders the capture). */
     void
     rethrow()
     {
-        if (error_)
-            std::rethrow_exception(error_);
+        std::exception_ptr err;
+        {
+            MutexLock lock(mu_);
+            err = error_;
+        }
+        if (err)
+            std::rethrow_exception(err);
     }
 
   private:
-    std::once_flag once_;
-    std::exception_ptr error_;
+    Mutex mu_;
+    std::exception_ptr error_ SVARD_GUARDED_BY(mu_);
 };
 
 /**
@@ -218,8 +223,7 @@ buildProfiles(const std::vector<sim::SimConfig> &geoms,
     for (uint32_t g = 0; g < geoms.size(); ++g)
         for (const auto &p : providers)
             if (!p.moduleLabel.empty() &&
-                out.emplace(std::make_pair(g, p.moduleLabel), nullptr)
-                    .second)
+                out.try_emplace({g, p.moduleLabel}).second)
                 wanted.push_back({g, p.moduleLabel});
     // Assign through find(): keys were inserted serially above, and
     // map::find is data-race-const, unlike operator[].
@@ -375,8 +379,6 @@ runGrid(const Spec &spec, std::vector<CellResult> &results,
     obs::ProgressMeter progress(spec.progressLabel, results.size());
     progress.addCached(run.cached);
 
-    // A fully cached re-run executes nothing: no baselines, no
-    // profiles, zero simulated cells.
     if (!pending.empty())
         prepare();
 

@@ -513,9 +513,8 @@ runPinnedAdv(unsigned threads, const std::string &csv_path,
 
 TEST(AdversarialSweep, ThreadCountInvariantAndPinned)
 {
-    // Digest of the aggregated results, recorded before the
-    // adversarial grid moved onto the shared grid executor: any
-    // change to what the sweep computes shows up here.
+    // Digest of the aggregated results: any change to what the
+    // adversarial sweep computes shows up here.
     constexpr uint64_t kPinnedDigest = 0xcd8c3d76eed53624ULL;
     const std::string path1 = ::testing::TempDir() + "svard_adv_t1.csv";
     const std::string path4 = ::testing::TempDir() + "svard_adv_t4.csv";
