@@ -11,8 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -38,35 +36,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/**
- * Interleaved best-of-N timing. Runs every variant once per round, in
- * round-robin order, for `rounds` rounds, and returns each variant's
- * MINIMUM wall seconds, index-aligned with `variants`.
- *
- * This is the honest-measurement protocol the committed
- * BENCH_perf.json numbers follow: interleaving spreads frequency
- * ramps, thermal drift, and background-task noise evenly across the
- * variants instead of crediting whichever happened to run on the
- * quietest slice of the host, and min-of-N is the low-noise estimator
- * for a deterministic workload (noise only ever adds time). Each
- * variant should run long enough to dwarf a steady_clock read.
- */
-inline std::vector<double>
-bestOfInterleaved(const std::vector<std::function<void()>> &variants,
-                  int rounds)
-{
-    std::vector<double> best(variants.size(),
-                             std::numeric_limits<double>::infinity());
-    for (int r = 0; r < rounds; ++r) {
-        for (size_t v = 0; v < variants.size(); ++v) {
-            const auto start = std::chrono::steady_clock::now();
-            variants[v]();
-            best[v] = std::min(best[v], secondsSince(start));
-        }
-    }
-    return best;
 }
 
 /** Device + model + characterizer for one module. */
@@ -174,7 +143,7 @@ geometryEnv()
     return out;
 }
 
-/** Single-geometry variant (fig13, perf_smoke): the config of the
+/** Single-geometry variant (fig13): the config of the
  *  named preset, or `fallback` when SVARD_GEOMETRY is unset. Dies if
  *  more than one preset is named. */
 inline sim::SimConfig
