@@ -209,8 +209,8 @@ installStopHandlers()
  *                 recomputing everything). Env: SVARD_RESUME=1.
  *   --manifest=PATH  write a run manifest (obs/manifest.h) after the
  *                 sweep: schema, spec fingerprint, seed, threads,
- *                 SIMD impl, build flags, wall time, cell counts,
- *                 metrics snapshot. Env: SVARD_MANIFEST. Defaults to
+ *                 build flags, wall time, cell counts, metrics
+ *                 snapshot. Env: SVARD_MANIFEST. Defaults to
  *                 `<out>.manifest.json` (or `<cache>.manifest.json`
  *                 when only a cache is named) so every persisted
  *                 sweep output carries its provenance record.

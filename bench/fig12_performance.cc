@@ -35,7 +35,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/simd.h"
 #include "engine/runner.h"
 #include "fabric/fabric.h"
 
@@ -164,8 +163,7 @@ main(int argc, char **argv)
     // check greps for "executed 0 cells" on the second run).
     std::fprintf(stderr, "fig12: executed %zu cells, %zu from cache\n",
                  runner.executedCells(), runner.cachedCells());
-    std::fprintf(stderr, "fig12: wall %.3f s (simd %s)\n",
-                 secondsSince(sweep_start),
-                 simd::implName(simd::activeImpl()));
+    std::fprintf(stderr, "fig12: wall %.3f s\n",
+                 secondsSince(sweep_start));
     return 0;
 }

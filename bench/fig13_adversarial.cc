@@ -19,7 +19,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/simd.h"
 #include "engine/runner.h"
 
 using namespace svard;
@@ -95,8 +94,7 @@ main(int argc, char **argv)
 
     std::fprintf(stderr, "fig13: executed %zu cells, %zu from cache\n",
                  io_stats.executed, io_stats.cached);
-    std::fprintf(stderr, "fig13: wall %.3f s (simd %s)\n",
-                 secondsSince(sweep_start),
-                 simd::implName(simd::activeImpl()));
+    std::fprintf(stderr, "fig13: wall %.3f s\n",
+                 secondsSince(sweep_start));
     return 0;
 }

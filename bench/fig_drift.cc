@@ -29,7 +29,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/simd.h"
 #include "engine/runner.h"
 
 using namespace svard;
@@ -131,8 +130,7 @@ main(int argc, char **argv)
     std::fprintf(stderr,
                  "fig_drift: executed %zu cells, %zu from cache\n",
                  runner.executedCells(), runner.cachedCells());
-    std::fprintf(stderr, "fig_drift: wall %.3f s (simd %s)\n",
-                 secondsSince(sweep_start),
-                 simd::implName(simd::activeImpl()));
+    std::fprintf(stderr, "fig_drift: wall %.3f s\n",
+                 secondsSince(sweep_start));
     return 0;
 }

@@ -84,9 +84,9 @@ main(int argc, char **argv)
     // The manifest the runner wrote next to the CSV, read back.
     obs::RunManifest m;
     if (obs::readManifest(out_csv + ".manifest.json", &m))
-        std::printf("\nmanifest: kind=%s threads=%u simd=%s "
+        std::printf("\nmanifest: kind=%s threads=%u "
                     "flags=[%s] wall=%.2fs cells=%llu\n",
-                    m.kind.c_str(), m.threads, m.simdImpl.c_str(),
+                    m.kind.c_str(), m.threads,
                     m.buildFlags.c_str(), m.wallSeconds,
                     static_cast<unsigned long long>(m.cellsTotal));
 

@@ -14,12 +14,6 @@
  * 64-bit keys, value references stable until the next insert/clear,
  * default-constructed values on first touch. Not thread-safe (each
  * sweep cell owns its defense instances end to end).
- *
- * For multi-key walks (Hydra's group-promotion counter seeding), the
- * batch APIs findBatch/assignBatch run the probe as a structure-of-
- * arrays pass: all slot hashes in one simd::hashBatch vector call,
- * home slots prefetched, then the scalar probe walks on warm lines.
- * Results are bit-identical to the equivalent single-key loops.
  */
 #ifndef SVARD_COMMON_FLAT_TABLE_H
 #define SVARD_COMMON_FLAT_TABLE_H
@@ -27,8 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "common/simd.h"
 
 namespace svard {
 
@@ -61,13 +53,56 @@ class FlatTable
     V &
     refOrInsert(uint64_t key)
     {
-        return refOrInsertHashed(key, hashOf(key));
+        if (slots_.empty())
+            slots_.resize(initialCap_);
+        // Grow on the *used* count (live + tombstones): tombstones
+        // lengthen probe chains just like live entries do.
+        if ((used_ + 1) * 10 >= slots_.size() * 7)
+            rehash();
+        const size_t mask = slots_.size() - 1;
+        size_t i = hashOf(key) & mask;
+        size_t insert_at = SIZE_MAX;
+        for (;;) {
+            Slot &s = slots_[i];
+            if (s.gen != gen_) {
+                // Free slot: the key is absent. Reuse the first
+                // tombstone passed on the way (keeps chains short).
+                if (insert_at == SIZE_MAX) {
+                    insert_at = i;
+                    ++used_;
+                }
+                break;
+            }
+            if (s.state == kFull && s.key == key)
+                return s.value;
+            if (s.state == kTomb && insert_at == SIZE_MAX)
+                insert_at = i;
+            i = (i + 1) & mask;
+        }
+        Slot &s = slots_[insert_at];
+        s.key = key;
+        s.gen = gen_;
+        s.state = kFull;
+        s.value = V{};
+        ++size_;
+        return s.value;
     }
 
     V *
     find(uint64_t key)
     {
-        return findHashed(key, hashOf(key));
+        if (slots_.empty())
+            return nullptr;
+        const size_t mask = slots_.size() - 1;
+        size_t i = hashOf(key) & mask;
+        for (;;) {
+            Slot &s = slots_[i];
+            if (s.gen != gen_)
+                return nullptr;
+            if (s.state == kFull && s.key == key)
+                return &s.value;
+            i = (i + 1) & mask;
+        }
     }
 
     const V *
@@ -77,44 +112,6 @@ class FlatTable
     }
 
     bool contains(uint64_t key) const { return find(key) != nullptr; }
-
-    /**
-     * Batch find: out[i] = find(keys[i]), as one structure-of-arrays
-     * pass — every slot hash in a single simd::hashBatch call, each
-     * home slot prefetched ahead of the scalar probe walks so the
-     * probes run on warm cache lines. Results are identical to n
-     * single find() calls (same probe sequences).
-     */
-    void
-    findBatch(const uint64_t *keys, size_t n, V **out)
-    {
-        hashScratch_.resize(n);
-        simd::hashBatch(keys, hashScratch_.data(), n);
-        prefetchHomes(n);
-        for (size_t i = 0; i < n; ++i)
-            out[i] = findHashed(
-                keys[i], static_cast<size_t>(hashScratch_[i]));
-    }
-
-    /**
-     * Batch refOrInsert-and-assign: refOrInsert(keys[i]) = value, in
-     * key order — Hydra's group-promotion RCT seeding, where a whole
-     * counter group materializes at once. Hashes are computed in one
-     * vector pass up front (they depend only on the key, so a growth
-     * rehash mid-batch does not invalidate them) and home slots are
-     * prefetched before the probes. End state is identical to the
-     * scalar loop, including growth points.
-     */
-    void
-    assignBatch(const uint64_t *keys, size_t n, const V &value)
-    {
-        hashScratch_.resize(n);
-        simd::hashBatch(keys, hashScratch_.data(), n);
-        prefetchHomes(n);
-        for (size_t i = 0; i < n; ++i)
-            refOrInsertHashed(
-                keys[i], static_cast<size_t>(hashScratch_[i])) = value;
-    }
 
     /** Remove `key` (tombstoned; reclaimed at the next rehash). */
     bool
@@ -191,82 +188,11 @@ class FlatTable
     hashOf(uint64_t key)
     {
         // splitmix64 finalizer: full-avalanche, so sequential
-        // (bank<<32|row) keys spread over the table. simd::hashBatch
-        // computes exactly this hash lane-parallel for the batch APIs.
+        // (bank<<32|row) keys spread over the table.
         uint64_t z = key + 0x9e3779b97f4a7c15ULL;
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
         return static_cast<size_t>(z ^ (z >> 31));
-    }
-
-    V &
-    refOrInsertHashed(uint64_t key, size_t hash)
-    {
-        if (slots_.empty())
-            slots_.resize(initialCap_);
-        // Grow on the *used* count (live + tombstones): tombstones
-        // lengthen probe chains just like live entries do.
-        if ((used_ + 1) * 10 >= slots_.size() * 7)
-            rehash();
-        const size_t mask = slots_.size() - 1;
-        size_t i = hash & mask;
-        size_t insert_at = SIZE_MAX;
-        for (;;) {
-            Slot &s = slots_[i];
-            if (s.gen != gen_) {
-                // Free slot: the key is absent. Reuse the first
-                // tombstone passed on the way (keeps chains short).
-                if (insert_at == SIZE_MAX) {
-                    insert_at = i;
-                    ++used_;
-                }
-                break;
-            }
-            if (s.state == kFull && s.key == key)
-                return s.value;
-            if (s.state == kTomb && insert_at == SIZE_MAX)
-                insert_at = i;
-            i = (i + 1) & mask;
-        }
-        Slot &s = slots_[insert_at];
-        s.key = key;
-        s.gen = gen_;
-        s.state = kFull;
-        s.value = V{};
-        ++size_;
-        return s.value;
-    }
-
-    V *
-    findHashed(uint64_t key, size_t hash)
-    {
-        if (slots_.empty())
-            return nullptr;
-        const size_t mask = slots_.size() - 1;
-        size_t i = hash & mask;
-        for (;;) {
-            Slot &s = slots_[i];
-            if (s.gen != gen_)
-                return nullptr;
-            if (s.state == kFull && s.key == key)
-                return &s.value;
-            i = (i + 1) & mask;
-        }
-    }
-
-    /** Pull the batch's home slots toward cache before probing. */
-    void
-    prefetchHomes(size_t n)
-    {
-        if (slots_.empty())
-            return;
-        const size_t mask = slots_.size() - 1;
-        for (size_t i = 0; i < n; ++i) {
-#if defined(__GNUC__)
-            __builtin_prefetch(
-                &slots_[static_cast<size_t>(hashScratch_[i]) & mask]);
-#endif
-        }
     }
 
     void
@@ -308,7 +234,6 @@ class FlatTable
     }
 
     std::vector<Slot> slots_;
-    std::vector<uint64_t> hashScratch_; ///< batch-API hash staging
     size_t initialCap_ = 16;
     uint32_t gen_ = 1;
     size_t size_ = 0; ///< live entries

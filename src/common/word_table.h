@@ -3,18 +3,17 @@
  * Structure-of-arrays open-addressing map from small uint32 keys to
  * uint64 values, built for one consumer: RowData's word-delta store
  * (dram/rowdata.h). Unlike the general FlatTable, the value array is
- * kept *dense and SIMD-clean*: keys and values live in two separate
- * contiguous arrays, and every dead slot (empty or tombstoned) is
- * guaranteed to hold value 0.
+ * kept *dense*: keys and values live in two separate contiguous
+ * arrays, and every dead slot (empty or tombstoned) is guaranteed to
+ * hold value 0.
  *
  * That invariant is the whole point. RowData::mismatchedBits() needs
  * sum(popcount(base ^ delta)) over the live deltas; with dead slots
- * pinned to 0 the kernel can run simd::xorPopcountBase over the ENTIRE
+ * pinned to 0 the count can run dram::xorPopcountBase over the ENTIRE
  * value array — no per-slot liveness test, no gather — because a dead
  * slot contributes exactly popcount(base ^ 0) == popcount(base), which
- * the caller subtracts back out as capacity() * popcount(base). The
- * value array is the vector lane layout; liveness is an arithmetic
- * identity instead of a branch.
+ * the caller subtracts back out as capacity() * popcount(base).
+ * Liveness is an arithmetic identity instead of a branch.
  *
  * Key space: [0, 0xFFFFFFFD]. The top two uint32 values are the
  * empty/tombstone sentinels — RowData's keys are word indices within a
@@ -56,7 +55,7 @@ class WordTable
 
     /**
      * The dense value array (length capacity()), for whole-array
-     * vector kernels. Dead slots hold 0 by invariant. nullptr when
+     * loops. Dead slots hold 0 by invariant. nullptr when
      * the table has never been inserted into (capacity() == 0).
      */
     const uint64_t *valsData() const { return vals_.data(); }
@@ -130,7 +129,7 @@ class WordTable
     /**
      * Remove `key` (tombstoned; reclaimed at the next rehash). The
      * value slot is re-zeroed — this is what upholds the dead-slots-
-     * are-zero invariant the vector kernels rely on.
+     * are-zero invariant the whole-array popcount relies on.
      */
     bool
     erase(uint32_t key)

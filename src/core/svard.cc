@@ -1,10 +1,8 @@
 #include "core/svard.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/log.h"
-#include "common/simd.h"
 
 namespace svard::core {
 
@@ -22,55 +20,6 @@ ThresholdProvider::aggressorBudget(uint32_t bank, uint32_t row) const
     return budget;
 }
 
-void
-ThresholdProvider::victimThresholdBatch(uint32_t bank, uint32_t row0,
-                                        uint32_t n, double *out) const
-{
-    for (uint32_t i = 0; i < n; ++i)
-        out[i] = victimThreshold(bank, row0 + i);
-}
-
-void
-ThresholdProvider::aggressorBudgetBatchMemo(uint32_t bank,
-                                            uint32_t row0,
-                                            uint32_t n) const
-{
-    if (n == 0)
-        return;
-    if (!memoReady_)
-        initBudgetMemo();
-    const uint32_t rows = memoRows_;
-    if (!budgetMemo_ || row0 >= rows)
-        return;
-    n = std::min<uint64_t>(n, static_cast<uint64_t>(rows) - row0);
-    if (bank >= memoBanks_)
-        bank %= memoBanks_; // bank-agnostic providers memo one bank
-    // The run's budgets are min(thr[row-1], thr[row+1]) with the same
-    // outside-the-array sentinel aggressorBudget() uses, so the fold
-    // needs the thresholds of [row0, row0+n) plus the two rows just
-    // outside the run (when they exist).
-    const double sentinel = worstCase() * 1e9;
-    std::vector<double> thr(n);
-    std::vector<double> budget(n);
-    victimThresholdBatch(bank, row0, n, thr.data());
-    double edge_lo = sentinel;
-    double edge_hi = sentinel;
-    if (row0 > 0)
-        edge_lo = victimThreshold(bank, row0 - 1);
-    if (row0 + n < rows)
-        edge_hi = victimThreshold(bank, row0 + n);
-    simd::minNeighborsBatch(thr.data(), n, edge_lo, edge_hi,
-                            budget.data());
-    double *slots =
-        budgetMemo_.get() + static_cast<size_t>(bank) * rows + row0;
-    // Scalar aggressorBudget starts its fold AT the sentinel, so the
-    // stored value is min(sentinel, neighbors); clamp the vector fold
-    // the same way so the two paths agree bit for bit even when a
-    // degenerate profile puts thresholds above the sentinel.
-    for (uint32_t i = 0; i < n; ++i)
-        slots[i] = std::min(budget[i], sentinel);
-}
-
 Svard::Svard(std::shared_ptr<const VulnProfile> profile)
     : profile_(std::move(profile))
 {
@@ -82,17 +31,6 @@ Svard::victimThreshold(uint32_t bank, uint32_t row) const
 {
     ++lookups_;
     return profile_->thresholdOf(bank, row);
-}
-
-void
-Svard::victimThresholdBatch(uint32_t bank, uint32_t row0, uint32_t n,
-                            double *out) const
-{
-    // Dense bin-table reads, no per-row virtual dispatch. Each served
-    // row is still one table lookup for the overhead accounting.
-    lookups_ += n;
-    for (uint32_t i = 0; i < n; ++i)
-        out[i] = profile_->thresholdOf(bank, row0 + i);
 }
 
 double

@@ -39,15 +39,6 @@ class ThresholdProvider
      */
     virtual double aggressorBudget(uint32_t bank, uint32_t row) const;
 
-    /**
-     * Batch victimThreshold over a contiguous run of rows:
-     * out[i] = victimThreshold(bank, row0 + i) for i in [0, n). The
-     * default loops the virtual call; providers with dense storage
-     * (Svard's bin table) override with a direct read loop.
-     */
-    virtual void victimThresholdBatch(uint32_t bank, uint32_t row0,
-                                      uint32_t n, double *out) const;
-
     /** Chip-wide worst case (used for sizing defense structures). */
     virtual double worstCase() const = 0;
 
@@ -84,20 +75,6 @@ class ThresholdProvider
             slot = aggressorBudget(bank, row);
         return slot;
     }
-
-    /**
-     * Batch-fill the aggressor-budget memo for the contiguous rows
-     * [row0, row0 + n): one victimThresholdBatch over the run plus its
-     * two boundary rows, folded by simd::minNeighborsBatch. Values are
-     * identical to n scalar aggressorBudgetMemo calls — the vector min
-     * is exactly std::min on these finite positive thresholds. Used
-     * when a defense knows a whole row run is about to go hot (Hydra's
-     * group promotion seeds per-row counters for the full group, and
-     * every subsequent ACT of those rows consults the memo). Rows
-     * beyond rowsPerBank() are ignored.
-     */
-    void aggressorBudgetBatchMemo(uint32_t bank, uint32_t row0,
-                                  uint32_t n) const;
 
     // ---- temporal calibration state (drift robustness layer) ----
     // Thresholds above are a snapshot from characterization time; on
@@ -196,8 +173,6 @@ class Svard : public ThresholdProvider
     explicit Svard(std::shared_ptr<const VulnProfile> profile);
 
     double victimThreshold(uint32_t bank, uint32_t row) const override;
-    void victimThresholdBatch(uint32_t bank, uint32_t row0, uint32_t n,
-                              double *out) const override;
     double worstCase() const override;
     uint32_t rowsPerBank() const override;
     uint32_t banks() const override;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/simd.h"
+#include "common/rng.h"
 
 namespace svard::defense {
 
@@ -18,14 +18,10 @@ CountingBloomFilter::CountingBloomFilter(size_t counters, int hashes,
 void
 CountingBloomFilter::indicesOf(uint64_t key, size_t *out) const
 {
-    // index(key, h) = hashSeed({seed, h, key}) % m for h in [0, k):
-    // exactly the salt/tail lane shape of hashSeedTailBatch. The
-    // modulo stays scalar (m is not a power of two).
-    uint64_t hashes[kMaxHashes];
-    simd::hashSeedTailBatch(seed_, key, hashes,
-                            static_cast<size_t>(hashes_));
     for (int h = 0; h < hashes_; ++h)
-        out[h] = static_cast<size_t>(hashes[h] % counters_.size());
+        out[h] = static_cast<size_t>(
+            hashSeed({seed_, static_cast<uint64_t>(h), key}) %
+            counters_.size());
 }
 
 uint32_t
@@ -99,9 +95,9 @@ BlockHammer::onActivate(uint32_t bank, uint32_t row, dram::Tick now,
     const uint64_t k = key(bank, row);
     const double budget = aggressorBudget(bank, row);
     const double blacklist_at = params_.blacklistFraction * budget;
-    // One lane-parallel index computation serves both the estimate
-    // and the later insert into the active filter (same key, same
-    // seed, same indices); only the draining filter hashes again.
+    // One index computation serves both the estimate and the later
+    // insert into the active filter (same key, same seed, same
+    // indices); only the draining filter hashes again.
     size_t idx_active[CountingBloomFilter::kMaxHashes];
     cbf_[active_].indicesOf(k, idx_active);
     const uint32_t estimate = cbf_[active_].estimateAt(idx_active);

@@ -35,11 +35,10 @@ class CountingBloomFilter
     uint32_t estimate(uint64_t key) const;
 
     /**
-     * All k counter indices of `key` in one lane-parallel hash pass
-     * (simd::hashSeedTailBatch — the per-hash fold over the key is
-     * identical math, batched over the hash-function lane). `out` must
-     * hold kMaxHashes entries. Lets a caller that both estimates and
-     * inserts the same key reuse one index computation.
+     * All k counter indices of `key`: hashSeed({seed, h, key}) % m for
+     * h in [0, k). `out` must hold kMaxHashes entries. Lets a caller
+     * that both estimates and inserts the same key reuse one index
+     * computation.
      */
     void indicesOf(uint64_t key, size_t *out) const;
 

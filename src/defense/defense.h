@@ -157,20 +157,6 @@ class Defense
     }
 
     /**
-     * Batch-fill the aggressor-budget memo for the contiguous rows
-     * [row0, row0 + n): one vector threshold fetch + neighbor-min fold
-     * instead of n lazy two-lookup fills. For a defense that just
-     * learned a whole row run is going hot (Hydra promoting a group to
-     * per-row tracking), every later aggressorBudget() of those rows
-     * is a warm load. Values are identical to the lazy path's.
-     */
-    void
-    warmAggressorBudgets(uint32_t bank, uint32_t row0, uint32_t n) const
-    {
-        threshold_->aggressorBudgetBatchMemo(foldBank(bank), row0, n);
-    }
-
-    /**
      * Profiles cover one rank's banks; fold flat bank indices into
      * the configured banks-per-rank, then into the provider's own
      * bank space when it is narrower (e.g. a profile characterized on

@@ -96,19 +96,12 @@ Hydra::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
             return;
         // Group crossed its share of the threshold: switch the whole
         // group to exact per-row tracking, seeded with the group count
-        // (conservative: every row inherits the group's count). The
-        // whole group materializes at once, so the RCT seeding runs
-        // through the batch-probe path (one vector hash pass +
-        // prefetched slots) and the aggressor-budget memo is warmed
-        // for the full row run the promoted group is about to consult.
+        // (conservative: every row inherits the group's count).
         perRowGroups_.refOrInsert(gk) = 1;
         const uint32_t base =
             (row / params_.rowsPerGroup) * params_.rowsPerGroup;
-        groupKeys_.clear();
         for (uint32_t r = 0; r < params_.rowsPerGroup; ++r)
-            groupKeys_.push_back(rowKey(bank, base + r));
-        rct_.assignBatch(groupKeys_.data(), groupKeys_.size(), gcount);
-        warmAggressorBudgets(bank, base, params_.rowsPerGroup);
+            rct_.refOrInsert(rowKey(bank, base + r)) = gcount;
     }
 
     const uint64_t rk = rowKey(bank, row);

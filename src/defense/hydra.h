@@ -84,7 +84,6 @@ class Hydra : public Defense
     FlatTable<uint32_t> gct_;
     FlatTable<uint8_t> perRowGroups_; ///< membership set
     FlatTable<uint32_t> rct_; ///< DRAM-resident counts
-    std::vector<uint64_t> groupKeys_; ///< reused promotion key buffer
 
     // RCC: fixed-capacity LRU of row keys currently cached on-chip.
     // Nodes are preallocated and linked by index; recency order (MRU

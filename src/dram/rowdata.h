@@ -11,22 +11,25 @@
  * (`WordTable`, word index -> delta). A delta of zero means "equals
  * the fill", so probes and inserts share one code path and bit flips
  * are a single XOR on the delta. WordTable pins dead slots to value
- * 0, which lets mismatchedBits() run the simd::xorPopcountBase kernel
- * over the table's ENTIRE value array — liveness falls out as an
- * arithmetic identity (dead slots contribute popcount(base) each,
- * subtracted back in one multiply) instead of a per-slot branch.
+ * 0, which lets mismatchedBits() run xorPopcountBase over the table's
+ * ENTIRE value array — liveness falls out as an arithmetic identity
+ * (dead slots contribute popcount(base) each, subtracted back in one
+ * multiply) instead of a per-slot branch.
  */
 #ifndef SVARD_DRAM_ROWDATA_H
 #define SVARD_DRAM_ROWDATA_H
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.h"
 #include "common/word_table.h"
 
 namespace svard::dram {
+
+/** Sum of popcount(words[i] ^ base) over a dense uint64 array. */
+uint64_t xorPopcountBase(const uint64_t *words, size_t n, uint64_t base);
 
 /** Content of one DRAM row: fill byte + sparse word-level exceptions. */
 class RowData
@@ -161,13 +164,13 @@ class RowData
             count += std::popcount(base & tail);
         // Per-delta correction, sum over live entries of
         // popcount(base ^ d) - popcount(base) — computed as ONE dense
-        // vector pass over the whole value array: dead slots hold 0
+        // pass over the whole value array: dead slots hold 0
         // by WordTable invariant, so they contribute popcount(base)
         // each, and capacity * popcount(base) subtracts every slot's
         // base term in one multiply. Intermediate terms may wrap; the
         // uint64 arithmetic is modular and the final count is exact.
         const size_t cap = deltas_.capacity();
-        count += simd::xorPopcountBase(deltas_.valsData(), cap, base);
+        count += xorPopcountBase(deltas_.valsData(), cap, base);
         count -= base_pc * cap;
         // The tail word was corrected as if full-width above; redo it
         // masked. At most one scalar probe, skipped for 8B-multiple

@@ -10,7 +10,6 @@
 #include "common/mutex.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "engine/drift_eval.h"
 #include "fault_inject/fault_inject.h"
 #include "dram/module_spec.h"
@@ -450,7 +449,6 @@ writeGridManifest(const Spec &spec, obs::RunManifest &m,
     m.baseSeed = spec.baseSeed;
     m.threads = resolveThreadCount(spec.threads);
     m.requestsPerCore = spec.requestsPerCore;
-    m.simdImpl = simd::implName(simd::activeImpl());
     m.buildFlags = obs::buildFlagsString();
     m.wallSeconds =
         std::chrono::duration<double>(Clock::now() - start).count();

@@ -162,8 +162,8 @@ struct SweepSpec
     /**
      * Optional run-manifest path (obs/manifest.h): after the sweep
      * finishes, a JSON record of what produced the output — spec
-     * fingerprint, seed, thread count, SIMD impl, build flags, wall
-     * time, cell counts, and the final metrics snapshot — is written
+     * fingerprint, seed, thread count, build flags, wall time, cell
+     * counts, and the final metrics snapshot — is written
      * here. Conventionally `<out>.manifest.json` next to the sink.
      */
     std::string manifestPath;

@@ -1,7 +1,9 @@
 #include "io/result_sink.h"
 
 #include <bit>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -181,16 +183,48 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-double
-parseDouble(const std::string &s)
+std::runtime_error
+badField(const std::string &path, const std::string &field,
+         const std::string &text)
 {
-    return std::strtod(s.c_str(), nullptr);
+    return std::runtime_error("malformed " + field + " in \"" + path +
+                              "\": \"" + text + "\"");
+}
+
+/** A numeric CSV field, or a runtime_error naming the file and field:
+ *  empty text, trailing garbage and out-of-range values never load
+ *  silently as 0. */
+double
+parseDouble(const std::string &s, const std::string &path,
+            const std::string &field)
+{
+    const char *begin = s.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(begin, &end);
+    // A subnormal result also reports ERANGE, and the writer can emit
+    // one; only overflow and underflow all the way to 0 are rejected.
+    const bool out_of_range =
+        errno == ERANGE && (std::isinf(v) || v == 0.0);
+    if (end == begin || *end != '\0' || out_of_range)
+        throw badField(path, field, s);
+    return v;
 }
 
 uint64_t
-parseU64(const std::string &s)
+parseU64(const std::string &s, const std::string &path,
+         const std::string &field, uint64_t max = UINT64_MAX)
 {
-    return std::strtoull(s.c_str(), nullptr, 10);
+    // strtoull skips blanks and wraps a leading '-'; the writer always
+    // starts the field with a digit.
+    if (s.empty() || s[0] < '0' || s[0] > '9')
+        throw badField(path, field, s);
+    char *end = nullptr;
+    errno = 0;
+    const uint64_t v = std::strtoull(s.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE || v > max)
+        throw badField(path, field, s);
+    return v;
 }
 
 std::vector<std::string>
@@ -313,6 +347,8 @@ readCsvResults(const std::string &path)
     std::ifstream in(path);
     if (!in.good())
         throw std::runtime_error("cannot read CSV \"" + path + "\"");
+    static const std::vector<std::string> columns =
+        splitOn(CsvSink::header(), ',');
     std::vector<engine::CellResult> out;
     std::string s;
     bool first = true;
@@ -341,35 +377,43 @@ readCsvResults(const std::string &path)
                         &r.cell.mix, &r.cell.drift) != 6)
             throw std::runtime_error("malformed coords in \"" + path +
                                      "\": " + fields[0]);
-        r.seed = parseU64(fields[1]);
-        r.fingerprint = parseU64(fields[2]);
+        const auto num = [&](size_t i) {
+            return parseDouble(fields[i], path, columns[i]);
+        };
+        const auto u64 = [&](size_t i, uint64_t max = UINT64_MAX) {
+            return parseU64(fields[i], path, columns[i], max);
+        };
+        r.seed = u64(1);
+        r.fingerprint = u64(2);
         r.geometry = fields[3];
         r.defense = fields[4];
-        r.threshold = parseDouble(fields[5]);
+        r.threshold = num(5);
         r.provider = fields[6];
         r.mix = fields[7];
         r.driftModel = fields[8];
         r.driftPolicy = fields[9];
-        r.driftEpochs = static_cast<uint32_t>(parseU64(fields[10]));
-        r.guardband = parseDouble(fields[11]);
-        r.metrics.weightedSpeedup = parseDouble(fields[12]);
-        r.metrics.harmonicSpeedup = parseDouble(fields[13]);
-        r.metrics.maxSlowdown = parseDouble(fields[14]);
-        r.normalized.weightedSpeedup = parseDouble(fields[15]);
-        r.normalized.harmonicSpeedup = parseDouble(fields[16]);
-        r.normalized.maxSlowdown = parseDouble(fields[17]);
-        r.drift.escapes = parseU64(fields[18]);
-        r.drift.escapeRate = parseDouble(fields[19]);
-        r.drift.recalibrations = parseU64(fields[20]);
-        r.drift.recalCost = parseDouble(fields[21]);
+        r.driftEpochs = static_cast<uint32_t>(u64(10, UINT32_MAX));
+        r.guardband = num(11);
+        r.metrics.weightedSpeedup = num(12);
+        r.metrics.harmonicSpeedup = num(13);
+        r.metrics.maxSlowdown = num(14);
+        r.normalized.weightedSpeedup = num(15);
+        r.normalized.harmonicSpeedup = num(16);
+        r.normalized.maxSlowdown = num(17);
+        r.drift.escapes = u64(18);
+        r.drift.escapeRate = num(19);
+        r.drift.recalibrations = u64(20);
+        r.drift.recalCost = num(21);
         if (!fields[22].empty())
             for (const auto &kv : splitOn(fields[22], '|')) {
                 const size_t eq = kv.find('=');
                 if (eq == std::string::npos)
                     throw std::runtime_error("malformed params in \"" +
                                              path + "\": " + kv);
-                r.params.emplace_back(kv.substr(0, eq),
-                                      parseDouble(kv.substr(eq + 1)));
+                const std::string name = kv.substr(0, eq);
+                r.params.emplace_back(
+                    name, parseDouble(kv.substr(eq + 1), path,
+                                      "params." + name));
             }
         out.push_back(std::move(r));
     }

@@ -46,9 +46,6 @@ buildFlagsString()
 #ifdef NDEBUG
     append("ndebug");
 #endif
-#ifndef SVARD_SIMD_OFF
-    append("simd");
-#endif
 #ifndef SVARD_OBS_OFF
     append("obs");
 #endif
@@ -125,7 +122,6 @@ writeManifest(const std::string &path, const RunManifest &m,
                  "  \"base_seed\": %llu,\n"
                  "  \"threads\": %u,\n"
                  "  \"requests_per_core\": %llu,\n"
-                 "  \"simd_impl\": %s,\n"
                  "  \"build_flags\": %s,\n"
                  "  \"wall_s\": %s,\n"
                  "  \"cells_total\": %llu,\n"
@@ -148,7 +144,6 @@ writeManifest(const std::string &path, const RunManifest &m,
                  static_cast<unsigned long long>(m.specFingerprint),
                  static_cast<unsigned long long>(m.baseSeed), m.threads,
                  static_cast<unsigned long long>(m.requestsPerCore),
-                 quoted(m.simdImpl).c_str(),
                  quoted(m.buildFlags).c_str(),
                  json::formatNumber(m.wallSeconds).c_str(),
                  static_cast<unsigned long long>(m.cellsTotal),
@@ -203,7 +198,6 @@ readManifest(const std::string &path, RunManifest *out, std::string *err)
     out->baseSeed = u64Field(doc, "base_seed");
     out->threads = static_cast<uint32_t>(u64Field(doc, "threads"));
     out->requestsPerCore = u64Field(doc, "requests_per_core");
-    out->simdImpl = strField(doc, "simd_impl");
     out->buildFlags = strField(doc, "build_flags");
     if (const json::Value *w = doc.find("wall_s"))
         out->wallSeconds = w->asNumber();

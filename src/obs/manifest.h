@@ -2,14 +2,15 @@
  * @file
  * Run manifests: a small JSON file written next to every sink/cache
  * output describing what produced it — schema version, run kind,
- * geometry presets, spec fingerprint, base seed, thread count, SIMD
- * dispatch impl, build flags, wall time, cell/baseline counts, sink
- * queue high-water mark, and the final metrics snapshot. A result file
- * without its manifest is an orphan; with it, any later fleet
- * coordinator (or a human three months out) can tell exactly which
- * code and configuration produced the bytes.
+ * geometry presets, spec fingerprint, base seed, thread count, build
+ * flags, wall time, cell/baseline counts, sink queue high-water mark,
+ * and the final metrics snapshot. A result file without its manifest
+ * is an orphan; with it, any later fleet coordinator (or a human three
+ * months out) can tell exactly which code and configuration produced
+ * the bytes.
  *
- * Schema: "svard-manifest-v1".
+ * Schema: "svard-manifest-v1". The reader ignores keys it does not
+ * know, so manifests from older builds (with "simd_impl") still load.
  */
 #ifndef SVARD_OBS_MANIFEST_H
 #define SVARD_OBS_MANIFEST_H
@@ -43,8 +44,7 @@ struct RunManifest
     uint64_t baseSeed = 0;
     uint32_t threads = 0; ///< resolved worker count (0 = hw default)
     uint64_t requestsPerCore = 0;
-    std::string simdImpl; ///< active dispatch impl ("avx2", "scalar"...)
-    std::string buildFlags; ///< comma list: ndebug, simd, obs, asan...
+    std::string buildFlags; ///< comma list: ndebug, obs, asan...
     double wallSeconds = 0.0;
     uint64_t cellsTotal = 0;
     uint64_t cellsExecuted = 0;

@@ -16,10 +16,10 @@
 #include "common/flat_table.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/word_table.h"
+#include "dram/rowdata.h"
 
 namespace svard {
 namespace {
@@ -361,67 +361,6 @@ TEST(FlatTable, ForEachOrderIsDeterministicForSameHistory)
     EXPECT_EQ(order_a, order_b);
 }
 
-TEST(FlatTable, BatchProbesMatchSinglesUnderTombstoneChurn)
-{
-    // Twin tables under the erase-heavy Hydra RCT pattern: `scalar`
-    // mutated one key at a time, `batch` through assignBatch, with
-    // interleaved erase bursts accumulating tombstones between
-    // in-place rehashes. The batch path must be indistinguishable —
-    // same probe results (findBatch vs find, including misses) and
-    // the same slot layout (forEach order), i.e. identical growth
-    // points and tombstone reuse.
-    FlatTable<uint32_t> scalar(16), batch(16);
-    Rng rng(0xBA7C);
-    std::vector<uint64_t> keys;
-    std::vector<uint32_t *> got(64);
-    for (int round = 0; round < 300; ++round) {
-        // Group seeding: a contiguous run of keys, one value.
-        const uint64_t base = rng.below(4000);
-        const uint32_t value = static_cast<uint32_t>(rng.next());
-        keys.clear();
-        for (uint64_t r = 0; r < 32; ++r)
-            keys.push_back(base + r);
-        for (uint64_t k : keys)
-            scalar.refOrInsert(k) = value;
-        batch.assignBatch(keys.data(), keys.size(), value);
-
-        // Erase burst (tombstone churn), same keys on both.
-        for (int e = 0; e < 24; ++e) {
-            const uint64_t k = rng.below(4000);
-            EXPECT_EQ(scalar.erase(k), batch.erase(k)) << k;
-        }
-
-        // Probe a mix of present and absent keys both ways.
-        keys.clear();
-        for (int p = 0; p < 64; ++p)
-            keys.push_back(rng.below(5000)); // ~20% guaranteed absent
-        batch.findBatch(keys.data(), keys.size(), got.data());
-        for (size_t i = 0; i < keys.size(); ++i) {
-            const uint32_t *want = scalar.find(keys[i]);
-            if (want == nullptr) {
-                EXPECT_EQ(got[i], nullptr) << keys[i];
-            } else {
-                ASSERT_NE(got[i], nullptr) << keys[i];
-                EXPECT_EQ(*got[i], *want) << keys[i];
-            }
-        }
-    }
-    EXPECT_EQ(scalar.size(), batch.size());
-    EXPECT_EQ(scalar.capacity(), batch.capacity());
-    std::vector<std::pair<uint64_t, uint32_t>> order_s, order_b;
-    scalar.forEach([&](uint64_t k, const uint32_t &v) {
-        order_s.emplace_back(k, v);
-    });
-    batch.forEach([&](uint64_t k, const uint32_t &v) {
-        order_b.emplace_back(k, v);
-    });
-    EXPECT_EQ(order_s, order_b);
-}
-
-// -----------------------------------------------------------------
-// WordTable (RowData's SoA word-delta store)
-// -----------------------------------------------------------------
-
 TEST(WordTable, InsertFindEraseAndGrowthKeepEveryEntry)
 {
     WordTable t(8);
@@ -443,10 +382,10 @@ TEST(WordTable, InsertFindEraseAndGrowthKeepEveryEntry)
 
 TEST(WordTable, DeadSlotsHoldZeroThroughChurnAndClear)
 {
-    // THE invariant the vector kernels lean on: summing over the
+    // THE invariant RowData's BER count leans on: summing over the
     // entire value array must equal summing over the live entries,
     // because every dead slot (never-used, tombstoned, or cleared)
-    // holds exactly 0. Checked via the kernel itself: a base of 0
+    // holds exactly 0. Checked via the count itself: a base of 0
     // makes xorPopcountBase a straight popcount sum.
     WordTable t(8);
     Rng rng(0x00DD);
@@ -466,10 +405,10 @@ TEST(WordTable, DeadSlotsHoldZeroThroughChurnAndClear)
         ++live;
     });
     EXPECT_EQ(live, t.size());
-    EXPECT_EQ(simd::xorPopcountBase(t.valsData(), t.capacity(), 0),
+    EXPECT_EQ(dram::xorPopcountBase(t.valsData(), t.capacity(), 0),
               live_popcount);
     t.clear();
-    EXPECT_EQ(simd::xorPopcountBase(t.valsData(), t.capacity(), 0),
+    EXPECT_EQ(dram::xorPopcountBase(t.valsData(), t.capacity(), 0),
               0u);
     EXPECT_EQ(t.size(), 0u);
 }

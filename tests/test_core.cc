@@ -190,64 +190,6 @@ TEST(ThresholdProvider, ProviderBankCountsExposeProfileGeometry)
     EXPECT_EQ(uni.banks(), 0u);
 }
 
-TEST(ThresholdProvider, VictimThresholdBatchMatchesScalar)
-{
-    auto model = makeModel("M0");
-    auto prof = std::make_shared<VulnProfile>(
-        VulnProfile::fromModel(*model));
-    Svard svard(prof);           // dense override
-    UniformThreshold uni(777.5, prof->rowsPerBank()); // default impl
-    const uint32_t runs[][2] = {{0, 64}, {100, 37}, {5000, 1}};
-    for (const auto &run : runs) {
-        std::vector<double> got(run[1]);
-        svard.victimThresholdBatch(2, run[0], run[1], got.data());
-        for (uint32_t i = 0; i < run[1]; ++i)
-            EXPECT_EQ(got[i], svard.victimThreshold(2, run[0] + i))
-                << run[0] + i;
-        uni.victimThresholdBatch(0, run[0], run[1], got.data());
-        for (uint32_t i = 0; i < run[1]; ++i)
-            EXPECT_EQ(got[i], 777.5) << run[0] + i;
-    }
-}
-
-TEST(ThresholdProvider, BatchMemoFillMatchesLazyFillExactly)
-{
-    // Two providers over the same profile: one memo filled lazily
-    // (aggressorBudgetMemo per row), one warmed by the batch fill.
-    // Every budget must agree EXACTLY — the vector neighbor-min fold
-    // is the same double math as the scalar path. Runs cover both
-    // array edges (sentinel-clamped), an interior stretch, and the
-    // beyond-the-end clamp.
-    auto model = makeModel("S0");
-    auto prof = std::make_shared<VulnProfile>(
-        VulnProfile::fromModel(*model));
-    Svard lazy(prof), batch(prof);
-    const uint32_t rows = prof->rowsPerBank();
-    const uint32_t runs[][2] = {
-        {0, 128}, {1000, 37}, {rows - 64, 64}, {rows - 10, 100}};
-    for (const auto &run : runs) {
-        const uint32_t bank = 1;
-        batch.aggressorBudgetBatchMemo(bank, run[0], run[1]);
-        const uint32_t end =
-            std::min(rows, run[0] + run[1]);
-        for (uint32_t row = run[0]; row < end; ++row)
-            EXPECT_EQ(batch.aggressorBudgetMemo(bank, row),
-                      lazy.aggressorBudgetMemo(bank, row))
-                << "row " << row;
-    }
-    // Degenerate calls must be safe no-ops.
-    batch.aggressorBudgetBatchMemo(0, rows + 5, 10);
-    batch.aggressorBudgetBatchMemo(0, 5, 0);
-
-    // The uniform baseline takes the default (loop) batch path.
-    UniformThreshold ulazy(444.0, 256), ubatch(444.0, 256);
-    ubatch.aggressorBudgetBatchMemo(0, 0, 256);
-    for (uint32_t row = 0; row < 256; ++row)
-        EXPECT_EQ(ubatch.aggressorBudgetMemo(0, row),
-                  ulazy.aggressorBudgetMemo(0, row))
-            << "row " << row;
-}
-
 TEST(UniformThreshold, IsTheNoSvardBaseline)
 {
     UniformThreshold uni(4096.0, 65536);

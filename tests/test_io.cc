@@ -141,6 +141,63 @@ TEST(ResultSink, CsvAndBinaryRoundTripIdenticalRows)
     }
 }
 
+TEST(ResultSink, CsvReaderRejectsMalformedNumericFields)
+{
+    // One good row from the writer, then three corruptions of it: each
+    // must throw naming the file and the field instead of loading as 0.
+    const std::string good = tmpPath("good.csv");
+    {
+        io::CsvSink cs(good);
+        cs.write(makeRow(0));
+        cs.flush();
+    }
+    ASSERT_EQ(io::readCsvResults(good).size(), 1u);
+    std::istringstream lines(slurp(good));
+    std::string header, row;
+    std::getline(lines, header);
+    std::getline(lines, row);
+    std::vector<std::string> fields;
+    std::istringstream cols(row);
+    for (std::string f; std::getline(cols, f, ',');)
+        fields.push_back(f);
+    ASSERT_EQ(fields.size(), 23u);
+
+    struct Case
+    {
+        size_t column;
+        const char *text;
+        const char *field;
+    };
+    const Case cases[] = {
+        {5, "abc", "threshold"},                    // not a number
+        {1, "", "seed"},                            // empty
+        {2, "18446744073709551616", "fingerprint"}, // 2^64: too big
+    };
+    for (const Case &c : cases) {
+        std::vector<std::string> bad = fields;
+        bad[c.column] = c.text;
+        std::string line;
+        for (size_t i = 0; i < bad.size(); ++i)
+            line += (i ? "," : "") + bad[i];
+        const std::string path =
+            tmpPath("bad_col" + std::to_string(c.column) + ".csv");
+        {
+            std::ofstream out(path);
+            out << header << "\n" << line << "\n";
+        }
+        try {
+            io::readCsvResults(path);
+            ADD_FAILURE() << c.field << " \"" << c.text << "\" loaded";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(path), std::string::npos) << msg;
+            EXPECT_NE(msg.find(c.field), std::string::npos) << msg;
+        }
+        std::remove(path.c_str());
+    }
+    std::remove(good.c_str());
+}
+
 TEST(ResultSink, BinaryReaderDropsTruncatedTailRecord)
 {
     const std::string bin = tmpPath("truncated.bin");

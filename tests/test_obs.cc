@@ -396,8 +396,7 @@ TEST(ObsManifest, WriteReadRoundTrip)
     m.baseSeed = 11;
     m.threads = 4;
     m.requestsPerCore = 6000;
-    m.simdImpl = "avx2";
-    m.buildFlags = "ndebug,simd,obs";
+    m.buildFlags = "ndebug,obs";
     m.wallSeconds = 12.5;
     m.cellsTotal = 40;
     m.cellsExecuted = 30;
@@ -418,7 +417,6 @@ TEST(ObsManifest, WriteReadRoundTrip)
     EXPECT_EQ(r.baseSeed, m.baseSeed);
     EXPECT_EQ(r.threads, m.threads);
     EXPECT_EQ(r.requestsPerCore, m.requestsPerCore);
-    EXPECT_EQ(r.simdImpl, m.simdImpl);
     EXPECT_EQ(r.buildFlags, m.buildFlags);
     EXPECT_DOUBLE_EQ(r.wallSeconds, m.wallSeconds);
     EXPECT_EQ(r.cellsTotal, m.cellsTotal);
@@ -439,6 +437,30 @@ TEST(ObsManifest, WriteReadRoundTrip)
     ASSERT_NE(doc.find("metrics"), nullptr);
     EXPECT_EQ(doc.find("metrics")->type(),
               obs::json::Value::Type::Object);
+    EXPECT_EQ(doc.find("simd_impl"), nullptr);
+
+    // Manifests written by older builds carry a "simd_impl" key; they
+    // must keep loading, with every other field intact.
+    const std::string old_path = tmpPath("old_manifest.json");
+    {
+        std::string text = slurp(path);
+        const std::string anchor = "  \"build_flags\"";
+        const size_t at = text.find(anchor);
+        ASSERT_NE(at, std::string::npos);
+        text.insert(at, "  \"simd_impl\": \"avx2\",\n");
+        std::ofstream out(old_path);
+        out << text;
+    }
+    obs::RunManifest old;
+    ASSERT_TRUE(obs::readManifest(old_path, &old, &err)) << err;
+    EXPECT_EQ(old.kind, m.kind);
+    EXPECT_EQ(old.geometries, m.geometries);
+    EXPECT_EQ(old.specFingerprint, m.specFingerprint);
+    EXPECT_EQ(old.requestsPerCore, m.requestsPerCore);
+    EXPECT_EQ(old.buildFlags, m.buildFlags);
+    EXPECT_EQ(old.cellsTotal, m.cellsTotal);
+    EXPECT_EQ(old.cachePath, m.cachePath);
+    std::remove(old_path.c_str());
     std::remove(path.c_str());
 }
 
@@ -547,7 +569,6 @@ TEST(ObsInvariant, SweepCsvByteIdenticalWithInstrumentsOnOrOff)
     EXPECT_EQ(m.threads, 1u);
     EXPECT_EQ(m.cellsTotal, cells);
     EXPECT_EQ(m.cellsExecuted, cells);
-    EXPECT_FALSE(m.simdImpl.empty());
     EXPECT_FALSE(m.buildFlags.empty());
 
     for (const std::string &p :

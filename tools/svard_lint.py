@@ -426,7 +426,7 @@ FIXTURES = [
         "src/core/fixture.h",
         "#ifndef SVARD_CORE_FIXTURE_H\n"
         "#define SVARD_CORE_FIXTURE_H\n"
-        "#ifdef SVARD_SIMD_OFF\n#endif\n"  # nested #ifndef-adjacent ok
+        "#ifdef SVARD_OBS_OFF\n#endif\n"  # nested #ifndef-adjacent ok
         "#endif\n",
         []),
     # -- multi-rule ----------------------------------------------------
