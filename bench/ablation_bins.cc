@@ -38,12 +38,11 @@ main()
             "(S0 profile, HCfirst=64, norm. weighted speedup)",
             {"Defense", "Bins", "BitsPerRow", "NormWS"});
 
-    for (DefenseKind kind : {DefenseKind::Para, DefenseKind::Rrs}) {
+    for (const char *defense : {"PARA", "RRS"}) {
         std::vector<double> base;
         for (uint32_t m = 0; m < n_mixes; ++m)
-            base.push_back(runner.runMix(mixes[m], DefenseKind::None,
-                                         nullptr)
-                               .weightedSpeedup);
+            base.push_back(
+                runner.runMix(mixes[m], "none", nullptr).weightedSpeedup);
 
         auto eval = [&](const char *name,
                         std::shared_ptr<const core::ThresholdProvider>
@@ -52,10 +51,10 @@ main()
             std::vector<double> ws;
             for (uint32_t m = 0; m < n_mixes; ++m)
                 ws.push_back(
-                    runner.runMix(mixes[m], kind, provider)
+                    runner.runMix(mixes[m], defense, provider)
                         .weightedSpeedup /
                     base[m]);
-            t.addRow({defenseKindName(kind), name,
+            t.addRow({defense, name,
                       bits >= 0 ? Table::fmt(int64_t(bits)) : "-",
                       Table::fmt(mean(ws), 4)});
         };

@@ -478,8 +478,9 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
         }
     }
     if (batch)
-        flipScratch_.forEach(
-            [&](uint32_t w, uint64_t d) { rd.setDeltaWord(w, d); });
+        flipScratch_.forEach([&](uint64_t w, uint64_t d) {
+            rd.setDeltaWord(static_cast<uint32_t>(w), d);
+        });
     if (applied > 0) {
         stats_.bitflipsInjected += applied;
         ++stats_.rowsFlipped;

@@ -20,7 +20,6 @@
 
 #include "common/flat_table.h"
 #include "common/rng.h"
-#include "common/word_table.h"
 #include "dram/disturbance.h"
 #include "dram/module_spec.h"
 #include "dram/rowdata.h"
@@ -257,7 +256,8 @@ class DramDevice
     FlatTable<double> pending_;
     FlatTable<ModelMemo> memo_;
     std::vector<uint64_t> refreshKeys_; ///< reused refreshAllRows buffer
-    WordTable flipScratch_{64}; ///< reused realize() word->delta staging
+    /** Reused realize() staging: word index -> staged delta. */
+    FlatTable<uint64_t> flipScratch_{64};
     DeviceStats stats_;
 };
 

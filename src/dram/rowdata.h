@@ -7,14 +7,11 @@
  * keeps a 128K-row x 8KB bank affordable while staying bit-exact.
  *
  * Exceptions are kept at uint64 *word* granularity as XOR-deltas
- * against the repeating fill word in a structure-of-arrays table
- * (`WordTable`, word index -> delta). A delta of zero means "equals
- * the fill", so probes and inserts share one code path and bit flips
- * are a single XOR on the delta. WordTable pins dead slots to value
- * 0, which lets mismatchedBits() run xorPopcountBase over the table's
- * ENTIRE value array — liveness falls out as an arithmetic identity
- * (dead slots contribute popcount(base) each, subtracted back in one
- * multiply) instead of a per-slot branch.
+ * against the repeating fill word in a FlatTable (word index ->
+ * delta). A delta of zero means "equals the fill", so probes and
+ * inserts share one code path and bit flips are a single XOR on the
+ * delta; a word whose delta returns to zero is erased, so the table
+ * holds exactly the words that differ from the fill.
  */
 #ifndef SVARD_DRAM_ROWDATA_H
 #define SVARD_DRAM_ROWDATA_H
@@ -24,12 +21,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/word_table.h"
+#include "common/flat_table.h"
 
 namespace svard::dram {
-
-/** Sum of popcount(words[i] ^ base) over a dense uint64 array. */
-uint64_t xorPopcountBase(const uint64_t *words, size_t n, uint64_t base);
 
 /** Content of one DRAM row: fill byte + sparse word-level exceptions. */
 class RowData
@@ -148,42 +142,24 @@ class RowData
     uint64_t
     mismatchedBits(uint8_t expected_fill) const
     {
-        // Whole-word popcounts: every word mismatches in
-        // popcount(base ^ delta) bits, where base = fill ^ expected
-        // repeated and delta is zero outside the exception store. The
-        // final word of a non-multiple-of-8 row is masked to length.
+        // Every word mismatches in popcount(base ^ delta) bits, where
+        // base = fill ^ expected repeated and delta is zero outside the
+        // exception store. Count the row as if it had no exceptions,
+        // then swap each live delta's base term for its real one. The
+        // partial last word of a non-multiple-of-8 row is masked to
+        // length (`tail` is 0 when the row ends on a word boundary).
         const uint64_t base =
             fillWord() ^ repeatByte(expected_fill);
-        const uint32_t n_words = numWords();
-        const uint64_t tail = tailMask();
-        const uint64_t base_pc =
-            static_cast<uint64_t>(std::popcount(base));
+        const uint32_t full_words = bytes_ / 8;
+        const uint64_t tail = (uint64_t(1) << ((bytes_ & 7) * 8)) - 1;
         uint64_t count =
-            base_pc * (n_words - (tail == ~uint64_t(0) ? 0 : 1));
-        if (tail != ~uint64_t(0))
-            count += std::popcount(base & tail);
-        // Per-delta correction, sum over live entries of
-        // popcount(base ^ d) - popcount(base) — computed as ONE dense
-        // pass over the whole value array: dead slots hold 0
-        // by WordTable invariant, so they contribute popcount(base)
-        // each, and capacity * popcount(base) subtracts every slot's
-        // base term in one multiply. Intermediate terms may wrap; the
-        // uint64 arithmetic is modular and the final count is exact.
-        const size_t cap = deltas_.capacity();
-        count += xorPopcountBase(deltas_.valsData(), cap, base);
-        count -= base_pc * cap;
-        // The tail word was corrected as if full-width above; redo it
-        // masked. At most one scalar probe, skipped for 8B-multiple
-        // rows (every standard geometry — rowBytes is a power of two).
-        if (tail != ~uint64_t(0)) {
-            const uint64_t *d = deltas_.find(n_words - 1);
-            if (d != nullptr) {
-                count -= std::popcount(base ^ *d);
-                count += std::popcount((base ^ *d) & tail);
-                count += base_pc;
-                count -= std::popcount(base & tail);
-            }
-        }
+            uint64_t(std::popcount(base)) * full_words +
+            std::popcount(base & tail);
+        deltas_.forEach([&](uint64_t w, uint64_t d) {
+            const uint64_t m = w < full_words ? ~uint64_t(0) : tail;
+            count += std::popcount((base ^ d) & m);
+            count -= std::popcount(base & m);
+        });
         return count;
     }
 
@@ -192,7 +168,7 @@ class RowData
     exceptionCount() const
     {
         size_t bytes = 0;
-        deltas_.forEach([&](uint32_t, uint64_t d) {
+        deltas_.forEach([&](uint64_t, uint64_t d) {
             for (int b = 0; b < 8; ++b)
                 if ((d >> (b * 8)) & 0xFF)
                     ++bytes;
@@ -205,8 +181,8 @@ class RowData
     toBytes() const
     {
         std::vector<uint8_t> out(bytes_, fill_);
-        deltas_.forEach([&](uint32_t w, uint64_t d) {
-            const uint32_t base = w * 8;
+        deltas_.forEach([&](uint64_t w, uint64_t d) {
+            const uint64_t base = w * 8;
             for (uint32_t b = 0; b < 8 && base + b < bytes_; ++b)
                 out[base + b] ^= static_cast<uint8_t>(d >> (b * 8));
         });
@@ -231,20 +207,9 @@ class RowData
         return uint64_t(b) * 0x0101010101010101ULL;
     }
 
-    uint32_t numWords() const { return (bytes_ + 7) / 8; }
-
-    /** Valid-bit mask of the final word (all-ones for full words). */
-    uint64_t
-    tailMask() const
-    {
-        const uint32_t rem = bytes_ & 7;
-        return rem == 0 ? ~uint64_t(0)
-                        : (uint64_t(1) << (rem * 8)) - 1;
-    }
-
     uint32_t bytes_ = 0;
     uint8_t fill_ = 0;
-    WordTable deltas_{16};
+    FlatTable<uint64_t> deltas_{16};
 };
 
 } // namespace svard::dram

@@ -3,6 +3,7 @@
 #ifndef SVARD_FAULTS_OFF
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -85,7 +86,11 @@ parseCount(const std::string &s, const char *what)
         throw std::invalid_argument(
             std::string("SVARD_FAULT: malformed ") + what + " \"" + s +
             "\"");
+    errno = 0;
     const uint64_t v = std::strtoull(s.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        throw std::invalid_argument(std::string("SVARD_FAULT: ") + what +
+                                    " \"" + s + "\" out of range");
     return v;
 }
 

@@ -126,6 +126,26 @@ struct ControllerStats
     uint64_t blockedUntilHits = 0;
     /** Closed-bank activates blocked specifically by the tFAW window. */
     uint64_t tfawStalls = 0;
+
+    /** Field-wise sum (channel aggregation). */
+    ControllerStats &
+    operator+=(const ControllerStats &o)
+    {
+        reads += o.reads;
+        writes += o.writes;
+        activations += o.activations;
+        rowHits += o.rowHits;
+        rowConflicts += o.rowConflicts;
+        refreshes += o.refreshes;
+        preventiveRefreshes += o.preventiveRefreshes;
+        migrations += o.migrations;
+        swaps += o.swaps;
+        metadataAccesses += o.metadataAccesses;
+        throttleStall += o.throttleStall;
+        blockedUntilHits += o.blockedUntilHits;
+        tfawStalls += o.tfawStalls;
+        return *this;
+    }
 };
 
 /**

@@ -52,20 +52,8 @@ ControllerStats
 SimEngine::stats() const
 {
     ControllerStats sum;
-    for (const auto &mc : controllers_) {
-        const ControllerStats &s = mc->stats();
-        sum.reads += s.reads;
-        sum.writes += s.writes;
-        sum.activations += s.activations;
-        sum.rowHits += s.rowHits;
-        sum.rowConflicts += s.rowConflicts;
-        sum.refreshes += s.refreshes;
-        sum.preventiveRefreshes += s.preventiveRefreshes;
-        sum.migrations += s.migrations;
-        sum.swaps += s.swaps;
-        sum.metadataAccesses += s.metadataAccesses;
-        sum.throttleStall += s.throttleStall;
-    }
+    for (const auto &mc : controllers_)
+        sum += mc->stats();
     return sum;
 }
 

@@ -214,31 +214,6 @@ System::run()
     return out;
 }
 
-const char *
-defenseKindName(DefenseKind k)
-{
-    switch (k) {
-      case DefenseKind::None: return "None";
-      case DefenseKind::Para: return "PARA";
-      case DefenseKind::BlockHammer: return "BlockHammer";
-      case DefenseKind::Hydra: return "Hydra";
-      case DefenseKind::Aqua: return "AQUA";
-      case DefenseKind::Rrs: return "RRS";
-      case DefenseKind::Graphene: return "Graphene";
-    }
-    return "?";
-}
-
-std::unique_ptr<defense::Defense>
-makeDefense(DefenseKind kind,
-            std::shared_ptr<const core::ThresholdProvider> provider,
-            uint64_t seed, const SimConfig &cfg)
-{
-    return defense::makeDefenseByName(
-        defenseKindName(kind),
-        defense::DefenseContext(cfg, std::move(provider), seed));
-}
-
 MixRunner::MixRunner(SimConfig cfg, size_t requests_per_core,
                      uint64_t seed)
     : cfg_(std::move(cfg)), requests_(requests_per_core), seed_(seed),
@@ -338,15 +313,6 @@ MixRunner::runMix(
         res, mix, [this](uint32_t b) { return aloneIpc(b); });
 }
 
-MixMetrics
-MixRunner::runMix(
-    const WorkloadMix &mix, DefenseKind kind,
-    std::shared_ptr<const core::ThresholdProvider> provider,
-    RunResult *raw)
-{
-    return runMix(mix, defenseKindName(kind), std::move(provider), raw);
-}
-
 double
 MixRunner::runAdversarial(
     const std::vector<TraceEntry> &attack_trace,
@@ -357,15 +323,6 @@ MixRunner::runAdversarial(
         cfg_, attack_trace, requests_, seed_, defense_name,
         std::move(provider), seed_,
         [this](uint32_t b) { return aloneIpc(b); });
-}
-
-double
-MixRunner::runAdversarial(
-    const std::vector<TraceEntry> &attack_trace, DefenseKind kind,
-    std::shared_ptr<const core::ThresholdProvider> provider)
-{
-    return runAdversarial(attack_trace, defenseKindName(kind),
-                          std::move(provider));
 }
 
 } // namespace svard::sim

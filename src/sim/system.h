@@ -80,31 +80,6 @@ class System
 // Single-threaded mix runner (examples, tests, engine baselines)
 // ------------------------------------------------------------------
 
-/** Which defense to instantiate (compat shim over the registry). */
-enum class DefenseKind
-{
-    None,
-    Para,
-    BlockHammer,
-    Hydra,
-    Aqua,
-    Rrs,
-    Graphene,
-};
-
-const char *defenseKindName(DefenseKind k);
-
-/**
- * Instantiate a defense over a threshold provider (None -> null).
- * Thin wrapper over the DefenseRegistry; pass the SimConfig being
- * simulated so bank folding follows its geometry (the default is the
- * Table 4 system). Sweep code should prefer registry names directly.
- */
-std::unique_ptr<defense::Defense>
-makeDefense(DefenseKind kind,
-            std::shared_ptr<const core::ThresholdProvider> provider,
-            uint64_t seed = 1, const SimConfig &cfg = SimConfig{});
-
 /** Per-mix system metrics vs. per-benchmark alone baselines. */
 struct MixMetrics
 {
@@ -157,10 +132,6 @@ class MixRunner
                       std::shared_ptr<const core::ThresholdProvider>
                           provider,
                       RunResult *raw = nullptr);
-    MixMetrics runMix(const WorkloadMix &mix, DefenseKind kind,
-                      std::shared_ptr<const core::ThresholdProvider>
-                          provider,
-                      RunResult *raw = nullptr);
 
     /** Alone IPC of a benchmark (cached). */
     double aloneIpc(uint32_t bench_idx);
@@ -176,10 +147,6 @@ class MixRunner
      */
     double runAdversarial(const std::vector<TraceEntry> &attack_trace,
                           const std::string &defense_name,
-                          std::shared_ptr<const core::ThresholdProvider>
-                              provider);
-    double runAdversarial(const std::vector<TraceEntry> &attack_trace,
-                          DefenseKind kind,
                           std::shared_ptr<const core::ThresholdProvider>
                               provider);
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -18,8 +17,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/word_table.h"
-#include "dram/rowdata.h"
 
 namespace svard {
 namespace {
@@ -359,101 +356,6 @@ TEST(FlatTable, ForEachOrderIsDeterministicForSameHistory)
     });
     ASSERT_FALSE(order_a.empty());
     EXPECT_EQ(order_a, order_b);
-}
-
-TEST(WordTable, InsertFindEraseAndGrowthKeepEveryEntry)
-{
-    WordTable t(8);
-    for (uint32_t k = 0; k < 3000; ++k)
-        t.refOrInsert(k * 7) = (uint64_t(k) << 32) | 0x5A5Au;
-    EXPECT_EQ(t.size(), 3000u);
-    EXPECT_GT(t.capacity(), 3000u);
-    for (uint32_t k = 0; k < 3000; ++k) {
-        const uint64_t *v = t.find(k * 7);
-        ASSERT_NE(v, nullptr) << k;
-        EXPECT_EQ(*v, (uint64_t(k) << 32) | 0x5A5Au);
-    }
-    EXPECT_EQ(t.find(3), nullptr);
-    EXPECT_TRUE(t.erase(7));
-    EXPECT_FALSE(t.erase(7));
-    EXPECT_EQ(t.find(7), nullptr);
-    EXPECT_EQ(t.size(), 2999u);
-}
-
-TEST(WordTable, DeadSlotsHoldZeroThroughChurnAndClear)
-{
-    // THE invariant RowData's BER count leans on: summing over the
-    // entire value array must equal summing over the live entries,
-    // because every dead slot (never-used, tombstoned, or cleared)
-    // holds exactly 0. Checked via the count itself: a base of 0
-    // makes xorPopcountBase a straight popcount sum.
-    WordTable t(8);
-    Rng rng(0x00DD);
-    for (int op = 0; op < 20000; ++op) {
-        const uint32_t key = static_cast<uint32_t>(rng.below(500));
-        if (rng.below(10) < 4)
-            t.erase(key);
-        else
-            t.refOrInsert(key) = rng.next();
-        if (op % 1999 == 0)
-            t.clear();
-    }
-    uint64_t live_popcount = 0;
-    size_t live = 0;
-    t.forEach([&](uint32_t, uint64_t v) {
-        live_popcount += std::popcount(v);
-        ++live;
-    });
-    EXPECT_EQ(live, t.size());
-    EXPECT_EQ(dram::xorPopcountBase(t.valsData(), t.capacity(), 0),
-              live_popcount);
-    t.clear();
-    EXPECT_EQ(dram::xorPopcountBase(t.valsData(), t.capacity(), 0),
-              0u);
-    EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(WordTable, RandomOpsMatchReferenceMap)
-{
-    WordTable t(8);
-    std::map<uint32_t, uint64_t> ref;
-    Rng rng(0x30F7);
-    for (int op = 0; op < 30000; ++op) {
-        const uint32_t key = static_cast<uint32_t>(rng.below(2000));
-        switch (rng.below(4)) {
-          case 0: {
-            const bool erased_t = t.erase(key);
-            EXPECT_EQ(erased_t, ref.erase(key) > 0) << key;
-            break;
-          }
-          case 1: {
-            const uint64_t *v = t.find(key);
-            const auto it = ref.find(key);
-            if (it == ref.end()) {
-                EXPECT_EQ(v, nullptr) << key;
-            } else {
-                ASSERT_NE(v, nullptr) << key;
-                EXPECT_EQ(*v, it->second) << key;
-            }
-            break;
-          }
-          default: {
-            const uint64_t val = rng.next();
-            t.refOrInsert(key) = val;
-            ref[key] = val;
-            break;
-          }
-        }
-    }
-    EXPECT_EQ(t.size(), ref.size());
-    size_t visited = 0;
-    t.forEach([&](uint32_t k, uint64_t v) {
-        const auto it = ref.find(k);
-        ASSERT_NE(it, ref.end()) << k;
-        EXPECT_EQ(v, it->second) << k;
-        ++visited;
-    });
-    EXPECT_EQ(visited, ref.size());
 }
 
 // -----------------------------------------------------------------

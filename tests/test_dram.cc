@@ -266,8 +266,9 @@ class RowDataOracle
 
 TEST(RowData, WordStoreMatchesDenseOracleUnderRandomOps)
 {
-    // 20 and 131 exercise partial tail words; 64 and 8192 full words.
-    for (uint32_t bytes : {20u, 64u, 131u, 8192u}) {
+    // 5, 20 and 131 exercise partial tail words (5 is a row whose only
+    // word is partial); 64 and 8192 full words.
+    for (uint32_t bytes : {5u, 20u, 64u, 131u, 8192u}) {
         RowDataOracle o(bytes, 0xAA);
         Rng rng(hashSeed({0x20DA7A, bytes}));
         uint8_t fill = 0xAA;
@@ -311,9 +312,9 @@ TEST(RowData, FlipBitIfOnlyFlipsMatchingBits)
 
 TEST(RowData, MismatchedBitsMatchDenseOracle)
 {
-    // The mismatch count must equal the byte-level truth. 131
-    // exercises the masked partial tail word.
-    for (uint32_t bytes : {64u, 131u, 8192u}) {
+    // The mismatch count must equal the byte-level truth. 5 and 131
+    // exercise the masked partial tail word (5 has no full word).
+    for (uint32_t bytes : {5u, 64u, 131u, 8192u}) {
         RowData rd(bytes, 0x55);
         Rng rng(hashSeed({0x51D, bytes}));
         for (int i = 0; i < 300; ++i)

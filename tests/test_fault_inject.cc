@@ -120,6 +120,11 @@ TEST_F(FaultGrammar, MalformedSpecsThrow)
     EXPECT_THROW(faults::configure("p:kill@0"),
                  std::invalid_argument);
     EXPECT_THROW(faults::configure("p:kill"), std::invalid_argument);
+    // Counts past UINT64_MAX are rejected, not saturated.
+    EXPECT_THROW(faults::configure("p:kill@99999999999999999999"),
+                 std::invalid_argument);
+    EXPECT_THROW(faults::configure("p:stall@1:99999999999999999999"),
+                 std::invalid_argument);
 }
 
 TEST_F(FaultGrammar, StallSleepsForItsArgument)
