@@ -71,7 +71,8 @@ allLabels()
  * Default characterization options at bench scale: every row with
  * SVARD_FULL=1, otherwise a prime-strided subsample (a power-of-two
  * stride would alias with subarray boundaries and oversample edge
- * rows). SVARD_ROWS_PER_BANK overrides the target sample size.
+ * rows). SVARD_ROWS_PER_BANK overrides the target sample size
+ * (at least 1).
  */
 inline charz::CharzOptions
 benchCharzOptions(const dram::ModuleSpec &spec, bool quick_wcdp = true)
@@ -87,6 +88,9 @@ benchCharzOptions(const dram::ModuleSpec &spec, bool quick_wcdp = true)
         return opt;
     }
     const int64_t target = envInt("SVARD_ROWS_PER_BANK", 384);
+    if (target < 1)
+        SVARD_FATAL("SVARD_ROWS_PER_BANK must be at least 1 (got " +
+                    std::to_string(target) + ")");
     uint32_t step = static_cast<uint32_t>(
         std::max<int64_t>(1, spec.rowsPerBank / target));
     // Snap to an odd (subarray-coprime) stride.
@@ -160,7 +164,7 @@ geometryEnvConfig(const sim::SimConfig &fallback)
 }
 
 /** The graceful-stop flag SIGINT/SIGTERM handlers set (one per
- *  process; wire it into SweepSpec::stopFlag / FabricOptions). */
+ *  process; wire it into SweepSpec::stopFlag). */
 inline std::atomic<bool> &
 stopRequestedFlag()
 {
@@ -215,22 +219,6 @@ installStopHandlers()
  *                 when only a cache is named) so every persisted
  *                 sweep output carries its provenance record.
  *
- * Multi-process fabric (src/fabric/; fig12 only for now):
- *
- *   --ledger=PATH    shared work-ledger file all processes agree on.
- *                    Env: SVARD_LEDGER.
- *   --worker=ID      run as a fabric worker: claim cell ranges from
- *                    the ledger, execute into the private shard
- *                    `<ledger>.shard-ID.svc`, emit nothing. ID must
- *                    be unique per process. Env: SVARD_WORKER.
- *   --coordinate     run as the coordinator: help finish the grid,
- *                    merge every shard, and emit the byte-identical
- *                    single-process output. Env: SVARD_COORDINATE=1.
- *   --chunk=N        cells per claim range (default 8).
- *                    Env: SVARD_CHUNK.
- *   --lease-ms=N     claim expiry without a heartbeat (default
- *                    10000). Env: SVARD_LEASE_MS.
- *
  * A dead cache path degrades gracefully (warn + run uncached) —
  * except under --resume, where an unusable checkpoint must die
  * loudly rather than silently recompute the world.
@@ -243,13 +231,6 @@ struct SweepIo
     std::string cachePath;
     std::string manifestPath;
     bool resume = false;
-
-    // Fabric role (mutually exclusive; both need a ledger).
-    std::string ledgerPath;
-    std::string workerId;
-    bool coordinate = false;
-    uint64_t chunk = 8;
-    uint64_t leaseMs = 10000;
 };
 
 inline SweepIo
@@ -260,12 +241,6 @@ parseSweepIo(int argc, char **argv)
     out.cachePath = envStr("SVARD_CACHE", "");
     out.manifestPath = envStr("SVARD_MANIFEST", "");
     out.resume = envInt("SVARD_RESUME", 0) != 0;
-    out.ledgerPath = envStr("SVARD_LEDGER", "");
-    out.workerId = envStr("SVARD_WORKER", "");
-    out.coordinate = envInt("SVARD_COORDINATE", 0) != 0;
-    out.chunk = static_cast<uint64_t>(envInt("SVARD_CHUNK", 8));
-    out.leaseMs =
-        static_cast<uint64_t>(envInt("SVARD_LEASE_MS", 10000));
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--out=", 0) == 0)
@@ -276,33 +251,11 @@ parseSweepIo(int argc, char **argv)
             out.manifestPath = arg.substr(11);
         else if (arg == "--resume")
             out.resume = true;
-        else if (arg.rfind("--ledger=", 0) == 0)
-            out.ledgerPath = arg.substr(9);
-        else if (arg.rfind("--worker=", 0) == 0)
-            out.workerId = arg.substr(9);
-        else if (arg == "--coordinate")
-            out.coordinate = true;
-        else if (arg.rfind("--chunk=", 0) == 0)
-            out.chunk = std::strtoull(arg.c_str() + 8, nullptr, 10);
-        else if (arg.rfind("--lease-ms=", 0) == 0)
-            out.leaseMs =
-                std::strtoull(arg.c_str() + 11, nullptr, 10);
         else
             SVARD_FATAL("unknown argument \"" + arg +
                         "\" (expected --out=PATH, --cache=PATH, "
-                        "--manifest=PATH, --resume, --ledger=PATH, "
-                        "--worker=ID, --coordinate, --chunk=N, "
-                        "--lease-ms=N)");
+                        "--manifest=PATH, --resume)");
     }
-    if ((!out.workerId.empty() || out.coordinate) &&
-        out.ledgerPath.empty())
-        SVARD_FATAL("--worker/--coordinate need --ledger=PATH "
-                    "(or SVARD_LEDGER)");
-    if (!out.workerId.empty() && out.coordinate)
-        SVARD_FATAL("--worker and --coordinate are exclusive: a "
-                    "coordinator already participates as a worker");
-    if (out.chunk == 0 || out.leaseMs == 0)
-        SVARD_FATAL("--chunk and --lease-ms must be positive");
     if (out.manifestPath.empty()) {
         if (!out.outPath.empty())
             out.manifestPath = out.outPath + ".manifest.json";

@@ -31,12 +31,10 @@
  */
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 
 #include "bench_util.h"
 #include "engine/runner.h"
-#include "fabric/fabric.h"
 
 using namespace svard;
 using namespace svard::bench;
@@ -80,56 +78,6 @@ main(int argc, char **argv)
     spec.manifestPath = sio.manifestPath;
     spec.progressLabel = "fig12-sweep";
     spec.stopFlag = &stopRequestedFlag();
-
-    // Fabric roles: a worker only fills its shard (no table, no
-    // sink); the coordinator finishes the grid, merges shards, and
-    // falls through to the normal single-process emission below via
-    // the merged cache inside runCoordinator's own run().
-    if (!sio.workerId.empty()) {
-        fabric::FabricOptions fo;
-        fo.ledgerPath = sio.ledgerPath;
-        fo.workerId = sio.workerId;
-        fo.chunk = sio.chunk;
-        fo.leaseMs = sio.leaseMs;
-        fo.stopFlag = spec.stopFlag;
-        const fabric::WorkerReport rep =
-            fabric::runWorker(std::move(spec), fo);
-        std::fprintf(stderr,
-                     "fig12[%s]: %" PRIu64 " ranges claimed (%" PRIu64
-                     " reclaimed), %" PRIu64 " cells executed, %" PRIu64
-                     " skipped%s%s\n",
-                     sio.workerId.c_str(), rep.rangesClaimed,
-                     rep.rangesReclaimed, rep.cellsExecuted,
-                     rep.cellsSkipped, rep.fenced ? ", fenced" : "",
-                     rep.interrupted ? ", interrupted" : "");
-        return rep.interrupted ? 130 : 0;
-    }
-    if (sio.coordinate) {
-        fabric::FabricOptions fo;
-        fo.ledgerPath = sio.ledgerPath;
-        fo.workerId = "coordinator";
-        fo.chunk = sio.chunk;
-        fo.leaseMs = sio.leaseMs;
-        fo.stopFlag = spec.stopFlag;
-        const fabric::CoordinatorResult res =
-            fabric::runCoordinator(std::move(spec), fo);
-        std::fprintf(stderr,
-                     "fig12[coordinator]: %" PRIu64 "/%" PRIu64
-                     " ranges done, %" PRIu64
-                     " reclaims, %zu workers%s\n",
-                     res.ledger.rangesDone, res.ledger.rangesTotal,
-                     res.ledger.reclaims, res.ledger.workers.size(),
-                     res.interrupted ? ", interrupted" : "");
-        for (const auto &w : res.ledger.workers)
-            std::fprintf(stderr,
-                         "fig12[coordinator]:   %s: %" PRIu64
-                         " cells, %" PRIu64 " ranges (%" PRIu64
-                         " reclaimed, %" PRIu64 " lost)\n",
-                         w.id.c_str(), w.cellsExecuted,
-                         w.rangesClaimed, w.rangesReclaimed,
-                         w.rangesLost);
-        return res.interrupted ? 130 : 0;
-    }
 
     const auto sweep_start = std::chrono::steady_clock::now();
     engine::ExperimentRunner runner(std::move(spec));

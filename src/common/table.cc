@@ -1,8 +1,11 @@
 #include "common/table.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "common/log.h"
 
@@ -103,7 +106,17 @@ envInt(const char *name, int64_t fallback)
     const char *raw = std::getenv(name);
     if (!raw || !*raw)
         return fallback;
-    return std::strtoll(raw, nullptr, 10);
+    // A typoed knob must not silently become 0 (or saturate): the
+    // whole value has to be one in-range base-10 integer.
+    errno = 0;
+    char *end = nullptr;
+    const long long v = std::strtoll(raw, &end, 10);
+    if (std::isspace(static_cast<unsigned char>(*raw)) || end == raw ||
+        *end != '\0' || errno == ERANGE)
+        throw std::invalid_argument(std::string(name) + "=\"" + raw +
+                                    "\" is not a base-10 integer in "
+                                    "the int64 range");
+    return v;
 }
 
 bool

@@ -48,7 +48,10 @@ class Table
     std::vector<std::vector<std::string>> rows_;
 };
 
-/** Read an environment knob with a default (bench scaling). */
+/** Read an environment knob with a default (bench scaling); unset or
+ *  empty gives `fallback`.
+ *  @throws std::invalid_argument naming the variable when the value is
+ *          not a complete base-10 integer within int64_t. */
 int64_t envInt(const char *name, int64_t fallback);
 
 /** True when SVARD_FULL=1 requests paper-scale experiment sweeps. */

@@ -727,9 +727,8 @@ ExperimentRunner::prepareCells()
     // always come from the *current* spec, so they stay consistent
     // even when a cached record predates a spec edit. The spec
     // fingerprint — an order-sensitive hash over every cell
-    // fingerprint — is what fabric workers present to the ledger:
-    // two processes agree on it iff they would simulate the same
-    // grid.
+    // fingerprint — identifies the grid in the run manifest: two
+    // runs agree on it iff they would simulate the same grid.
     results_.assign(cells_.size(), CellResult{});
     HashStream spec_hash;
     spec_hash.mix(std::string("svard-spec-v1"));
@@ -740,21 +739,6 @@ ExperimentRunner::prepareCells()
     specFingerprint_ = spec_hash.value();
     prepared_ = true;
     return cells_.size();
-}
-
-bool
-ExperimentRunner::executeCell(size_t i)
-{
-    SVARD_ASSERT(prepared_ && baselinesReady_ && i < cells_.size(),
-                 "executeCell needs prepareCells + ensureBaselines");
-    if (restoreCell(spec_.cache.get(), results_[i]))
-        return false;
-    faults::check("runner.cell");
-    simulateCell(i);
-    executed_.fetch_add(1);
-    if (spec_.cache)
-        spec_.cache->store(results_[i]);
-    return true;
 }
 
 void
@@ -824,7 +808,7 @@ ExperimentRunner::run()
         },
         [this] { ensureBaselines(); },
         [this](size_t i) { simulateCell(i); });
-    executed_.store(grid.executed);
+    executed_ = grid.executed;
     cachedHits_ = grid.cached;
     interrupted_ = grid.interrupted;
     // An interrupted run is resumable, not finished: leave ran_
@@ -837,7 +821,6 @@ ExperimentRunner::run()
         for (const sim::SimConfig &g : geoms_)
             m.geometries.push_back(g.geometry);
         m.specFingerprint = specFingerprint_;
-        m.fabricWorkers = fabricWorkers_;
         // Drift observability: policy axis plus run-wide totals,
         // summed over the full result table so cached cells count
         // too (a resumed sweep reports the same totals as a cold
@@ -992,8 +975,8 @@ runAdversarialSweep(const AdversarialSpec &adv,
                 cells.push_back(std::move(out));
             }
 
-    // One adversarial system run: attacker on core 0 (shared
-    // implementation with MixRunner::runAdversarial).
+    // One adversarial system run: attacker on core 0, benign cores
+    // scored against the shared alone-IPC baselines.
     std::vector<double> alone(suite.size(), 0.0);
     auto run_one = [&](const std::vector<sim::TraceEntry> &attack,
                        const std::string &defense_name,

@@ -15,7 +15,6 @@
 #ifndef SVARD_ENGINE_RUNNER_H
 #define SVARD_ENGINE_RUNNER_H
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "core/recal.h"
 #include "core/vuln_profile.h"
 #include "engine/sweep.h"
-#include "obs/manifest.h"
 
 namespace svard::engine {
 
@@ -62,45 +60,26 @@ class ExperimentRunner
      *  checkpointed; unfinished ones carry zero metrics). */
     bool interrupted() const { return interrupted_; }
 
-    // --- multi-process fabric support (src/fabric/) ---------------
-    // A worker process prepares the grid, then executes individual
-    // cells by enumeration index into its own cache shard; the
-    // coordinator merges shards into the main cache and calls run(),
-    // which resolves every cell from cache and emits byte-identical
-    // output.
-
     /** Enumerate + resolve every cell's metadata (coords, seed,
-     *  fingerprint) without executing; validates specFingerprint().
+     *  fingerprint) without executing; sets specFingerprint().
      *  Idempotent; returns the cell count. */
     size_t prepareCells();
 
     /** Build profiles/traces/baselines if not yet built (cache-aware
-     *  and checkpointed, so a restarted worker skips re-simulating
-     *  them). Requires prepareCells(). Idempotent, not thread-safe —
-     *  call before sharding. */
+     *  and checkpointed, so a resumed run skips re-simulating them).
+     *  Requires prepareCells(). Idempotent, not thread-safe — call
+     *  before sharding. */
     void ensureBaselines();
 
-    /** Execute cell `i` (cache probe first) and checkpoint it into
-     *  the spec's cache. Returns true when the cell was simulated,
-     *  false on a cache hit. Requires ensureBaselines(); thread-safe
-     *  across distinct `i`. */
-    bool executeCell(size_t i);
-
-    /** Cell metadata after prepareCells() (fabric shard planning). */
+    /** Cell metadata after prepareCells() (coords, seed, fingerprint;
+     *  metrics are filled by run()). */
     const std::vector<CellResult> &resolvedCells() const
     {
         return results_;
     }
 
-    /** Per-worker fabric stats for the run manifest (coordinator
-     *  only; populated from the work ledger's replay). */
-    void setFabricWorkers(std::vector<obs::FabricWorkerStats> ws)
-    {
-        fabricWorkers_ = std::move(ws);
-    }
-
     /** Cells actually simulated by run() (cache misses). */
-    size_t executedCells() const { return executed_.load(); }
+    size_t executedCells() const { return executed_; }
 
     /** Cells satisfied from the sweep cache without execution. */
     size_t cachedCells() const { return cachedHits_; }
@@ -215,12 +194,11 @@ class ExperimentRunner
     bool baselinesReady_ = false;
     bool interrupted_ = false;
     bool ran_ = false;
-    std::atomic<size_t> executed_{0};
+    size_t executed_ = 0;
     size_t cachedHits_ = 0;
     size_t executedBase_ = 0;
     size_t cachedBase_ = 0;
     uint64_t specFingerprint_ = 0;
-    std::vector<obs::FabricWorkerStats> fabricWorkers_;
 };
 
 } // namespace svard::engine

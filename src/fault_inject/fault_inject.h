@@ -5,7 +5,7 @@
  * parsed from SVARD_FAULT (or installed programmatically by tests)
  * decides, per point and per hit count, whether to fire a fault —
  * kill the process, report EIO, come up short on a write, tear a
- * record in half, stall a heartbeat, or raise SIGTERM. Every trigger
+ * record in half, stall the caller, or raise SIGTERM. Every trigger
  * is count-based, so a given plan fails the same run at the same
  * byte every time: recovery paths are exercised deterministically
  * instead of waiting for a disk to actually die.
@@ -32,8 +32,8 @@
  *                               reaches the producer
  *   record.append:torn@3        write half of record 3, flush, die —
  *                               the torn-tail repair path on reload
- *   ledger.beat:stall@1:800     first heartbeat sleeps 800 ms (lease
- *                               expiry / reclaim drills)
+ *   runner.cell:stall@3:800     the 3rd simulated cell sleeps 800 ms
+ *                               first (slow-cell / progress drills)
  *   cache.store:sigterm@4       raise SIGTERM after the 4th store
  *                               (graceful-interrupt drills)
  *
@@ -42,7 +42,7 @@
  * no-op returning Action::None. With the harness compiled in but no
  * plan installed, check() is one relaxed atomic load and a branch.
  * Injection points live only on I/O-rate paths (per record, per
- * heartbeat), never per-activation, so even an active plan cannot
+ * cell), never per-activation, so even an active plan cannot
  * perturb simulation results — only their durability.
  */
 #ifndef SVARD_FAULT_INJECT_FAULT_INJECT_H
@@ -60,7 +60,7 @@ enum class Action : uint8_t
     Eio,     ///< report an I/O error without writing anything
     Short,   ///< write a partial prefix, then report failure
     Torn,    ///< write a partial prefix, flush it, then Kill
-    Stall,   ///< sleep arg() milliseconds (lease-expiry drills)
+    Stall,   ///< sleep arg() milliseconds (slow-path drills)
     Sigterm, ///< raise(SIGTERM): graceful-interrupt drills
 };
 

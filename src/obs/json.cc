@@ -51,17 +51,28 @@ formatNumber(double v)
     return buf;
 }
 
+bool
+Value::toU64(uint64_t *out) const
+{
+    // strtoull alone would wrap "-1" and stop at "2.5"'s dot; only an
+    // all-digit token that does not overflow is an integer here.
+    if (type_ != Type::Number || raw_.empty() ||
+        raw_.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    const uint64_t v = std::strtoull(raw_.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        return false;
+    *out = v;
+    return true;
+}
+
 uint64_t
 Value::asU64() const
 {
-    if (!raw_.empty()) {
-        errno = 0;
-        char *end = nullptr;
-        const uint64_t v = std::strtoull(raw_.c_str(), &end, 10);
-        if (errno == 0 && end && *end == '\0')
-            return v;
-    }
-    return static_cast<uint64_t>(number_);
+    uint64_t v = 0;
+    toU64(&v);
+    return v;
 }
 
 const Value *

@@ -26,7 +26,7 @@ std::string formatNumber(double v);
 
 /**
  * Parsed JSON value. Numbers are kept as doubles (plus the raw text so
- * 64-bit integers such as fingerprints survive exactly via asU64()).
+ * 64-bit integers such as fingerprints survive exactly via toU64()).
  */
 class Value
 {
@@ -46,7 +46,11 @@ class Value
 
     bool asBool() const { return boolean_; }
     double asNumber() const { return number_; }
-    /** Integer re-parse of the raw token (exact for uint64 values). */
+    /** Exact integer re-parse of the raw token: true, with *out set,
+     *  iff this is a number written as plain base-10 digits (no sign,
+     *  fraction or exponent) within uint64_t. */
+    bool toU64(uint64_t *out) const;
+    /** toU64(), or 0 for any other value. */
     uint64_t asU64() const;
     const std::string &asString() const { return string_; }
 

@@ -1,9 +1,11 @@
 #include "obs/manifest.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/log.h"
 #include "fault_inject/fault_inject.h"
@@ -18,11 +20,23 @@ quoted(const std::string &s)
     return "\"" + json::escape(s) + "\"";
 }
 
-uint64_t
-u64Field(const json::Value &v, const char *key)
+/** Integer field `key` into *out (0 when absent). False, with *err
+ *  naming the key, when it is present but not a plain base-10 integer
+ *  in [0, max]: a bad count must not load as a wrapped or truncated
+ *  one. */
+bool
+u64Field(const json::Value &v, const char *key, uint64_t *out,
+         std::string *err, uint64_t max = UINT64_MAX)
 {
+    *out = 0;
     const json::Value *f = v.find(key);
-    return f ? f->asU64() : 0;
+    if (!f || (f->toU64(out) && *out <= max))
+        return true;
+    if (err)
+        *err = std::string("manifest field \"") + key +
+               "\" is not an integer in [0, " + std::to_string(max) +
+               "]";
+    return false;
 }
 
 std::string
@@ -68,7 +82,7 @@ writeManifest(const std::string &path, const RunManifest &m,
     // Atomic publish: write the whole document to a sibling tmp file
     // and rename over the target. A kill anywhere in between leaves
     // the previous manifest (or no manifest), never a torn JSON that
-    // a fleet coordinator would choke on next to a valid result.
+    // a reader would choke on next to a valid result.
     const std::string tmp = path + ".tmp";
     FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
@@ -93,25 +107,6 @@ writeManifest(const std::string &path, const RunManifest &m,
         drifts += quoted(m.driftPolicies[i]);
     }
     drifts += "]";
-    std::string workers;
-    if (!m.fabricWorkers.empty()) {
-        workers = "  \"fabric_workers\": [\n";
-        for (size_t i = 0; i < m.fabricWorkers.size(); ++i) {
-            const FabricWorkerStats &w = m.fabricWorkers[i];
-            workers +=
-                "    {\"id\": " + quoted(w.id) +
-                ", \"ranges_claimed\": " +
-                std::to_string(w.rangesClaimed) +
-                ", \"cells_executed\": " +
-                std::to_string(w.cellsExecuted) +
-                ", \"ranges_reclaimed\": " +
-                std::to_string(w.rangesReclaimed) +
-                ", \"ranges_lost\": " + std::to_string(w.rangesLost) +
-                "}" + (i + 1 < m.fabricWorkers.size() ? "," : "") +
-                "\n";
-        }
-        workers += "  ],\n";
-    }
     std::fprintf(f,
                  "{\n"
                  "  \"schema\": \"%s\",\n"
@@ -136,7 +131,6 @@ writeManifest(const std::string &path, const RunManifest &m,
                  "  \"drift_policies\": %s,\n"
                  "  \"escapes\": %llu,\n"
                  "  \"recalibrations\": %llu,\n"
-                 "%s"
                  "  \"metrics\": %s\n"
                  "}\n",
                  kManifestSchema, quoted(m.kind).c_str(),
@@ -156,7 +150,7 @@ writeManifest(const std::string &path, const RunManifest &m,
                  m.interrupted ? "true" : "false", drifts.c_str(),
                  static_cast<unsigned long long>(m.escapes),
                  static_cast<unsigned long long>(m.recalibrations),
-                 workers.c_str(), metrics.toJson(4).c_str());
+                 metrics.toJson(4).c_str());
     bool ok = std::fflush(f) == 0 && !std::ferror(f);
     std::fclose(f);
     if (faults::check("manifest.write"))
@@ -194,19 +188,29 @@ readManifest(const std::string &path, RunManifest *out, std::string *err)
     if (const json::Value *g = doc.find("geometries"))
         for (const json::Value &item : g->items())
             out->geometries.push_back(item.asString());
-    out->specFingerprint = u64Field(doc, "spec_fingerprint");
-    out->baseSeed = u64Field(doc, "base_seed");
-    out->threads = static_cast<uint32_t>(u64Field(doc, "threads"));
-    out->requestsPerCore = u64Field(doc, "requests_per_core");
+    const std::pair<const char *, uint64_t *> counts[] = {
+        {"spec_fingerprint", &out->specFingerprint},
+        {"base_seed", &out->baseSeed},
+        {"requests_per_core", &out->requestsPerCore},
+        {"cells_total", &out->cellsTotal},
+        {"cells_executed", &out->cellsExecuted},
+        {"cells_cached", &out->cellsCached},
+        {"baselines_executed", &out->baselinesExecuted},
+        {"baselines_cached", &out->baselinesCached},
+        {"sink_queue_high_water", &out->sinkQueueHighWater},
+        {"escapes", &out->escapes},
+        {"recalibrations", &out->recalibrations},
+    };
+    for (const auto &[key, dst] : counts)
+        if (!u64Field(doc, key, dst, err))
+            return false;
+    uint64_t threads = 0;
+    if (!u64Field(doc, "threads", &threads, err, UINT32_MAX))
+        return false;
+    out->threads = static_cast<uint32_t>(threads);
     out->buildFlags = strField(doc, "build_flags");
     if (const json::Value *w = doc.find("wall_s"))
         out->wallSeconds = w->asNumber();
-    out->cellsTotal = u64Field(doc, "cells_total");
-    out->cellsExecuted = u64Field(doc, "cells_executed");
-    out->cellsCached = u64Field(doc, "cells_cached");
-    out->baselinesExecuted = u64Field(doc, "baselines_executed");
-    out->baselinesCached = u64Field(doc, "baselines_cached");
-    out->sinkQueueHighWater = u64Field(doc, "sink_queue_high_water");
     out->outPath = strField(doc, "out_path");
     out->cachePath = strField(doc, "cache_path");
     if (const json::Value *i = doc.find("interrupted"))
@@ -215,19 +219,6 @@ readManifest(const std::string &path, RunManifest *out, std::string *err)
     if (const json::Value *d = doc.find("drift_policies"))
         for (const json::Value &item : d->items())
             out->driftPolicies.push_back(item.asString());
-    out->escapes = u64Field(doc, "escapes");
-    out->recalibrations = u64Field(doc, "recalibrations");
-    out->fabricWorkers.clear();
-    if (const json::Value *ws = doc.find("fabric_workers"))
-        for (const json::Value &item : ws->items()) {
-            FabricWorkerStats w;
-            w.id = strField(item, "id");
-            w.rangesClaimed = u64Field(item, "ranges_claimed");
-            w.cellsExecuted = u64Field(item, "cells_executed");
-            w.rangesReclaimed = u64Field(item, "ranges_reclaimed");
-            w.rangesLost = u64Field(item, "ranges_lost");
-            out->fabricWorkers.push_back(std::move(w));
-        }
     return true;
 }
 

@@ -5,12 +5,12 @@
  * geometry presets, spec fingerprint, base seed, thread count, build
  * flags, wall time, cell/baseline counts, sink queue high-water mark,
  * and the final metrics snapshot. A result file without its manifest
- * is an orphan; with it, any later fleet coordinator (or a human three
- * months out) can tell exactly which code and configuration produced
- * the bytes.
+ * is an orphan; with it, any later tool (or a human three months out)
+ * can tell exactly which code and configuration produced the bytes.
  *
  * Schema: "svard-manifest-v1". The reader ignores keys it does not
- * know, so manifests from older builds (with "simd_impl") still load.
+ * know, so manifests from older builds (with "simd_impl" or a
+ * per-process worker array) still load.
  */
 #ifndef SVARD_OBS_MANIFEST_H
 #define SVARD_OBS_MANIFEST_H
@@ -24,17 +24,6 @@
 namespace svard::obs {
 
 constexpr const char *kManifestSchema = "svard-manifest-v1";
-
-/** One fabric worker's share of a multi-process sweep (ledger
- *  replay), recorded in the coordinator's merged manifest. */
-struct FabricWorkerStats
-{
-    std::string id;              ///< worker id ("w0", hostname-pid...)
-    uint64_t rangesClaimed = 0;  ///< claim records it wrote
-    uint64_t cellsExecuted = 0;  ///< cells in ranges it completed
-    uint64_t rangesReclaimed = 0; ///< expired leases it took over
-    uint64_t rangesLost = 0;      ///< its leases reclaimed by others
-};
 
 struct RunManifest
 {
@@ -57,8 +46,6 @@ struct RunManifest
     /** The run was stopped early (SIGINT/SIGTERM or a stop flag);
      *  the sink holds a valid prefix, the cache all finished cells. */
     bool interrupted = false;
-    /** Per-worker split of a multi-process run (empty otherwise). */
-    std::vector<FabricWorkerStats> fabricWorkers;
     /** Temporal-drift axis (DriftSpec names; empty = no drift axis)
      *  and run-wide totals over every cell, cached ones included. */
     std::vector<std::string> driftPolicies;
@@ -83,7 +70,9 @@ bool writeManifest(const std::string &path, const RunManifest &m,
 /**
  * Parse a manifest written by writeManifest (schema-checked). The
  * metrics snapshot is not reconstructed — tests inspect it through the
- * JSON DOM directly. Returns false on parse/schema mismatch.
+ * JSON DOM directly. Returns false on parse/schema mismatch, and when
+ * an integer field is not a plain base-10 integer within its type
+ * (*err names the key).
  */
 bool readManifest(const std::string &path, RunManifest *out,
                   std::string *err = nullptr);

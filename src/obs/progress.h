@@ -2,8 +2,7 @@
  * @file
  * Sweep progress + heartbeats: a throttled live progress line on
  * stderr (items done/cached/total, rate, ETA) and a machine-readable
- * JSONL heartbeat stream for external supervisors — the substrate the
- * planned distributed sweep fabric will report through.
+ * JSONL heartbeat stream for external supervisors.
  *
  * Env knobs:
  *  - SVARD_PROGRESS=0|1      force the stderr line off/on (default:

@@ -313,16 +313,4 @@ MixRunner::runMix(
         res, mix, [this](uint32_t b) { return aloneIpc(b); });
 }
 
-double
-MixRunner::runAdversarial(
-    const std::vector<TraceEntry> &attack_trace,
-    const std::string &defense_name,
-    std::shared_ptr<const core::ThresholdProvider> provider)
-{
-    return adversarialBenignWs(
-        cfg_, attack_trace, requests_, seed_, defense_name,
-        std::move(provider), seed_,
-        [this](uint32_t b) { return aloneIpc(b); });
-}
-
 } // namespace svard::sim

@@ -140,16 +140,6 @@ class MixRunner
     size_t requestsPerCore() const { return requests_; }
     uint64_t seed() const { return seed_; }
 
-    /**
-     * Adversarial run (Fig. 13): core 0 executes the adversarial
-     * trace, the remaining cores a benign mix. Returns the benign
-     * cores' weighted speedup vs. their alone baselines.
-     */
-    double runAdversarial(const std::vector<TraceEntry> &attack_trace,
-                          const std::string &defense_name,
-                          std::shared_ptr<const core::ThresholdProvider>
-                              provider);
-
   private:
     std::vector<std::vector<TraceEntry>>
     tracesForMix(const WorkloadMix &mix) const;

@@ -82,8 +82,9 @@ std::vector<WorkloadMix> workloadMixes(uint32_t count = 120,
 /**
  * The fixed benign companion mix of adversarial runs (paper Fig. 13):
  * cores 1..cores-1 cycle through the benchmark suite while core 0
- * executes the attack trace. Shared by MixRunner and the experiment
- * engine so both report comparable benign weighted speedups.
+ * executes the attack trace. adversarialBenignWs (sim/system.h) and
+ * the experiment engine both use it, so every adversarial run reports
+ * comparable benign weighted speedups.
  */
 WorkloadMix adversarialBenignMix(uint32_t cores);
 

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <utility>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/flat_table.h"
@@ -183,6 +185,25 @@ TEST(Table, RowsAndFormat)
 TEST(Table, EnvIntFallback)
 {
     EXPECT_EQ(envInt("SVARD_SURELY_UNSET_ENV_VAR", 123), 123);
+
+    const char *var = "SVARD_TEST_ENV_INT";
+    ::setenv(var, "", 1);
+    EXPECT_EQ(envInt(var, 5), 5);
+    ::setenv(var, "-42", 1);
+    EXPECT_EQ(envInt(var, 5), -42);
+    // Malformed or out-of-range values throw, naming the variable,
+    // instead of reading as a silent 0, 12 or saturated INT64_MAX.
+    for (const char *bad : {"abc", "12abc", "99999999999999999999"}) {
+        ::setenv(var, bad, 1);
+        try {
+            envInt(var, 5);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+                << e.what();
+        }
+    }
+    ::unsetenv(var);
 }
 
 // -----------------------------------------------------------------

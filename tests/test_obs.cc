@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -439,8 +441,9 @@ TEST(ObsManifest, WriteReadRoundTrip)
               obs::json::Value::Type::Object);
     EXPECT_EQ(doc.find("simd_impl"), nullptr);
 
-    // Manifests written by older builds carry a "simd_impl" key; they
-    // must keep loading, with every other field intact.
+    // Manifests written by older builds carry a "simd_impl" key and,
+    // from multi-process runs, a per-worker array; they must keep
+    // loading, with every other field intact.
     const std::string old_path = tmpPath("old_manifest.json");
     {
         std::string text = slurp(path);
@@ -448,6 +451,14 @@ TEST(ObsManifest, WriteReadRoundTrip)
         const size_t at = text.find(anchor);
         ASSERT_NE(at, std::string::npos);
         text.insert(at, "  \"simd_impl\": \"avx2\",\n");
+        const size_t metrics_at = text.find("  \"metrics\"");
+        ASSERT_NE(metrics_at, std::string::npos);
+        text.insert(metrics_at,
+                    "  \"fabric_workers\": [\n"
+                    "    {\"id\": \"w0\", \"ranges_claimed\": 3, "
+                    "\"cells_executed\": 24, \"ranges_reclaimed\": 1, "
+                    "\"ranges_lost\": 0}\n"
+                    "  ],\n");
         std::ofstream out(old_path);
         out << text;
     }
@@ -475,6 +486,48 @@ TEST(ObsManifest, ReadRejectsWrongSchema)
     std::string err;
     EXPECT_FALSE(obs::readManifest(path, &r, &err));
     EXPECT_NE(err.find("schema"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(ObsManifest, ReadRejectsMalformedIntegerFields)
+{
+    const std::string path = tmpPath("int_manifest.json");
+    obs::RunManifest m;
+    m.kind = "sweep";
+    m.threads = 4;
+    m.cellsTotal = 40;
+    ASSERT_TRUE(obs::writeManifest(path, m, obs::snapshot()));
+    const std::string good = slurp(path);
+
+    // Each case replaces one integer field's value. None may load as
+    // a wrapped (-1), truncated (2.5), out-of-range cast (1e30, 2^64)
+    // or string-typed count, nor may threads narrow past uint32_t.
+    const std::pair<std::string, std::string> cases[] = {
+        {"cells_total", "-1"},
+        {"cells_total", "2.5"},
+        {"base_seed", "1e30"},
+        {"spec_fingerprint", "18446744073709551616"},
+        {"cells_cached", "\"7\""},
+        {"threads", "4294967296"},
+    };
+    for (const auto &[key, value] : cases) {
+        std::string text = good;
+        const std::string field = "\"" + key + "\": ";
+        const size_t at = text.find(field);
+        ASSERT_NE(at, std::string::npos) << key;
+        const size_t start = at + field.size();
+        text.replace(start, text.find(',', start) - start, value);
+        {
+            std::ofstream out(path);
+            out << text;
+        }
+        obs::RunManifest r;
+        std::string err;
+        EXPECT_FALSE(obs::readManifest(path, &r, &err))
+            << key << " = " << value;
+        EXPECT_NE(err.find(key), std::string::npos)
+            << key << " = " << value << ": " << err;
+    }
     std::remove(path.c_str());
 }
 

@@ -16,11 +16,11 @@ established by hand:
                          results must be a pure function of (spec, seed)
                          via common/rng.h, or sweeps stop being
                          reproducible.
-  raw-io-fault-points    Raw write()/fwrite()/rename() in src/io/ and
-                         src/fabric/ must route through io/retry.cc's
-                         registered fault-injection wrappers (or carry an
-                         explicit allow next to a faults::check point) so
-                         the crash-tolerance suite can reach every
+  raw-io-fault-points    Raw write()/fwrite()/rename() in src/io/ must
+                         route through io/retry.cc's registered
+                         fault-injection wrappers (or carry an explicit
+                         allow next to a faults::check point) so the
+                         crash-tolerance suite can reach every
                          durability path.
   metric-init-only       obs:: metric registration must be a
                          `static const obs::MetricId` initializer
@@ -187,7 +187,7 @@ RULES = [
     ),
     Rule(
         id="raw-io-fault-points",
-        paths=["src/io/*", "src/fabric/*"],
+        paths=["src/io/*"],
         # `::write(` only at global scope: `ClassName::write(` is a
         # method definition/call, not the POSIX syscall.
         pattern=re.compile(
@@ -369,7 +369,7 @@ FIXTURES = [
         "std::fwrite(buf, 1, n, f);\n",
         ["raw-io-fault-points"]),
     Fixture(
-        "src/fabric/fixture.cc",
+        "src/io/fixture.cc",
         "if (::write(fd, p, n) != (ssize_t)n) fail();\n",
         ["raw-io-fault-points"]),
     Fixture(
@@ -390,7 +390,7 @@ FIXTURES = [
         "src/io/fixture.cc",
         "void\nAsyncSink::write(const engine::CellResult &row)\n{\n}\n",
         []),
-    Fixture(  # raw I/O outside io/fabric is out of scope for this rule
+    Fixture(  # raw I/O outside io/ is out of scope for this rule
         "src/obs/fixture.cc",
         "std::fwrite(buf, 1, n, f);\n",
         []),
