@@ -103,6 +103,7 @@ MemController::doActivate(uint32_t flat_bank, uint32_t row,
     rank.lastActBg[bankGroupOf(flat_bank)] = now_;
     rank.pushAct(now_);
     ++stats_.activations;
+    observe(DramCommand::Kind::Act, flat_bank, row, 0);
     (void)maintenance;
 }
 
@@ -113,6 +114,7 @@ MemController::doPrecharge(uint32_t flat_bank)
     bank.open = false;
     bank.hitStreak = 0;
     bank.readyAct = std::max(bank.readyAct, now_ + cfg_.timing.tRP);
+    observe(DramCommand::Kind::Pre, flat_bank, 0, 0);
 }
 
 void
@@ -131,8 +133,9 @@ MemController::applyActions(const defense::ActionBuffer &acts,
         // The defense emits actions in the controller's own flat bank
         // space; the shared helper asserts that instead of folding
         // mismatches away with a modulo.
-        Bank &bank =
-            banks_[defense::resolveActionBank(a.bank, banks_.size())];
+        const uint32_t b =
+            defense::resolveActionBank(a.bank, banks_.size());
+        Bank &bank = banks_[b];
         // Row-content moves go through the memory controller, so they
         // occupy the shared channel data bus as well as the bank.
         auto occupy = [&](dram::Tick bank_dur, dram::Tick bus_dur) {
@@ -143,6 +146,7 @@ MemController::applyActions(const defense::ActionBuffer &acts,
                 bank.hitStreak = 0;
             }
             bank.readyAct = std::max(bank.readyAct, base + bank_dur);
+            observe(DramCommand::Kind::Occupy, b, 0, bank.readyAct);
             if (bus_dur > 0)
                 busReady_ = std::max(busReady_, now_) + bus_dur;
         };
@@ -213,6 +217,7 @@ MemController::refreshIfDue()
                                      base + cfg_.timing.tRFC +
                                          recal_extra);
         }
+        observe(DramCommand::Kind::Ref, r, 0, rank.refreshDue);
         rank.refreshDue += cfg_.timing.tREFI;
         ++stats_.refreshes;
         quietValid_ = false; // bank ready times moved
@@ -294,6 +299,8 @@ MemController::tryIssue()
         busReady_ = data + t.tBL;
         bank.readyColumn = std::max(bank.readyColumn, now_ + t.tCCD_L);
         ++bank.hitStreak;
+        observe(r.write ? DramCommand::Kind::Wr : DramCommand::Kind::Rd,
+                r.flatBank, r.addr.row, data);
         if (r.write) {
             bank.readyPre = std::max(bank.readyPre,
                                      data + t.tBL + t.tWR);

@@ -45,6 +45,29 @@ struct MemRequest
     bool defenseCleared = false;
 };
 
+/** One DRAM command as the controller issued it (times in ps). */
+struct DramCommand
+{
+    /** Occupy is a defense action's bank reservation: it closes the
+     *  bank and holds off its next ACT until `aux`. */
+    enum class Kind : uint8_t { Act, Pre, Rd, Wr, Ref, Occupy };
+    Kind kind = Kind::Act;
+    uint32_t bank = 0;  ///< flat bank; the rank for Ref
+    uint32_t row = 0;   ///< Act, Rd, Wr
+    dram::Tick at = 0;  ///< issue time
+    dram::Tick aux = 0; ///< Rd/Wr data-burst start, Ref due time,
+                        ///< Occupy release time
+};
+
+/** Sees every command a controller issues. Pure observation: the
+ *  controller never reads anything back from it. */
+class CommandObserver
+{
+  public:
+    virtual ~CommandObserver() = default;
+    virtual void onCommand(const DramCommand &cmd) = 0;
+};
+
 /**
  * Fixed-capacity circular request queue with order-preserving middle
  * erase (shifts whichever side is shorter, like std::deque, but over
@@ -194,6 +217,9 @@ class MemController
     const ControllerStats &stats() const { return stats_; }
     const MopMapper &mapper() const { return mapper_; }
 
+    /** Report every issued command to `obs` (null: none). */
+    void setObserver(CommandObserver *obs) { observer_ = obs; }
+
   private:
     struct Bank
     {
@@ -263,6 +289,14 @@ class MemController
 
     void refreshIfDue();
 
+    void
+    observe(DramCommand::Kind kind, uint32_t bank, uint32_t row,
+            dram::Tick aux)
+    {
+        if (observer_)
+            observer_->onCommand({kind, bank, row, now_, aux});
+    }
+
     uint32_t rankOf(uint32_t flat_bank) const
     {
         return flat_bank / (cfg_.bankGroups * cfg_.banksPerGroup);
@@ -293,6 +327,7 @@ class MemController
     MopMapper mapper_;
     defense::Defense *defense_; ///< may be null (baseline)
     Completion onComplete_;
+    CommandObserver *observer_ = nullptr;
 
     dram::Tick now_ = 0;
     dram::Tick busReady_ = 0;

@@ -113,6 +113,12 @@ class SimEngine
 
     /** Per-channel introspection. */
     const MemController &channel(uint32_t c) const;
+    void
+    setObserver(uint32_t c, CommandObserver *obs)
+    {
+        SVARD_ASSERT(c < channels(), "channel out of range");
+        controllers_[c]->setObserver(obs);
+    }
     defense::Defense *defenseOf(uint32_t c) const;
     bool hasDefense() const;
 

@@ -67,6 +67,14 @@ class System
 
     const SimEngine &engine() const { return *engine_; }
 
+    /** Report channel `c`'s issued DRAM commands to `obs` (not
+     *  owned; observation only, the run is unchanged). */
+    void
+    setCommandObserver(uint32_t c, CommandObserver *obs)
+    {
+        engine_->setObserver(c, obs);
+    }
+
   private:
     const SimConfig &cfg_;
     std::vector<std::unique_ptr<CoreModel>> cores_;
