@@ -10,16 +10,96 @@ namespace {
 constexpr dram::Tick kInf = std::numeric_limits<dram::Tick>::max() / 4;
 } // anonymous namespace
 
+BankQueue::BankQueue(size_t capacity, uint32_t banks)
+    : slots(capacity), banks(banks)
+{
+    for (size_t s = capacity; s-- > 0;)
+        freeSlots.push_back(static_cast<uint32_t>(s));
+    active.reserve(banks);
+    parked.reserve(capacity);
+}
+
+void
+BankQueue::offer(PerBank &pb, uint32_t s, int64_t key)
+{
+    const Slot &x = slots[s];
+    const bool hit = key >= 0 && x.req.addr.row == key;
+    uint32_t &c = hit ? pb.hit : pb.other;
+    uint64_t &c_seq = hit ? pb.hitSeq : pb.otherSeq;
+    if (c == kNil || x.seq < c_seq) {
+        c = s;
+        c_seq = x.seq;
+    }
+}
+
+void
+BankQueue::link(uint32_t s, int64_t key)
+{
+    Slot &x = slots[s];
+    const uint32_t b = x.req.flatBank;
+    PerBank &pb = banks[b];
+    if (pb.head == kNil) {
+        pb.activePos = static_cast<uint32_t>(active.size());
+        active.push_back(b);
+    }
+    // New requests append; a released one walks back past the younger.
+    uint32_t after = pb.tail;
+    while (after != kNil && slots[after].seq > x.seq)
+        after = slots[after].prev;
+    x.prev = after;
+    x.next = after == kNil ? pb.head : slots[after].next;
+    (after == kNil ? pb.head : slots[after].next) = s;
+    (x.next == kNil ? pb.tail : slots[x.next].prev) = s;
+    // Candidates cached for this bank state only gain an older one;
+    // stale ones must not revive if the bank returns to their key.
+    if (pb.key == key)
+        offer(pb, s, key);
+    else
+        pb.key = kStale;
+}
+
+void
+BankQueue::unlink(uint32_t s)
+{
+    const Slot &x = slots[s];
+    PerBank &pb = banks[x.req.flatBank];
+    (x.prev == kNil ? pb.head : slots[x.prev].next) = x.next;
+    (x.next == kNil ? pb.tail : slots[x.next].prev) = x.prev;
+    pb.key = kStale; // a candidate left
+    if (pb.head == kNil) {
+        const uint32_t last = active.back();
+        active[pb.activePos] = last;
+        banks[last].activePos = pb.activePos;
+        active.pop_back();
+    }
+}
+
+void
+BankQueue::rescan(PerBank &pb, int64_t key)
+{
+    pb.key = key;
+    pb.hit = pb.other = kNil;
+    for (uint32_t s = pb.head;
+         s != kNil && (pb.hit == kNil || pb.other == kNil);
+         s = slots[s].next)
+        offer(pb, s, key);
+}
+
 MemController::MemController(const SimConfig &cfg,
                              defense::Defense *defense,
                              Completion on_complete)
     : cfg_(cfg), mapper_(cfg), defense_(defense),
       onComplete_(std::move(on_complete)), banks_(cfg.totalBanks()),
-      ranks_(cfg.ranks), readQ_(cfg.readQueue), writeQ_(cfg.writeQueue),
+      ranks_(cfg.ranks), readQ_(cfg.readQueue, cfg.totalBanks()),
+      writeQ_(cfg.writeQueue, cfg.totalBanks()),
       pendingPerBank_(cfg.totalBanks(), 0),
       pendingPos_(cfg.totalBanks(), 0)
 {
     pendingBanks_.reserve(cfg.totalBanks());
+    for (uint32_t b = 0; b < banks_.size(); ++b) {
+        banks_[b].rank = b / cfg.banksPerRank();
+        banks_[b].group = b % cfg.banksPerRank() / cfg.banksPerGroup;
+    }
     for (uint32_t r = 0; r < cfg_.ranks; ++r) {
         ranks_[r].refreshDue = cfg_.timing.tREFI;
         ranks_[r].lastActBg.assign(cfg_.bankGroups, -1'000'000);
@@ -33,54 +113,24 @@ MemController::MemController(const SimConfig &cfg,
 bool
 MemController::enqueue(const MemRequest &req)
 {
-    MemRequest r = req;
-    r.flatBank = mapper_.flatBank(r.addr);
-    if (r.write) {
-        if (writeQ_.size() >= cfg_.writeQueue)
-            return false;
-        writeQ_.push_back(r);
-    } else {
-        if (readQ_.size() >= cfg_.readQueue)
-            return false;
-        readQ_.push_back(r);
-    }
-    if (pendingPerBank_[r.flatBank]++ == 0) {
-        pendingPos_[r.flatBank] =
-            static_cast<uint32_t>(pendingBanks_.size());
-        pendingBanks_.push_back(r.flatBank);
-    }
-    if (r.notBefore != 0)
-        ++throttledQueued_;
-    if (scanCacheValid_ && r.write == scanCacheDrained_) {
-        // Incremental verdict update: the new request joins the
-        // cached (scanned) queue, so fold its earliest-serviceable
-        // time into the blocked-until bound instead of discarding
-        // the whole verdict. A request landing in the *other* queue
-        // conservatively drops the verdict (the else below), even
-        // though that queue is not the one being scanned — cheap
-        // safety on a determinism-critical path.
-        const Bank &bank = banks_[r.flatBank];
-        dram::Tick e;
-        if (bank.open && bank.row == r.addr.row) {
-            e = std::max(bank.readyColumn,
-                         busReady_ - cfg_.timing.tCL);
-        } else if (bank.open) {
-            e = bank.readyPre;
-        } else {
-            const Rank &rank = ranks_[rankOf(r.flatBank)];
-            e = std::max(bank.readyAct,
-                         rankActReady(rank,
-                                      bankGroupOf(r.flatBank)));
-        }
-        e = std::max(e, r.notBefore);
-        if (e < scanBlockedUntil_) {
-            scanBlockedUntil_ = e;
-            scanBlockedByBus_ =
-                bank.open && bank.row == r.addr.row &&
-                busReady_ - cfg_.timing.tCL > bank.readyColumn;
-        }
-    } else {
-        scanCacheValid_ = false;
+    BankQueue &q = req.write ? writeQ_ : readQ_;
+    if (q.size >= (req.write ? cfg_.writeQueue : cfg_.readQueue))
+        return false;
+    const uint32_t s = q.freeSlots.back();
+    q.freeSlots.pop_back();
+    ++q.size;
+    BankQueue::Slot &x = q.slots[s];
+    x.req = req;
+    x.req.flatBank = mapper_.flatBank(req.addr);
+    x.seq = q.nextSeq++;
+    if (x.req.notBefore > now_)
+        q.parked.push_back(s);
+    else
+        q.link(s, banks_[x.req.flatBank].key());
+    const uint32_t b = x.req.flatBank;
+    if (pendingPerBank_[b]++ == 0) {
+        pendingPos_[b] = static_cast<uint32_t>(pendingBanks_.size());
+        pendingBanks_.push_back(b);
     }
     quietValid_ = false; // new work may be issuable immediately
     quietUntil_ = 0;     // stale jump target must not be revalidated
@@ -88,23 +138,20 @@ MemController::enqueue(const MemRequest &req)
 }
 
 void
-MemController::doActivate(uint32_t flat_bank, uint32_t row,
-                          bool maintenance)
+MemController::doActivate(uint32_t flat_bank, uint32_t row)
 {
     Bank &bank = banks_[flat_bank];
-    Rank &rank = ranks_[rankOf(flat_bank)];
+    Rank &rank = ranks_[bank.rank];
     bank.open = true;
     bank.row = row;
     bank.hitStreak = 0;
-    bank.actTime = now_;
     bank.readyColumn = now_ + cfg_.timing.tRCD;
     bank.readyPre = now_ + cfg_.timing.tRAS;
     rank.lastAct = now_;
-    rank.lastActBg[bankGroupOf(flat_bank)] = now_;
+    rank.lastActBg[bank.group] = now_;
     rank.pushAct(now_);
     ++stats_.activations;
     observe(DramCommand::Kind::Act, flat_bank, row, 0);
-    (void)maintenance;
 }
 
 void
@@ -119,7 +166,6 @@ MemController::doPrecharge(uint32_t flat_bank)
 
 void
 MemController::applyActions(const defense::ActionBuffer &acts,
-                            uint32_t /* flat_bank */, uint32_t /* row */,
                             dram::Tick *throttle_out)
 {
     using Kind = defense::PreventiveAction::Kind;
@@ -133,8 +179,7 @@ MemController::applyActions(const defense::ActionBuffer &acts,
         // The defense emits actions in the controller's own flat bank
         // space; the shared helper asserts that instead of folding
         // mismatches away with a modulo.
-        const uint32_t b =
-            defense::resolveActionBank(a.bank, banks_.size());
+        const uint32_t b = defense::resolveActionBank(a.bank, banks_.size());
         Bank &bank = banks_[b];
         // Row-content moves go through the memory controller, so they
         // occupy the shared channel data bus as well as the bank.
@@ -203,8 +248,7 @@ MemController::refreshIfDue()
         Rank &rank = ranks_[r];
         if (now_ < rank.refreshDue)
             continue;
-        const uint32_t banks_per_rank =
-            cfg_.bankGroups * cfg_.banksPerGroup;
+        const uint32_t banks_per_rank = cfg_.banksPerRank();
         for (uint32_t b = 0; b < banks_per_rank; ++b) {
             Bank &bank = banks_[r * banks_per_rank + b];
             dram::Tick base = std::max(now_, bank.readyAct);
@@ -221,14 +265,12 @@ MemController::refreshIfDue()
         rank.refreshDue += cfg_.timing.tREFI;
         ++stats_.refreshes;
         quietValid_ = false; // bank ready times moved
-        scanCacheValid_ = false;
     }
     // Refresh-window epoch for the defense's counter structures.
     if (defense_ && now_ - epochStart_ >= cfg_.timing.tREFW) {
         defense_->onEpochEnd(now_);
         epochStart_ = now_;
         quietValid_ = false;
-        scanCacheValid_ = false;
     }
     maintenanceDue_ = kInf;
     for (const Rank &rank : ranks_)
@@ -243,56 +285,111 @@ MemController::updateDrainMode()
 {
     // Write drain hysteresis.
     if (draining_) {
-        if (writeQ_.size() <= cfg_.writeQueue / 4)
+        if (writeQ_.size <= cfg_.writeQueue / 4)
             draining_ = false;
     } else {
-        if (writeQ_.size() >= 3 * cfg_.writeQueue / 4 ||
-            (readQ_.empty() && !writeQ_.empty()))
+        if (writeQ_.size >= 3 * cfg_.writeQueue / 4 ||
+            (readQ_.size == 0 && writeQ_.size != 0))
             draining_ = true;
     }
-    return draining_ && !writeQ_.empty();
+    return draining_ && writeQ_.size != 0;
 }
 
 bool
 MemController::tryIssue()
 {
-    const bool drained = updateDrainMode();
-
-    // A failed scan records the minimum earliest-serviceable time of
-    // the scanned queue; until something mutates scheduler state
-    // (enqueue, issue, refresh, epoch end) or the drain mode picks
-    // the other queue, a repeat scan before that time fails by
-    // construction — the dominant case at wakeups that crossed a
-    // candidate for a still-blocked request. lastFailCached_ tells
-    // run() the cached jump target survived too.
-    if (scanCacheValid_ && scanCacheDrained_ == drained &&
-        now_ < scanBlockedUntil_) {
-        lastFailCached_ = true;
-        ++stats_.blockedUntilHits;
-        return false;
-    }
-    lastFailCached_ = false;
-
-    RequestQueue &q = drained ? writeQ_ : readQ_;
-    if (q.empty()) {
-        // An empty chosen queue stays unissuable until an enqueue or
-        // a drain-mode flip (cache key mismatch) changes the picture.
-        scanCacheValid_ = true;
-        scanCacheDrained_ = drained;
-        scanBlockedUntil_ = kInf;
-        scanBlockedByBus_ = false;
-        return false;
-    }
-
+    BankQueue &q = updateDrainMode() ? writeQ_ : readQ_;
     const auto &t = cfg_.timing;
+    constexpr uint32_t kNil = BankQueue::kNil;
 
-    auto rank_can_act = [&](uint32_t flat_bank) {
-        const Rank &rank = ranks_[rankOf(flat_bank)];
-        return now_ >= rankActReady(rank, bankGroupOf(flat_bank));
+    const dram::Tick now = now_;
+    // Earliest time any request of q could become serviceable with
+    // state unchanged (meaningful only when the pick fails: then every
+    // candidate took a blocked path and contributed). On equal times
+    // a non-bus blocker wins, since it is a wakeup candidate itself.
+    dram::Tick until = kInf;
+    bool by_bus = false;
+    auto blocked_at = [&](dram::Tick e, bool from_bus) {
+        if (e < until || (e == until && by_bus)) {
+            until = e;
+            by_bus = from_bus;
+        }
     };
 
-    auto issue_column = [&](size_t i) {
-        MemRequest r = q[i];
+    // Throttled requests whose release time has come rejoin their
+    // bank lists; the rest only bound the blocked time.
+    for (size_t i = 0; i < q.parked.size();) {
+        const uint32_t s = q.parked[i];
+        const MemRequest &r = q.slots[s].req;
+        if (r.notBefore > now) {
+            blocked_at(r.notBefore, false);
+            ++i;
+            continue;
+        }
+        q.parked[i] = q.parked.back();
+        q.parked.pop_back();
+        q.link(s, banks_[r.flatBank].key());
+    }
+
+    // One pass over the banks with work. All requests of one class
+    // (open-row hit / other) in a bank are serviceable at the same
+    // time, so the oldest stands for the class. FR: the oldest hit
+    // under the column cap wins; else FCFS: the oldest serviceable
+    // request (capped hit, conflict, closed bank). A column may issue
+    // while the bus frees within tCL.
+    const dram::Tick bus_at = busReady_ - t.tCL;
+    const uint32_t cap = cfg_.columnCap;
+    uint32_t hit = kNil, fcfs = kNil;
+    uint64_t hit_seq = UINT64_MAX, fcfs_seq = UINT64_MAX;
+    uint64_t tfaw_stalls = 0;
+    for (uint32_t b : q.active) {
+        const Bank &bank = banks_[b];
+        BankQueue::PerBank &pb = q.banks[b];
+        if (pb.key != bank.key())
+            q.rescan(pb, bank.key());
+        if (pb.hit != kNil) {
+            const dram::Tick col = std::max(bank.readyColumn, bus_at);
+            if (col > now) {
+                blocked_at(col, bus_at > bank.readyColumn);
+            } else if (bank.hitStreak < cap) {
+                if (pb.hitSeq < hit_seq) {
+                    hit = pb.hit;
+                    hit_seq = pb.hitSeq;
+                }
+            } else if (pb.hitSeq < fcfs_seq) {
+                fcfs = pb.hit; // capped hit: plain FCFS column
+                fcfs_seq = pb.hitSeq;
+            }
+        }
+        if (pb.other == kNil)
+            continue;
+        dram::Tick ready = bank.open ? bank.readyPre : bank.readyAct;
+        if (!bank.open) {
+            const Rank &rank = ranks_[bank.rank];
+            const dram::Tick rank_at = rankActReady(rank, bank.group);
+            // The bank itself is ready but the rank's four-activate
+            // window is the binding constraint: a true tFAW stall.
+            if (bank.readyAct <= now && rank_at > now &&
+                rank.actCount == 4 &&
+                rank_at == rank.oldestAct() + t.tFAW)
+                ++tfaw_stalls;
+            ready = std::max(ready, rank_at);
+        }
+        if (ready > now) {
+            blocked_at(ready, false);
+        } else if (pb.otherSeq < fcfs_seq) {
+            fcfs = pb.other;
+            fcfs_seq = pb.otherSeq;
+        }
+    }
+    stats_.tfawStalls += tfaw_stalls;
+    blockedUntil_ = until;
+    blockedByBus_ = by_bus;
+    if (hit == kNil && fcfs == kNil)
+        return false;
+
+    auto issue_column = [&](uint32_t s) {
+        const MemRequest r = q.slots[s].req;
         Bank &bank = banks_[r.flatBank];
         const dram::Tick cas = r.write ? t.tCWL : t.tCL;
         const dram::Tick data = std::max(now_ + cas, busReady_);
@@ -312,111 +409,28 @@ MemController::tryIssue()
         }
         if (--pendingPerBank_[r.flatBank] == 0) {
             // Swap-erase from the compact list (order is irrelevant:
-            // every consumer computes order-independent minima).
+            // nextWakeup computes an order-independent minimum).
             const uint32_t last = pendingBanks_.back();
             pendingBanks_[pendingPos_[r.flatBank]] = last;
             pendingPos_[last] = pendingPos_[r.flatBank];
             pendingBanks_.pop_back();
         }
-        if (r.notBefore != 0)
-            --throttledQueued_;
-        q.erase(i);
+        q.unlink(s);
+        q.freeSlots.push_back(s);
+        --q.size;
     };
 
-    // Bus availability for a column issue is the same for every
-    // candidate this cycle — hoisted out of both passes.
-    const bool bus_ok = busReady_ <= now_ + t.tCL;
-
-    // One fused read-only scan replaces the former two passes: it
-    // finds the pass-1 winner (oldest under-cap row hit — breaks
-    // immediately, nothing later can beat it) and remembers the
-    // pass-2 winner (oldest serviceable request of any kind) for the
-    // case no pass-1 hit exists. Selection is identical to running
-    // the passes separately; failures pay one queue walk, not two.
-    constexpr size_t kNone = SIZE_MAX;
-    size_t hit_idx = kNone;
-    size_t p2_idx = kNone;
-    // Earliest time any scanned request could become serviceable
-    // given unchanged state (only meaningful when the scan fails —
-    // then every request took a blocked path and contributed).
-    dram::Tick blocked_until = kInf;
-    bool blocked_by_bus = false;
-    auto blocked_at = [&](dram::Tick e, bool from_bus) {
-        if (e < blocked_until) {
-            blocked_until = e;
-            blocked_by_bus = from_bus;
-        }
-    };
-    for (size_t i = 0, n = q.size(); i < n; ++i) {
-        const MemRequest &r = q[i];
-        if (r.notBefore > now_) {
-            blocked_at(r.notBefore, false);
-            continue;
-        }
-        const Bank &bank = banks_[r.flatBank];
-        if (bank.open && bank.row == r.addr.row) {
-            if (bus_ok && bank.readyColumn <= now_) {
-                if (bank.hitStreak < cfg_.columnCap) {
-                    hit_idx = i;
-                    break;
-                }
-                if (p2_idx == kNone)
-                    p2_idx = i; // capped hit: plain pass-2 column
-            } else {
-                const dram::Tick bus_at = busReady_ - t.tCL;
-                blocked_at(std::max(bank.readyColumn, bus_at),
-                           bus_at > bank.readyColumn);
-            }
-            continue;
-        }
-        if (p2_idx != kNone)
-            continue; // pass-2 winner known; still hunting a hit
-        if (bank.open) {
-            if (bank.readyPre <= now_)
-                p2_idx = i; // row conflict: precharge
-            else
-                blocked_at(bank.readyPre, false);
-            continue;
-        }
-        if (bank.readyAct <= now_ && rank_can_act(r.flatBank)) {
-            p2_idx = i; // closed bank: activate
-        } else {
-            const Rank &rank = ranks_[rankOf(r.flatBank)];
-            const dram::Tick rank_at =
-                rankActReady(rank, bankGroupOf(r.flatBank));
-            // The bank itself is ready but the rank's four-activate
-            // window is the binding constraint: a true tFAW stall.
-            if (bank.readyAct <= now_ && rank_at > now_ &&
-                rank.actCount == 4 &&
-                rank_at == rank.oldestAct() + t.tFAW)
-                ++stats_.tfawStalls;
-            blocked_at(std::max(bank.readyAct, rank_at), false);
-        }
-    }
-
-    if (p2_idx == kNone && hit_idx == kNone) {
-        scanCacheValid_ = true;
-        scanCacheDrained_ = drained;
-        scanBlockedUntil_ = blocked_until;
-        scanBlockedByBus_ = blocked_by_bus;
-        return false;
-    }
-    scanCacheValid_ = false; // about to issue: state changes
-
-    if (hit_idx != kNone) {
-        // Pass 1 (FR): oldest row hit under the column cap.
-        stats_.rowHits += banks_[q[hit_idx].flatBank].hitStreak > 0
-                              ? 1
-                              : 0;
-        issue_column(hit_idx);
+    if (hit != kNil) {
+        stats_.rowHits +=
+            banks_[q.slots[hit].req.flatBank].hitStreak > 0 ? 1 : 0;
+        issue_column(hit);
         return true;
     }
 
-    // Pass 2 (FCFS): progress the oldest serviceable request.
-    MemRequest &r = q[p2_idx];
+    MemRequest &r = q.slots[fcfs].req;
     Bank &bank = banks_[r.flatBank];
     if (bank.open && bank.row == r.addr.row) {
-        issue_column(p2_idx);
+        issue_column(fcfs);
         return true;
     }
     if (bank.open) {
@@ -430,12 +444,12 @@ MemController::tryIssue()
     if (defense_ && !r.defenseCleared) {
         actionBuf_.clear();
         defense_->onActivate(r.flatBank, r.addr.row, now_, actionBuf_);
-        applyActions(actionBuf_, r.flatBank, r.addr.row, &throttle);
+        applyActions(actionBuf_, &throttle);
         if (throttle > 0) {
-            if (r.notBefore == 0)
-                ++throttledQueued_;
             r.notBefore = now_ + throttle;
-            return true; // state changed; rescan
+            q.unlink(fcfs);
+            q.parked.push_back(fcfs);
+            return true; // state changed; pick again
         }
         r.defenseCleared = true;
         if (bank.readyAct > now_) {
@@ -446,7 +460,7 @@ MemController::tryIssue()
             return true;
         }
     }
-    doActivate(r.flatBank, r.addr.row, false);
+    doActivate(r.flatBank, r.addr.row);
     return true;
 }
 
@@ -458,28 +472,21 @@ MemController::nextWakeup(dram::Tick from) const
         if (t > now_ && t >= from && t < next)
             next = t;
     };
-    // Bank and rank readiness only gates banks with queued work; the
-    // pending-bank list gives the same candidate set the old
-    // full-queue scan produced, one bank at a time instead of one
-    // request. The rank term is the exact per-bank ACT-legality time
-    // (max over tRRD_S, the bank group's tRRD_L, and tFAW): tighter
-    // than considering each constraint separately, and shared with
-    // the issue scan so the two can never disagree.
+    // Bank and rank readiness only gates banks with queued work. The
+    // rank term is the exact per-bank ACT-legality time, shared with
+    // the pick so the two can never disagree.
     for (uint32_t b : pendingBanks_) {
         const Bank &bank = banks_[b];
         consider(bank.readyAct);
         consider(bank.readyColumn);
         consider(bank.readyPre);
-        consider(rankActReady(ranks_[rankOf(b)], bankGroupOf(b)));
+        consider(rankActReady(ranks_[bank.rank], bank.group));
     }
     // Throttle release times exist only while a defense is actively
-    // throttling; skip the queue walk entirely otherwise.
-    if (throttledQueued_ > 0) {
-        for (size_t i = 0, n = readQ_.size(); i < n; ++i)
-            consider(readQ_[i].notBefore);
-        for (size_t i = 0, n = writeQ_.size(); i < n; ++i)
-            consider(writeQ_[i].notBefore);
-    }
+    // throttling, and only parked requests carry future ones.
+    for (const BankQueue *q : {&readQ_, &writeQ_})
+        for (uint32_t s : q->parked)
+            consider(q->slots[s].req.notBefore);
     consider(busReady_);
     // Refresh processing times must always be visited, however far
     // past them the caller's interest lies.
@@ -509,56 +516,40 @@ MemController::run(dram::Tick until)
             if (tryIssue())
                 continue;
             // The drain hysteresis oscillates when reads are empty
-            // but writes sit below the exit watermark: the scanned
-            // queue then alternates per evaluation, so a failed scan
+            // but writes sit below the exit watermark: the picked
+            // queue then alternates per evaluation, so a failed pick
             // does not prove the *other* queue stays unissuable.
-            // Keep full per-candidate scans in that state.
-            const bool stable =
-                !(readQ_.empty() && !writeQ_.empty());
-            if (lastFailCached_ && now_ < quietUntil_ && stable) {
-                // The failed scan was served from its unchanged-state
-                // cache, so the previously computed jump target still
-                // stands; the bus lookahead that forced this rescan
-                // is verified blocked and stays blocked (busReady_ is
-                // static while no command issues).
-                quietBusFlip_ = kInf;
-                quietValid_ = true;
-            } else {
-                // Jump straight to the next *observable* time: while
-                // state is unchanged nothing can issue before the
-                // failed scan's blocked-until bound and no epoch
-                // boundary may be overjumped, so wakeup candidates
-                // below both are provably eventless (refresh times
-                // are always honored inside nextWakeup, and run()-
-                // boundary entries keep evaluating refreshIfDue
-                // exactly as before).
-                dram::Tick interest = 0;
-                if (stable && scanCacheValid_) {
-                    interest = scanBlockedUntil_;
-                    if (defense_)
-                        interest = std::min(
-                            interest,
-                            epochStart_ + cfg_.timing.tREFW);
-                }
-                if (stable && scanCacheValid_ &&
-                    !scanBlockedByBus_ &&
-                    scanBlockedUntil_ <= maintenanceDue_) {
-                    // The blocking minimum is a max of candidate
-                    // times, hence itself the first candidate at or
-                    // after it, and no refresh/epoch comes earlier:
-                    // it IS the next observable time — no bank pass.
-                    quietUntil_ = scanBlockedUntil_;
-                } else {
-                    quietUntil_ = nextWakeup(interest);
-                }
-                // If the bus is the blocker, its issue condition
-                // becomes true tCL *before* busReady_ — rescan from
-                // that point on.
-                quietBusFlip_ = busReady_ <= now_ + cfg_.timing.tCL
-                                    ? kInf
-                                    : busReady_ - cfg_.timing.tCL;
-                quietValid_ = stable;
+            // Keep a fresh pick per wakeup candidate in that state.
+            const bool stable = !(readQ_.size == 0 && writeQ_.size != 0);
+            // Jump straight to the next *observable* time: while
+            // state is unchanged nothing can issue before the failed
+            // pick's blocked-until bound and no epoch boundary may be
+            // overjumped (refresh times are always honored inside
+            // nextWakeup).
+            dram::Tick interest = 0;
+            if (stable) {
+                interest = blockedUntil_;
+                if (defense_)
+                    interest = std::min(
+                        interest, epochStart_ + cfg_.timing.tREFW);
             }
+            if (stable && !blockedByBus_ &&
+                blockedUntil_ <= maintenanceDue_) {
+                // The blocking minimum is a max of candidate times,
+                // hence itself the first candidate at or after it,
+                // and no refresh/epoch comes earlier: it IS the next
+                // observable time — no bank pass.
+                quietUntil_ = blockedUntil_;
+            } else {
+                quietUntil_ = nextWakeup(interest);
+            }
+            // If the bus is the blocker, its issue condition becomes
+            // true tCL *before* busReady_ — pick again from that
+            // point on.
+            quietBusFlip_ = busReady_ <= now_ + cfg_.timing.tCL
+                                ? kInf
+                                : busReady_ - cfg_.timing.tCL;
+            quietValid_ = stable;
         }
         const dram::Tick next = quietUntil_;
         if (next >= until) {

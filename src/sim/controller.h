@@ -2,17 +2,20 @@
  * @file
  * Cycle-accurate-enough DDR4 memory controller: FR-FCFS scheduling
  * with a column-access cap, open-row policy, bank/rank timing (tRCD,
- * tRP, tRAS, tCCD, tRRD, tFAW, refresh), a shared data bus, write
- * draining, and the defense hook that turns preventive actions into
- * DRAM traffic (victim refreshes, throttling stalls, migration/swap
- * bandwidth, metadata transfers).
+ * tRP, tRAS, same-bank tCCD_L, tRRD_S/L, tFAW, tWR, refresh with
+ * tRFC), a shared data bus, write draining, and the defense hook that
+ * turns preventive actions into DRAM traffic (victim refreshes,
+ * throttling stalls, migration/swap bandwidth, metadata transfers).
+ * Not modelled, though the timing table carries them: tRTP, tWTR_S/L,
+ * tCCD_S, and tCCD_L between banks of one bank group.
  *
- * The inner loop is allocation-free and event-driven: requests live in
- * fixed ring buffers, defense actions land in a reusable ActionBuffer,
- * the tFAW history is a 4-slot ring, and a cached min-wakeup ("quiet
- * until") plus per-bank pending counts replace the full-queue rescans
- * the scheduler used to pay on every clock advance — with bit-identical
- * scheduling decisions (asserted by tests/test_perf_golden.cc).
+ * The inner loop is allocation-free and event-driven: a pick visits
+ * the banks with work in a bank-indexed queue, not every request;
+ * defense actions land in a reusable ActionBuffer, the tFAW history is
+ * a 4-slot ring, and a cached min-wakeup ("quiet until") skips picks
+ * that provably fail — with bit-identical scheduling decisions
+ * (asserted by tests/test_perf_golden.cc and the command-stream
+ * digests of tests/test_timing_rules.cc).
  */
 #ifndef SVARD_SIM_CONTROLLER_H
 #define SVARD_SIM_CONTROLLER_H
@@ -69,66 +72,59 @@ class CommandObserver
 };
 
 /**
- * Fixed-capacity circular request queue with order-preserving middle
- * erase (shifts whichever side is shorter, like std::deque, but over
- * one contiguous power-of-two buffer). Never allocates after
- * construction — the scheduler's per-activation hot path depends on
- * that.
+ * One request queue (reads or writes), indexed by bank for FR-FCFS.
+ * Requests live in a fixed slot pool, stamped with a queue-wide
+ * arrival sequence number and linked into one arrival-ordered list
+ * per bank; `active` holds the banks whose list is non-empty. Each
+ * bank caches the only two requests the scheduler can pick from it:
+ * the oldest to the open row (`hit`) and the oldest other one
+ * (`other`), keyed on the bank's (open, row) state. A throttled
+ * request waits in `parked`, off its bank list, and is linked back at
+ * its arrival position once released. Never allocates after
+ * construction: the per-activation hot path depends on that.
  */
-class RequestQueue
+struct BankQueue
 {
-  public:
-    explicit RequestQueue(size_t capacity)
+    static constexpr uint32_t kNil = UINT32_MAX;
+    /** Candidate key of a closed bank; an open bank's key is its row. */
+    static constexpr int64_t kClosed = -1;
+    static constexpr int64_t kStale = -2; ///< candidates need a rescan
+
+    struct Slot
     {
-        size_t cap = 1;
-        while (cap < capacity)
-            cap <<= 1;
-        buf_.resize(cap);
-        mask_ = cap - 1;
-    }
+        MemRequest req;
+        uint64_t seq = 0;
+        uint32_t prev = kNil, next = kNil; ///< bank list links
+    };
 
-    size_t size() const { return count_; }
-    bool empty() const { return count_ == 0; }
-
-    MemRequest &
-    operator[](size_t i)
+    struct PerBank
     {
-        return buf_[(head_ + i) & mask_];
-    }
+        uint32_t head = kNil, tail = kNil;
+        uint32_t activePos = 0; ///< index in `active` while listed
+        uint32_t hit = kNil, other = kNil; ///< candidate slots
+        uint64_t hitSeq = 0, otherSeq = 0;
+        int64_t key = kStale;   ///< bank state the candidates are for
+    };
 
-    const MemRequest &
-    operator[](size_t i) const
-    {
-        return buf_[(head_ + i) & mask_];
-    }
+    BankQueue(size_t capacity, uint32_t banks);
 
-    /** Callers check fullness against their own limit first. */
-    void
-    push_back(const MemRequest &r)
-    {
-        buf_[(head_ + count_) & mask_] = r;
-        ++count_;
-    }
+    /** Link slot `s` into its bank list at its arrival position;
+     *  `key` is the bank's current candidate key. */
+    void link(uint32_t s, int64_t key);
+    /** Unlink slot `s` (a candidate) from its bank list. */
+    void unlink(uint32_t s);
+    /** Recompute a bank's candidates for bank state `key`. */
+    void rescan(PerBank &pb, int64_t key);
+    /** Take `s` as a candidate of bank state `key` if it is older. */
+    void offer(PerBank &pb, uint32_t s, int64_t key);
 
-    void
-    erase(size_t i)
-    {
-        if (i < count_ - i - 1) {
-            for (size_t j = i; j > 0; --j)
-                (*this)[j] = (*this)[j - 1];
-            head_ = (head_ + 1) & mask_;
-        } else {
-            for (size_t j = i; j + 1 < count_; ++j)
-                (*this)[j] = (*this)[j + 1];
-        }
-        --count_;
-    }
-
-  private:
-    std::vector<MemRequest> buf_;
-    size_t mask_ = 0;
-    size_t head_ = 0;
-    size_t count_ = 0;
+    std::vector<Slot> slots;
+    std::vector<uint32_t> freeSlots;
+    std::vector<PerBank> banks;
+    std::vector<uint32_t> active;
+    std::vector<uint32_t> parked;
+    uint64_t nextSeq = 0;
+    size_t size = 0;
 };
 
 /** Controller statistics. */
@@ -145,9 +141,9 @@ struct ControllerStats
     uint64_t swaps = 0;
     uint64_t metadataAccesses = 0;
     dram::Tick throttleStall = 0;
-    /** Scheduler scans answered by the O(1) blocked-until cache. */
-    uint64_t blockedUntilHits = 0;
-    /** Closed-bank activates blocked specifically by the tFAW window. */
+    /** Closed-bank candidates whose ACT the tFAW window alone held
+     *  back: the bank was ready and the rank's fourth-last ACT was the
+     *  binding constraint. Counted once per bank per scheduler pick. */
     uint64_t tfawStalls = 0;
 
     /** Field-wise sum (channel aggregation). */
@@ -165,7 +161,6 @@ struct ControllerStats
         swaps += o.swaps;
         metadataAccesses += o.metadataAccesses;
         throttleStall += o.throttleStall;
-        blockedUntilHits += o.blockedUntilHits;
         tfawStalls += o.tfawStalls;
         return *this;
     }
@@ -192,13 +187,13 @@ class MemController
     bool
     readQueueFull() const
     {
-        return readQ_.size() >= cfg_.readQueue;
+        return readQ_.size >= cfg_.readQueue;
     }
 
     bool
     writeQueueFull() const
     {
-        return writeQ_.size() >= cfg_.writeQueue;
+        return writeQ_.size >= cfg_.writeQueue;
     }
 
     /**
@@ -210,7 +205,7 @@ class MemController
     bool
     idle() const
     {
-        return readQ_.empty() && writeQ_.empty();
+        return readQ_.size == 0 && writeQ_.size == 0;
     }
 
     dram::Tick now() const { return now_; }
@@ -226,10 +221,13 @@ class MemController
         bool open = false;
         uint32_t row = 0;
         uint32_t hitStreak = 0;
-        dram::Tick actTime = 0;     ///< last ACT (for tRAS)
+        uint32_t rank = 0;          ///< fixed at construction
+        uint32_t group = 0;         ///< bank group within the rank
         dram::Tick readyAct = 0;    ///< earliest next ACT
         dram::Tick readyColumn = 0; ///< earliest next RD/WR
         dram::Tick readyPre = 0;    ///< earliest next PRE
+
+        int64_t key() const { return open ? row : BankQueue::kClosed; }
     };
 
     struct Rank
@@ -260,8 +258,9 @@ class MemController
         }
     };
 
-    /** Try to issue the best request at `now_`; returns true if one
-     *  was serviced (or partially progressed). */
+    /** Pick and progress the best request at `now_`; returns true if
+     *  one was serviced (or partially progressed). On false,
+     *  blockedUntil_/blockedByBus_ hold why nothing could issue. */
     bool tryIssue();
 
     /** Write-drain hysteresis tick; returns whether writes drain.
@@ -271,48 +270,31 @@ class MemController
     bool updateDrainMode();
 
     /** Earliest future time at which anything could change, at or
-     *  after `from` (refresh processing times are always honored).
-     *  Scans the banks/ranks with queued work (pendingPerBank_)
-     *  instead of the queues themselves — same minimum, far fewer
-     *  iterations. */
+     *  after `from` (refresh processing times are always honored),
+     *  from the banks with queued work and the parked requests. */
     dram::Tick nextWakeup(dram::Tick from = 0) const;
 
     /** Issue an ACT to a bank (timing + defense hook). */
-    void doActivate(uint32_t flat_bank, uint32_t row, bool maintenance);
+    void doActivate(uint32_t flat_bank, uint32_t row);
 
     void doPrecharge(uint32_t flat_bank);
 
     /** Execute defense actions produced by an ACT. */
     void applyActions(const defense::ActionBuffer &acts,
-                      uint32_t flat_bank, uint32_t row,
                       dram::Tick *throttle_out);
 
     void refreshIfDue();
 
-    void
-    observe(DramCommand::Kind kind, uint32_t bank, uint32_t row,
-            dram::Tick aux)
+    void observe(DramCommand::Kind k, uint32_t b, uint32_t row,
+                 dram::Tick aux)
     {
         if (observer_)
-            observer_->onCommand({kind, bank, row, now_, aux});
-    }
-
-    uint32_t rankOf(uint32_t flat_bank) const
-    {
-        return flat_bank / (cfg_.bankGroups * cfg_.banksPerGroup);
-    }
-
-    /** Bank group of a flat bank within its rank (tRRD_L/tCCD_L). */
-    uint32_t bankGroupOf(uint32_t flat_bank) const
-    {
-        return (flat_bank % (cfg_.bankGroups * cfg_.banksPerGroup)) /
-               cfg_.banksPerGroup;
+            observer_->onCommand({k, b, row, now_, aux});
     }
 
     /** Earliest next ACT a rank's tRRD/tFAW state allows for a bank
      *  of bank group `bg` (the scheduler's single source of truth:
-     *  the issue check, the blocked-until scan, and the incremental
-     *  enqueue verdict all derive from it). */
+     *  the pick and nextWakeup both derive from it). */
     dram::Tick
     rankActReady(const Rank &rank, uint32_t bg) const
     {
@@ -338,8 +320,8 @@ class MemController
     dram::Tick maintenanceDue_ = 0;
     std::vector<Bank> banks_;
     std::vector<Rank> ranks_;
-    RequestQueue readQ_;
-    RequestQueue writeQ_;
+    BankQueue readQ_;
+    BankQueue writeQ_;
     bool draining_ = false;
 
     /** Reused per-ACT action buffer: cleared, never reallocated, so
@@ -348,46 +330,30 @@ class MemController
 
     /** Queued requests (both queues) per flat bank, plus a compact
      *  unordered list of the banks with work — the index that lets
-     *  nextWakeup and the fast-fail check visit only the (few) banks
-     *  that can matter instead of every bank or every request. */
+     *  nextWakeup visit only the (few) banks that can matter. */
     std::vector<uint32_t> pendingPerBank_;
     std::vector<uint32_t> pendingBanks_;
     std::vector<uint32_t> pendingPos_; ///< bank -> index in pendingBanks_
-    /** Queued requests with a throttle release time set; when zero,
-     *  nextWakeup skips the notBefore scan entirely. */
-    uint32_t throttledQueued_ = 0;
 
     /** Cached min-wakeup: while valid and now_ < quietUntil_ (and
      *  before quietBusFlip_, see below), no request can make
-     *  progress, so run() skips the tryIssue scan. Invalidated by
-     *  anything that changes schedulable state (enqueue, refresh,
-     *  epoch end); issue paths run full scans. */
+     *  progress, so run() skips tryIssue. Invalidated by anything
+     *  that changes schedulable state (enqueue, refresh, epoch end);
+     *  issue paths pick afresh. */
     bool quietValid_ = false;
     dram::Tick quietUntil_ = 0;
     /** The one lookahead condition in tryIssue — a column may issue
      *  while the bus frees within tCL — flips at busReady_ - tCL,
-     *  which is not a wakeup candidate (the pre-rewrite scheduler
-     *  caught it by rescanning at caller-driven run() boundaries).
-     *  Crossing this time therefore forces a rescan, not a skip. */
+     *  which is not a wakeup candidate. Crossing this time therefore
+     *  forces a fresh pick, not a skip. */
     dram::Tick quietBusFlip_ = 0;
 
-    /** Result cache of a failed scan: the minimum, over the scanned
-     *  queue, of each request's exact earliest-serviceable time.
-     *  While no state has changed (no enqueue, issue, refresh, or
-     *  epoch end) and the same queue is up, a repeat scan before
-     *  this time provably fails — tryIssue returns in O(1). */
-    bool scanCacheValid_ = false;
-    bool scanCacheDrained_ = false; ///< queue the cached fail covers
-    dram::Tick scanBlockedUntil_ = 0;
-    /** The blocking minimum came from the bus-lookahead term, which
-     *  is not a wakeup candidate — the jump shortcut must not treat
-     *  it as one. */
-    bool scanBlockedByBus_ = false;
-    /** Last tryIssue failure was answered from the scan cache, i.e.
-     *  provably nothing changed — run() then keeps its jump target
-     *  instead of re-deriving it. */
-    bool lastFailCached_ = false;
-
+    /** Result of the last failed pick: the earliest time any request
+     *  of the picked queue can become serviceable with state
+     *  unchanged, and whether that minimum is the bus-lookahead term,
+     *  which is not a wakeup candidate itself. */
+    dram::Tick blockedUntil_ = 0;
+    bool blockedByBus_ = false;
 
     ControllerStats stats_;
 };

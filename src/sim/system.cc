@@ -30,8 +30,6 @@ foldRunMetrics(const SimEngine &eng, const RunResult &res)
     static const obs::MetricId rowConf =
         obs::counter("sim.row_conflicts");
     static const obs::MetricId refr = obs::counter("sim.refreshes");
-    static const obs::MetricId blockedHits =
-        obs::counter("sim.blocked_until_hits");
     static const obs::MetricId tfaw = obs::counter("sim.tfaw_stalls");
     static const obs::MetricId defActs =
         obs::counter("defense.activations_observed");
@@ -57,7 +55,6 @@ foldRunMetrics(const SimEngine &eng, const RunResult &res)
     obs::add(rowHits, c.rowHits);
     obs::add(rowConf, c.rowConflicts);
     obs::add(refr, c.refreshes);
-    obs::add(blockedHits, c.blockedUntilHits);
     obs::add(tfaw, c.tfawStalls);
 
     if (!eng.hasDefense())

@@ -342,9 +342,11 @@ driveActivations(sim::MemController &mc, const sim::SimConfig &cfg,
  *  one more full pass of the same working set. `warmup` passes are
  *  tuned so action paths (refresh, migrate, metadata) actually fire
  *  before counting starts (trigger point: 0.5 x threshold 64 = 32
- *  ACTs per row). */
+ *  ACTs per row). `throttles`, if set, receives the throttle events
+ *  of the warm-up and of the counted pass. */
 uint64_t
-countSteadyStateAllocs(const char *name, int warmup)
+countSteadyStateAllocs(const char *name, int warmup,
+                       uint64_t (*throttles)[2] = nullptr)
 {
     sim::SimConfig cfg;
     auto provider = std::make_shared<core::UniformThreshold>(
@@ -359,10 +361,15 @@ countSteadyStateAllocs(const char *name, int warmup)
     for (int pass = 0; pass < warmup; ++pass)
         driveActivations(mc, cfg, 192, &clock);
 
+    const uint64_t throttled = defense->stats().throttleEvents;
     g_heapAllocs.store(0);
     g_countAllocs.store(true);
     driveActivations(mc, cfg, 192, &clock);
     g_countAllocs.store(false);
+    if (throttles) {
+        (*throttles)[0] = throttled;
+        (*throttles)[1] = defense->stats().throttleEvents - throttled;
+    }
     return g_heapAllocs.load();
 }
 
@@ -384,6 +391,21 @@ TEST(AllocationFreeActivatePath, SteadyStateTryIssueNeverAllocates)
     for (const char *name : {"aqua", "graphene"})
         EXPECT_EQ(countSteadyStateAllocs(name, 40), 0u)
             << name << " allocated on the steady-state activate path";
+}
+
+/**
+ * The throttle path too. BlockHammer first throttles in the 17th pass
+ * over the working set, so with 16 warm-up passes the counted pass is
+ * the first to park denied activations: the controller's parked list
+ * must already be reserved, and released requests rejoin their bank
+ * lists without touching the heap.
+ */
+TEST(AllocationFreeActivatePath, ThrottledActivatesNeverAllocate)
+{
+    uint64_t throttles[2] = {};
+    EXPECT_EQ(countSteadyStateAllocs("blockhammer", 16, &throttles), 0u);
+    EXPECT_EQ(throttles[0], 0u) << "warm-up already throttled";
+    EXPECT_GT(throttles[1], 0u) << "the counted pass never throttled";
 }
 
 /**

@@ -242,7 +242,6 @@ TEST(System, ControllerStatsAreTheFieldWiseSumOfChannels)
     EXPECT_EQ(agg.swaps, sum.swaps);
     EXPECT_EQ(agg.metadataAccesses, sum.metadataAccesses);
     EXPECT_EQ(agg.throttleStall, sum.throttleStall);
-    EXPECT_EQ(agg.blockedUntilHits, sum.blockedUntilHits);
     EXPECT_EQ(agg.tfawStalls, sum.tfawStalls);
     // Both channels saw traffic, and a bandwidth-hungry mix hits the
     // tFAW window, so the aggregate cannot be a trivially-zero sum.
