@@ -123,11 +123,11 @@ MemController::enqueue(const MemRequest &req)
     x.req = req;
     x.req.flatBank = mapper_.flatBank(req.addr);
     x.seq = q.nextSeq++;
+    const uint32_t b = x.req.flatBank;
     if (x.req.notBefore > now_)
         q.parked.push_back(s);
     else
-        q.link(s, banks_[x.req.flatBank].key());
-    const uint32_t b = x.req.flatBank;
+        q.link(s, banks_[b].key());
     if (pendingPerBank_[b]++ == 0) {
         pendingPos_[b] = static_cast<uint32_t>(pendingBanks_.size());
         pendingBanks_.push_back(b);
@@ -503,10 +503,10 @@ MemController::run(dram::Tick until)
         refreshIfDue();
         if (quietValid_) {
             if (now_ >= quietUntil_ || now_ >= quietBusFlip_) {
-                quietValid_ = false; // wakeup reached: rescan
+                quietValid_ = false; // wakeup reached: pick again
             } else {
                 // Provably nothing can issue before quietUntil_, so
-                // the tryIssue scan is skipped — but its drain-mode
+                // the tryIssue pick is skipped — but its drain-mode
                 // hysteresis must still tick once per iteration (its
                 // state depends on how often it is evaluated).
                 updateDrainMode();
