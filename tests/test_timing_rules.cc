@@ -410,5 +410,75 @@ TEST(TimingRules, EveryPresetDefenseAndTraceObeysTheModelledRules)
     RecordProperty("unchecked_rules", unchecked);
 }
 
+/** Throttles the first ACT to `row` and holds its bank behind a victim
+ *  refresh that outlasts the throttle. */
+class ThrottleOnce : public defense::Defense
+{
+  public:
+    ThrottleOnce(uint32_t rows_per_bank, uint32_t row, dram::Tick delay)
+        : Defense(std::make_shared<core::UniformThreshold>(
+              1e18, rows_per_bank)),
+          row_(row), delay_(delay)
+    {}
+
+    const char *name() const override { return "ThrottleOnce"; }
+
+    void
+    onActivate(uint32_t bank, uint32_t row, dram::Tick,
+               std::vector<defense::PreventiveAction> &out) override
+    {
+        if (row != row_ || done_)
+            return;
+        done_ = true;
+        out.push_back({defense::PreventiveAction::Kind::RefreshRow, bank,
+                       row + 1, 0, 0});
+        out.push_back({defense::PreventiveAction::Kind::Throttle, bank,
+                       row, 0, delay_});
+    }
+
+  private:
+    uint32_t row_;
+    dram::Tick delay_;
+    bool done_ = false;
+};
+
+class ActRows : public sim::CommandObserver
+{
+  public:
+    void
+    onCommand(const DramCommand &c) override
+    {
+        if (c.kind == Kind::Act)
+            rows.push_back(c.row);
+    }
+    std::vector<uint32_t> rows;
+};
+
+/**
+ * A throttled request leaves its bank's list and must rejoin it at its
+ * arrival position: released while a younger request to the same
+ * closed bank is already the bank's cached candidate, it still
+ * activates first.
+ */
+TEST(SchedulerOrder, ReleasedRequestKeepsItsArrivalOrder)
+{
+    const sim::SimConfig cfg;
+    ASSERT_LT(10 * dram::kPsPerNs, cfg.timing.tRAS + cfg.timing.tRP);
+    ThrottleOnce defense(cfg.rowsPerBank, 10, 10 * dram::kPsPerNs);
+    sim::MemController mc(cfg, &defense, nullptr);
+    ActRows acts;
+    mc.setObserver(&acts);
+    for (uint32_t row : {10u, 20u}) {
+        sim::MemRequest req;
+        req.addr.row = row;
+        ASSERT_TRUE(mc.enqueue(req));
+    }
+    mc.run(1000 * dram::kPsPerNs);
+    EXPECT_TRUE(mc.idle());
+    ASSERT_GE(acts.rows.size(), 2u);
+    EXPECT_EQ(acts.rows[0], 10u) << "the younger request overtook it";
+    EXPECT_EQ(acts.rows[1], 20u);
+}
+
 } // namespace
 } // namespace svard
