@@ -10,12 +10,12 @@ namespace {
 constexpr dram::Tick kInf = std::numeric_limits<dram::Tick>::max() / 4;
 } // anonymous namespace
 
-BankQueue::BankQueue(size_t capacity, uint32_t banks)
-    : slots(capacity), banks(banks)
+BankQueue::BankQueue(size_t capacity, uint32_t num_banks)
+    : slots(capacity), banks(num_banks)
 {
     for (size_t s = capacity; s-- > 0;)
         freeSlots.push_back(static_cast<uint32_t>(s));
-    active.reserve(banks);
+    active.reserve(num_banks);
     parked.reserve(capacity);
 }
 

@@ -106,7 +106,7 @@ struct BankQueue
         int64_t key = kStale;   ///< bank state the candidates are for
     };
 
-    BankQueue(size_t capacity, uint32_t banks);
+    BankQueue(size_t capacity, uint32_t num_banks);
 
     /** Link slot `s` into its bank list at its arrival position;
      *  `key` is the bank's current candidate key. */
