@@ -1,7 +1,5 @@
 #include "fault_inject/fault_inject.h"
 
-#ifndef SVARD_FAULTS_OFF
-
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -240,5 +238,3 @@ planSummary()
 }
 
 } // namespace svard::faults
-
-#endif // SVARD_FAULTS_OFF

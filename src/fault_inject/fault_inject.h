@@ -37,12 +37,9 @@
  *   cache.store:sigterm@4       raise SIGTERM after the 4th store
  *                               (graceful-interrupt drills)
  *
- * Zero-overhead gating (the obs-layer pattern): configure with
- * -DSVARD_FAULTS=OFF and every call below compiles to an inline
- * no-op returning Action::None. With the harness compiled in but no
- * plan installed, check() is one relaxed atomic load and a branch.
- * Injection points live only on I/O-rate paths (per record, per
- * cell), never per-activation, so even an active plan cannot
+ * With no plan installed, check() is one relaxed atomic load and a
+ * branch. Injection points live only on I/O-rate paths (per record,
+ * per cell), never per-activation, so even an active plan cannot
  * perturb simulation results — only their durability.
  */
 #ifndef SVARD_FAULT_INJECT_FAULT_INJECT_H
@@ -72,28 +69,6 @@ struct Hit
 
     explicit operator bool() const { return action != Action::None; }
 };
-
-/** True when the harness is compiled in (-DSVARD_FAULTS=ON). */
-constexpr bool
-compiled()
-{
-#ifdef SVARD_FAULTS_OFF
-    return false;
-#else
-    return true;
-#endif
-}
-
-#ifdef SVARD_FAULTS_OFF
-
-inline bool anyActive() { return false; }
-inline Hit check(const char *) { return {}; }
-inline void configure(const std::string &) {}
-inline void reset() {}
-inline uint64_t hitCount(const char *) { return 0; }
-inline std::string planSummary() { return ""; }
-
-#else
 
 /** One relaxed load: is any fault plan installed? */
 bool anyActive();
@@ -126,8 +101,6 @@ uint64_t hitCount(const char *point);
 
 /** Human-readable rendering of the installed plan (diagnostics). */
 std::string planSummary();
-
-#endif // SVARD_FAULTS_OFF
 
 } // namespace svard::faults
 

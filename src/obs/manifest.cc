@@ -60,9 +60,6 @@ buildFlagsString()
 #ifdef NDEBUG
     append("ndebug");
 #endif
-#ifndef SVARD_OBS_OFF
-    append("obs");
-#endif
 #if defined(__SANITIZE_ADDRESS__)
     append("asan");
 #elif defined(__has_feature)

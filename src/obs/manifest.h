@@ -33,7 +33,7 @@ struct RunManifest
     uint64_t baseSeed = 0;
     uint32_t threads = 0; ///< resolved worker count (0 = hw default)
     uint64_t requestsPerCore = 0;
-    std::string buildFlags; ///< comma list: ndebug, obs, asan...
+    std::string buildFlags; ///< comma list: ndebug, asan; or debug
     double wallSeconds = 0.0;
     uint64_t cellsTotal = 0;
     uint64_t cellsExecuted = 0;

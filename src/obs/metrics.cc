@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#ifndef SVARD_OBS_OFF
-
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -295,29 +293,3 @@ Snapshot::toJson(int indent) const
 }
 
 } // namespace svard::obs
-
-#else // SVARD_OBS_OFF: keep the TU non-empty for the build graph.
-
-namespace svard::obs {
-
-const MetricValue *
-Snapshot::find(const std::string &) const
-{
-    return nullptr;
-}
-
-uint64_t
-Snapshot::value(const std::string &) const
-{
-    return 0;
-}
-
-std::string
-Snapshot::toJson(int) const
-{
-    return "{}";
-}
-
-} // namespace svard::obs
-
-#endif // SVARD_OBS_OFF

@@ -6,8 +6,8 @@
  * Design constraints, in order:
  *  - Observability must never feed back into simulation: nothing here
  *    is consulted by simulation code, so results are bit-identical
- *    whether metrics are compiled in, enabled, or disabled (CI pins
- *    this with fig12 CSV byte-compares).
+ *    whether metrics are enabled or disabled (CI pins this with a
+ *    fig12 CSV byte-compare).
  *  - Hot paths touch only a thread-local shard slot (relaxed atomic
  *    add on a cache line no other thread writes); shards are merged
  *    only at snapshot() time.
@@ -16,9 +16,7 @@
  *    registered once.
  *
  * Runtime gate: SVARD_METRICS=0 disables collection (default on);
- * setMetricsEnabled() overrides programmatically. Compile-time gate:
- * configure with -DSVARD_OBS=OFF and every hot-path call below
- * becomes an empty inline function.
+ * setMetricsEnabled() overrides programmatically.
  */
 #ifndef SVARD_OBS_METRICS_H
 #define SVARD_OBS_METRICS_H
@@ -75,32 +73,6 @@ struct Snapshot
     std::string toJson(int indent = 0) const;
 };
 
-/** True when the registry was compiled in (-DSVARD_OBS=ON, default). */
-constexpr bool
-metricsCompiled()
-{
-#ifdef SVARD_OBS_OFF
-    return false;
-#else
-    return true;
-#endif
-}
-
-#ifdef SVARD_OBS_OFF
-
-inline MetricId counter(const std::string &) { return 0; }
-inline MetricId gauge(const std::string &) { return 0; }
-inline MetricId histogram(const std::string &) { return 0; }
-inline void add(MetricId, uint64_t = 1) {}
-inline void gaugeMax(MetricId, uint64_t) {}
-inline void observe(MetricId, uint64_t) {}
-inline bool metricsEnabled() { return false; }
-inline void setMetricsEnabled(bool) {}
-inline Snapshot snapshot() { return {}; }
-inline void resetMetrics() {}
-
-#else
-
 /** Register (or look up) a counter; stable id for the process life. */
 MetricId counter(const std::string &name);
 
@@ -130,8 +102,6 @@ Snapshot snapshot();
 
 /** Zero all shards (tests; not thread-safe vs concurrent writers). */
 void resetMetrics();
-
-#endif // SVARD_OBS_OFF
 
 } // namespace svard::obs
 

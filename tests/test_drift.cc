@@ -550,8 +550,6 @@ class DriftKillDrill : public ::testing::TestWithParam<const char *>
 
 TEST_P(DriftKillDrill, KilledSweepResumesByteIdentical)
 {
-    if (!faults::compiled())
-        GTEST_SKIP() << "fault harness compiled out";
     const std::string tag =
         std::string(GetParam()).find("apply") != std::string::npos
             ? "apply"

@@ -545,8 +545,6 @@ TEST(AdversarialSweep, KilledSweepResumesByteIdentical)
     // The runner.cell kill drill through the adversarial grid: the
     // child dies at its second executed cell, and a resume from its
     // checkpoint reproduces an uninterrupted run byte for byte.
-    if (!faults::compiled())
-        GTEST_SKIP() << "fault harness compiled out";
     const std::string ref_csv = ::testing::TempDir() + "svard_adv_kill_ref.csv";
     const std::string res_csv = ::testing::TempDir() + "svard_adv_kill_res.csv";
     const std::string cache_path =

@@ -66,13 +66,6 @@ makeRow(uint32_t i)
     return r;
 }
 
-
-/** Tests below drive injected faults; in a -DSVARD_FAULTS=OFF build
- *  the harness is compiled out and they self-skip. */
-#define REQUIRE_FAULTS()                                               \
-    if (!faults::compiled())                                           \
-    GTEST_SKIP() << "fault harness compiled out (-DSVARD_FAULTS=OFF)"
-
 /** Every test leaves the process plan-free. */
 class FaultTest : public ::testing::Test
 {
@@ -89,7 +82,6 @@ using Degradation = FaultTest;
 
 TEST_F(FaultGrammar, CountBasedOneShotAndPersistentTriggers)
 {
-    REQUIRE_FAULTS();
     faults::configure("p.once:eio@2,p.forever:short@1+");
     EXPECT_FALSE(faults::check("p.once"));
     EXPECT_EQ(faults::check("p.once").action, faults::Action::Eio);
@@ -103,7 +95,6 @@ TEST_F(FaultGrammar, CountBasedOneShotAndPersistentTriggers)
 
 TEST_F(FaultGrammar, ArgAndSummaryAndClear)
 {
-    REQUIRE_FAULTS();
     faults::configure("a.b:stall@3:250");
     EXPECT_NE(faults::planSummary().find("a.b"), std::string::npos);
     faults::configure("");
@@ -113,7 +104,6 @@ TEST_F(FaultGrammar, ArgAndSummaryAndClear)
 
 TEST_F(FaultGrammar, MalformedSpecsThrow)
 {
-    REQUIRE_FAULTS();
     EXPECT_THROW(faults::configure("nocolon"), std::invalid_argument);
     EXPECT_THROW(faults::configure("p:badaction@1"),
                  std::invalid_argument);
@@ -129,7 +119,6 @@ TEST_F(FaultGrammar, MalformedSpecsThrow)
 
 TEST_F(FaultGrammar, StallSleepsForItsArgument)
 {
-    REQUIRE_FAULTS();
     faults::configure("z.z:stall@1:80");
     const auto start = std::chrono::steady_clock::now();
     EXPECT_FALSE(faults::check("z.z")) << "stall executes in check()";
@@ -142,7 +131,6 @@ TEST_F(FaultGrammar, StallSleepsForItsArgument)
 
 TEST_F(RetryPath, TransientEioIsAbsorbedByTheRetry)
 {
-    REQUIRE_FAULTS();
     const std::string path = tmpPath("transient.svc");
     std::remove(path.c_str());
     faults::configure("record.append:eio@1");
@@ -165,7 +153,6 @@ TEST_F(RetryPath, TransientEioIsAbsorbedByTheRetry)
 
 TEST_F(RetryPath, PersistentShortWriteRollsTheFileBack)
 {
-    REQUIRE_FAULTS();
     const std::string path = tmpPath("shortwrite.svc");
     std::remove(path.c_str());
     std::FILE *f = std::fopen(path.c_str(), "ab");
@@ -252,7 +239,6 @@ TEST_F(ResyncPath, TornTailIsTruncatedNotCountedAsDamage)
 
 TEST_F(ManifestAtomicity, FailedRewriteLeavesTheOldManifestIntact)
 {
-    REQUIRE_FAULTS();
     const std::string path = tmpPath("manifest.json");
     obs::RunManifest m;
     m.kind = "sweep";
@@ -278,7 +264,6 @@ TEST_F(ManifestAtomicity, FailedRewriteLeavesTheOldManifestIntact)
 
 TEST_F(AsyncSinkFaults, PersistentWriteFaultReachesTheProducer)
 {
-    REQUIRE_FAULTS();
     const std::string path = tmpPath("asyncsink.csv");
     std::remove(path.c_str());
     faults::configure("sink.write:eio@1+");
@@ -298,7 +283,6 @@ TEST_F(AsyncSinkFaults, PersistentWriteFaultReachesTheProducer)
 
 TEST_F(AsyncSinkFaults, TransientWriteFaultIsInvisible)
 {
-    REQUIRE_FAULTS();
     const std::string path = tmpPath("asyncsink_ok.csv");
     std::remove(path.c_str());
     faults::configure("sink.write:eio@2");
