@@ -371,12 +371,15 @@ readCsvResults(const std::string &path)
             throw std::runtime_error("malformed CSV row in \"" + path +
                                      "\": " + s);
         engine::CellResult r;
-        if (std::sscanf(fields[0].c_str(), "%u.%u.%u.%u.%u.%u",
-                        &r.cell.geom, &r.cell.defense,
-                        &r.cell.threshold, &r.cell.provider,
-                        &r.cell.mix, &r.cell.drift) != 6)
-            throw std::runtime_error("malformed coords in \"" + path +
-                                     "\": " + fields[0]);
+        const auto coords = splitOn(fields[0], '.');
+        if (coords.size() != 6)
+            throw badField(path, columns[0], fields[0]);
+        uint32_t *const coord[] = {&r.cell.geom,     &r.cell.defense,
+                                   &r.cell.threshold, &r.cell.provider,
+                                   &r.cell.mix,      &r.cell.drift};
+        for (size_t i = 0; i < 6; ++i)
+            *coord[i] = static_cast<uint32_t>(
+                parseU64(coords[i], path, columns[0], UINT32_MAX));
         const auto num = [&](size_t i) {
             return parseDouble(fields[i], path, columns[i]);
         };

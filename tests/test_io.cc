@@ -143,8 +143,8 @@ TEST(ResultSink, CsvAndBinaryRoundTripIdenticalRows)
 
 TEST(ResultSink, CsvReaderRejectsMalformedNumericFields)
 {
-    // One good row from the writer, then three corruptions of it: each
-    // must throw naming the file and the field instead of loading as 0.
+    // One good row from the writer, then corruptions of it: each must
+    // throw naming the file and the field instead of loading as 0.
     const std::string good = tmpPath("good.csv");
     {
         io::CsvSink cs(good);
@@ -172,6 +172,11 @@ TEST(ResultSink, CsvReaderRejectsMalformedNumericFields)
         {5, "abc", "threshold"},                    // not a number
         {1, "", "seed"},                            // empty
         {2, "18446744073709551616", "fingerprint"}, // 2^64: too big
+        {0, "0.0.0.0.0.0x", "coords"},              // trailing garbage
+        {0, "0.0.0.0.0.-1", "coords"},              // negative
+        {0, "0.0.0.0.0.4294967296", "coords"},      // 2^32: too big
+        {0, " 1.2.3.4.5.6", "coords"},              // leading blank
+        {0, "1.2.3.4.5", "coords"},                 // five parts
     };
     for (const Case &c : cases) {
         std::vector<std::string> bad = fields;
@@ -190,8 +195,9 @@ TEST(ResultSink, CsvReaderRejectsMalformedNumericFields)
             ADD_FAILURE() << c.field << " \"" << c.text << "\" loaded";
         } catch (const std::runtime_error &e) {
             const std::string msg = e.what();
-            EXPECT_NE(msg.find(path), std::string::npos) << msg;
-            EXPECT_NE(msg.find(c.field), std::string::npos) << msg;
+            const std::string want = std::string("malformed ") +
+                                     c.field + " in \"" + path + "\"";
+            EXPECT_NE(msg.find(want), std::string::npos) << msg;
         }
         std::remove(path.c_str());
     }
