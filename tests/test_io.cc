@@ -47,7 +47,7 @@ engine::CellResult
 makeRow(uint32_t i)
 {
     engine::CellResult r;
-    r.cell = {i, i + 1, i + 2, i + 3, i + 4};
+    r.cell = {i, i + 1, i + 2, i + 3, i + 4, i + 5};
     r.seed = hashSeed({i, 0xABCULL});
     r.fingerprint = hashSeed({i, 0xDEFULL});
     r.geometry = i % 2 ? "hbm2-pc-16ch" : "ddr4-table4";
@@ -55,6 +55,10 @@ makeRow(uint32_t i)
     r.threshold = 4096.0 / (i + 3);
     r.provider = "Svard-S0";
     r.mix = "mix-" + std::to_string(i);
+    r.driftModel = "aging:16";
+    r.driftPolicy = "periodic:8";
+    r.driftEpochs = 12 + i;
+    r.guardband = 0.1 / (i + 3);
     r.params = {{"blacklist_fraction", 0.1 + i / 7.0},
                 {"q", 1e-17 * (i + 1)}};
     r.metrics.weightedSpeedup = 1.0 / 3.0 + i;
@@ -63,6 +67,10 @@ makeRow(uint32_t i)
     r.normalized.weightedSpeedup = 0.98765432101234567 / (i + 1);
     r.normalized.harmonicSpeedup = 1e300 / std::pow(10.0, i);
     r.normalized.maxSlowdown = -0.0;
+    r.drift.escapes = UINT64_MAX - i;
+    r.drift.recalibrations = 0xFFFFFFFFULL + i;
+    r.drift.escapeRate = 2.5e-310 * (i + 1); // subnormal
+    r.drift.recalCost = 1.0 / 3.0 / (i + 1);
     return r;
 }
 
@@ -75,6 +83,7 @@ expectRowsEqual(const engine::CellResult &a,
     EXPECT_EQ(a.cell.threshold, b.cell.threshold);
     EXPECT_EQ(a.cell.provider, b.cell.provider);
     EXPECT_EQ(a.cell.mix, b.cell.mix);
+    EXPECT_EQ(a.cell.drift, b.cell.drift);
     EXPECT_EQ(a.seed, b.seed);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.geometry, b.geometry);
@@ -82,6 +91,10 @@ expectRowsEqual(const engine::CellResult &a,
     EXPECT_EQ(a.threshold, b.threshold); // exact: == on doubles
     EXPECT_EQ(a.provider, b.provider);
     EXPECT_EQ(a.mix, b.mix);
+    EXPECT_EQ(a.driftModel, b.driftModel);
+    EXPECT_EQ(a.driftPolicy, b.driftPolicy);
+    EXPECT_EQ(a.driftEpochs, b.driftEpochs);
+    EXPECT_EQ(a.guardband, b.guardband);
     EXPECT_EQ(a.params, b.params);
     EXPECT_EQ(a.metrics.weightedSpeedup, b.metrics.weightedSpeedup);
     EXPECT_EQ(a.metrics.harmonicSpeedup, b.metrics.harmonicSpeedup);
@@ -91,6 +104,10 @@ expectRowsEqual(const engine::CellResult &a,
     EXPECT_EQ(a.normalized.harmonicSpeedup,
               b.normalized.harmonicSpeedup);
     EXPECT_EQ(a.normalized.maxSlowdown, b.normalized.maxSlowdown);
+    EXPECT_EQ(a.drift.escapes, b.drift.escapes);
+    EXPECT_EQ(a.drift.recalibrations, b.drift.recalibrations);
+    EXPECT_EQ(a.drift.escapeRate, b.drift.escapeRate);
+    EXPECT_EQ(a.drift.recalCost, b.drift.recalCost);
 }
 
 /** In-memory sink for observing emission order and content. */
