@@ -46,7 +46,7 @@ class SweepCache
     /** Open (creating if absent) and load every intact record.
      *  @throws std::runtime_error when the file cannot be opened for
      *          append or a torn tail cannot be repaired. A retired
-     *          v1/v2-format file still aborts: silently recomputing
+     *          v1/v2/v3-format file still aborts: silently recomputing
      *          (or truncating) a checkpoint the user thinks is valid
      *          is worse than stopping. */
     explicit SweepCache(const std::string &path);

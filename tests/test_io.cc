@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -517,6 +518,29 @@ TEST(SweepCache, HitsSkipExecutionAndSpecEditsInvalidateOnlyChanges)
     EXPECT_EQ(changed_results[0].params[0].first,
               "blacklist_fraction");
     EXPECT_EQ(changed_results[0].params[0].second, 0.75);
+}
+
+TEST(SweepCache, RetiredFormatFileStopsTheRunAndStaysUntouched)
+{
+    // A checkpoint in a retired format (v1 host-endian, v2 without
+    // the geometry column, v3 without the drift axis) would read as
+    // one long torn tail; the cache must exit instead of truncating.
+    // Earlier tests leave pool threads behind, which a forked child
+    // cannot exit cleanly past: re-exec the binary for each death.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char v : {'1', '2', '3'}) {
+        const std::string path =
+            tmpPath(std::string("retired_v") + v + ".cache");
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << "SVC" << v << std::string(60, '\x5a');
+        }
+        const auto size = std::filesystem::file_size(path);
+        EXPECT_EXIT(io::SweepCache{path}, ::testing::ExitedWithCode(1),
+                    std::string("retired v") + v);
+        EXPECT_EQ(std::filesystem::file_size(path), size) << path;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(AdversarialSweep, CacheResumesAndSinkStreamsDefendedCells)
