@@ -10,13 +10,10 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
-#include "fault/vuln_model.h"
-#include "sim/system.h"
+#include "engine/runner.h"
 
 using namespace svard;
-using namespace svard::sim;
 
 int
 main(int argc, char **argv)
@@ -24,49 +21,37 @@ main(int argc, char **argv)
     const double threshold = argc > 1 ? std::atof(argv[1]) : 128.0;
     const size_t requests = argc > 2 ? std::atol(argv[2]) : 6000;
 
-    SimConfig cfg;
-    MixRunner runner(cfg, requests);
-    WorkloadMix mix;
-    mix.name = "faceoff";
-    mix.benchIdx = {16, 17, 16, 17, 0, 2, 8, 11};
+    // Every defense the registry knows, after the "none" baseline
+    // (extensions registered at startup show up here automatically).
+    engine::SweepSpec spec;
+    spec.defenses = {"none"};
+    for (const auto &name : defense::DefenseRegistry::instance().names())
+        if (name != "none")
+            spec.defenses.push_back(name);
+    spec.thresholds = {threshold};
+    spec.providers = {engine::ProviderSpec::uniform(),
+                      engine::ProviderSpec::svard("S0")};
+    spec.mixes = {{"faceoff", {16, 17, 16, 17, 0, 2, 8, 11}}};
+    spec.requestsPerCore = requests;
+    engine::ExperimentRunner runner(std::move(spec));
+    const std::vector<engine::CellResult> &cells = runner.run();
 
-    const auto &spec = dram::moduleByLabel("S0");
-    auto sa = std::make_shared<dram::SubarrayMap>(spec);
-    fault::VulnerabilityModel model(spec, sa);
-    auto profile = std::make_shared<core::VulnProfile>(
-        core::VulnProfile::fromModel(model)
-            .resampledTo(cfg.banksPerRank(), cfg.rowsPerBank)
-            .scaledTo(threshold));
-
-    const auto base = runner.runMix(mix, "none", nullptr);
+    const sim::MixMetrics &base = cells.front().metrics;
     std::printf("No defense: WS %.3f HS %.3f maxSd %.3f "
                 "(HC_first sweep point: %.0f)\n\n",
                 base.weightedSpeedup, base.harmonicSpeedup,
                 base.maxSlowdown, threshold);
     std::printf("%-12s %-9s %10s %10s %10s\n", "defense", "config",
                 "normWS", "normHS", "normMaxSd");
-
-    // Every defense the registry knows, skipping the "none" baseline
-    // (extensions registered at startup show up here automatically).
-    for (const auto &name :
-         defense::DefenseRegistry::instance().names()) {
-        if (name == "none")
+    for (const engine::CellResult &r : cells) {
+        if (r.defense == "none")
             continue;
-        for (int with_svard = 0; with_svard < 2; ++with_svard) {
-            std::shared_ptr<const core::ThresholdProvider> thr;
-            if (with_svard)
-                thr = std::make_shared<core::Svard>(profile);
-            else
-                thr = std::make_shared<core::UniformThreshold>(
-                    threshold, cfg.rowsPerBank);
-            const auto m = runner.runMix(mix, name, thr);
-            std::printf("%-12s %-9s %10.4f %10.4f %10.4f\n",
-                        name.c_str(),
-                        with_svard ? "Svärd-S0" : "uniform",
-                        m.weightedSpeedup / base.weightedSpeedup,
-                        m.harmonicSpeedup / base.harmonicSpeedup,
-                        m.maxSlowdown / base.maxSlowdown);
-        }
+        std::printf("%-12s %-9s %10.4f %10.4f %10.4f\n",
+                    r.defense.c_str(),
+                    r.cell.provider == 0 ? "uniform" : "Svärd-S0",
+                    r.normalized.weightedSpeedup,
+                    r.normalized.harmonicSpeedup,
+                    r.normalized.maxSlowdown);
     }
     return 0;
 }

@@ -265,19 +265,12 @@ cellProvider(const ProfileMap &scaled, uint32_t geom,
 }
 
 /** Alone-IPC baseline record of one benchmark (the IPC rides in
- *  weightedSpeedup, clamped away from zero). */
+ *  weightedSpeedup). */
 sim::MixMetrics
 aloneRun(const sim::SimConfig &cfg, uint32_t bench, size_t requests,
          uint64_t seed)
 {
-    std::vector<std::vector<sim::TraceEntry>> traces;
-    traces.push_back(sim::generateTrace(sim::benchmarkSuite()[bench],
-                                        requests, seed,
-                                        sim::coreTraceOffset(seed, 0)));
-    sim::System sys(cfg, std::move(traces), requests, nullptr);
-    sim::MixMetrics m;
-    m.weightedSpeedup = std::max(sys.run().ipc[0], 1e-9);
-    return m;
+    return {.weightedSpeedup = sim::aloneIpc(cfg, bench, requests, seed)};
 }
 
 /** Fill a resolved cell from its checkpoint; false on a miss. */
@@ -623,12 +616,8 @@ ExperimentRunner::ensureBaselines()
     const auto &suite = sim::benchmarkSuite();
     mixTraces_.resize(spec_.mixes.size());
     parallelFor(spec_.mixes.size(), spec_.threads, [&](size_t m) {
-        const auto &mix = spec_.mixes[m];
-        for (uint32_t c = 0; c < mix.benchIdx.size(); ++c)
-            mixTraces_[m].push_back(sim::generateTrace(
-                suite[mix.benchIdx[c]], spec_.requestsPerCore,
-                spec_.baseSeed,
-                sim::coreTraceOffset(spec_.baseSeed, c)));
+        mixTraces_[m] = sim::mixTraces(
+            spec_.mixes[m], spec_.requestsPerCore, spec_.baseSeed);
     });
 
     // Phase 2: per-(geometry, benchmark) alone IPCs; phase 3: per-

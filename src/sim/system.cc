@@ -211,39 +211,24 @@ System::run()
     return out;
 }
 
-MixRunner::MixRunner(SimConfig cfg, size_t requests_per_core,
-                     uint64_t seed)
-    : cfg_(std::move(cfg)), requests_(requests_per_core), seed_(seed),
-      aloneCache_(benchmarkSuite().size(), 0.0)
-{}
-
 std::vector<std::vector<TraceEntry>>
-MixRunner::tracesForMix(const WorkloadMix &mix) const
+mixTraces(const WorkloadMix &mix, size_t requests, uint64_t seed)
 {
     std::vector<std::vector<TraceEntry>> traces;
     const auto &suite = benchmarkSuite();
-    for (uint32_t c = 0; c < mix.benchIdx.size(); ++c) {
-        const auto &profile = suite[mix.benchIdx[c]];
-        traces.push_back(generateTrace(profile, requests_, seed_,
-                                       coreTraceOffset(seed_, c)));
-    }
+    for (uint32_t c = 0; c < mix.benchIdx.size(); ++c)
+        traces.push_back(generateTrace(suite[mix.benchIdx[c]], requests,
+                                       seed, coreTraceOffset(seed, c)));
     return traces;
 }
 
 double
-MixRunner::aloneIpc(uint32_t bench_idx)
+aloneIpc(const SimConfig &cfg, uint32_t bench, size_t requests,
+         uint64_t seed)
 {
-    SVARD_ASSERT(bench_idx < aloneCache_.size(), "bench out of range");
-    if (aloneCache_[bench_idx] > 0.0)
-        return aloneCache_[bench_idx];
-    const auto &profile = benchmarkSuite()[bench_idx];
-    std::vector<std::vector<TraceEntry>> traces;
-    traces.push_back(generateTrace(profile, requests_, seed_,
-                                   coreTraceOffset(seed_, 0)));
-    System sys(cfg_, std::move(traces), requests_, nullptr);
-    const RunResult res = sys.run();
-    aloneCache_[bench_idx] = std::max(res.ipc[0], 1e-9);
-    return aloneCache_[bench_idx];
+    const WorkloadMix solo{"alone", {bench}};
+    System sys(cfg, mixTraces(solo, requests, seed), requests, nullptr);
+    return std::max(sys.run().ipc[0], 1e-9);
 }
 
 MixMetrics
@@ -293,21 +278,6 @@ adversarialBenignWs(
         ws += std::max(res.ipc[c], 1e-9) /
               std::max(alone_ipc(benign.benchIdx[c - 1]), 1e-9);
     return ws;
-}
-
-MixMetrics
-MixRunner::runMix(
-    const WorkloadMix &mix, const std::string &defense_name,
-    std::shared_ptr<const core::ThresholdProvider> provider,
-    RunResult *raw)
-{
-    System sys(cfg_, tracesForMix(mix), requests_, defense_name,
-               std::move(provider), seed_);
-    const RunResult res = sys.run();
-    if (raw)
-        *raw = res;
-    return computeMixMetrics(
-        res, mix, [this](uint32_t b) { return aloneIpc(b); });
 }
 
 } // namespace svard::sim

@@ -3,12 +3,12 @@
  * Multi-core system glue: cores release trace requests into the
  * (possibly multi-channel) memory engine, completions feed back into
  * the cores' windows, and the run ends when every core finishes its
- * measured request count. Also hosts the single-threaded MixRunner
- * used by examples and tests: per-benchmark alone-IPC baselines,
- * per-mix weighted/harmonic speedup and maximum slowdown. Large
- * declarative sweeps run through engine::ExperimentRunner instead,
- * which shards cells of {module x defense x provider x workload}
- * across a thread pool.
+ * measured request count. Also hosts what every mix run shares:
+ * mixTraces() seeds one trace per core, aloneIpc() is a benchmark's
+ * single-core no-defense baseline, and computeMixMetrics() scores a
+ * run against those baselines. Grids of runs go through
+ * engine::ExperimentRunner, which shards cells of {module x defense x
+ * provider x workload} across a thread pool.
  */
 #ifndef SVARD_SIM_SYSTEM_H
 #define SVARD_SIM_SYSTEM_H
@@ -85,7 +85,7 @@ class System
 };
 
 // ------------------------------------------------------------------
-// Single-threaded mix runner (examples, tests, engine baselines)
+// Mix runs: traces, alone baselines, paper metrics
 // ------------------------------------------------------------------
 
 /** Per-mix system metrics vs. per-benchmark alone baselines. */
@@ -101,8 +101,8 @@ using AloneIpcFn = std::function<double(uint32_t)>;
 
 /**
  * The three paper metrics of one run against fixed alone baselines.
- * Single source of the formula for MixRunner and the experiment
- * engine, so sharded sweeps stay comparable with inline runs.
+ * Single source of the formula for the experiment engine and
+ * direct System drivers, so their numbers stay comparable.
  */
 MixMetrics computeMixMetrics(const RunResult &res,
                              const WorkloadMix &mix,
@@ -122,41 +122,21 @@ double adversarialBenignWs(
     uint64_t defense_seed, const AloneIpcFn &alone_ipc);
 
 /**
- * Runs mixes through a defense configuration and reports the three
- * paper metrics. Alone-IPC baselines (single core, no defense) are
- * computed once per benchmark and cached inside the runner. Not
- * thread-safe: each thread of a sharded sweep owns its cells end to
- * end (see engine::ExperimentRunner).
+ * One trace per core of `mix`, core c seeded with
+ * coreTraceOffset(seed, c). The single definition of how a mix is
+ * seeded, so the engine and direct System drivers replay the same
+ * request streams.
  */
-class MixRunner
-{
-  public:
-    MixRunner(SimConfig cfg, size_t requests_per_core,
-              uint64_t seed = 11);
+std::vector<std::vector<TraceEntry>>
+mixTraces(const WorkloadMix &mix, size_t requests, uint64_t seed);
 
-    /** Metrics of one mix under a defense configuration. */
-    MixMetrics runMix(const WorkloadMix &mix,
-                      const std::string &defense_name,
-                      std::shared_ptr<const core::ThresholdProvider>
-                          provider,
-                      RunResult *raw = nullptr);
-
-    /** Alone IPC of a benchmark (cached). */
-    double aloneIpc(uint32_t bench_idx);
-
-    const SimConfig &config() const { return cfg_; }
-    size_t requestsPerCore() const { return requests_; }
-    uint64_t seed() const { return seed_; }
-
-  private:
-    std::vector<std::vector<TraceEntry>>
-    tracesForMix(const WorkloadMix &mix) const;
-
-    SimConfig cfg_;
-    size_t requests_;
-    uint64_t seed_;
-    std::vector<double> aloneCache_;
-};
+/**
+ * Alone IPC of benchmark `bench` (index into benchmarkSuite()): one
+ * core running mixTraces' core-0 trace with no defense, clamped to
+ * at least 1e-9.
+ */
+double aloneIpc(const SimConfig &cfg, uint32_t bench, size_t requests,
+                uint64_t seed);
 
 } // namespace svard::sim
 

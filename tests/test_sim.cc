@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "engine/runner.h"
 #include "sim/addrmap.h"
 #include "sim/system.h"
 
@@ -186,14 +187,19 @@ TEST(System, SingleCoreRunsToCompletionWithSaneIpc)
 
 TEST(System, EightCoresContendAndSlowDown)
 {
-    SimConfig cfg = smallConfig();
-    MixRunner runner(cfg, 3000);
-    const double alone = runner.aloneIpc(2); // ptrchase-hi
-
     WorkloadMix mix;
     mix.name = "all-ptrchase";
     mix.benchIdx.assign(8, 2);
-    const auto m = runner.runMix(mix, "none", nullptr);
+    engine::SweepSpec spec;
+    spec.config = smallConfig();
+    spec.defenses = {"none"};
+    spec.thresholds = {64};
+    spec.providers = {engine::ProviderSpec::uniform()};
+    spec.mixes = {mix};
+    spec.requestsPerCore = 3000;
+    engine::ExperimentRunner runner(std::move(spec));
+    const auto m = runner.run()[0].metrics;
+    const double alone = runner.aloneIpc(0, 2); // ptrchase-hi
     // Contention: the mix cannot beat eight isolated copies, and at
     // least one core visibly slows down (pointer chasing is latency-
     // bound, so queueing shows up before bandwidth saturates).
@@ -256,22 +262,44 @@ TEST(System, ControllerStatsAreTheFieldWiseSumOfChannels)
 
 struct Fig12Fixture : public ::testing::Test
 {
-    Fig12Fixture() : runner(smallConfig(), 20000) {}
-
-    double
-    wsFor(const std::string &defense, double threshold)
+    /** One engine grid serves every test: each defense at two
+     *  thresholds, uniform and Svärd-S0, on a hotspot-heavy mix (high
+     *  per-row activation density, the regime where count-triggered
+     *  defenses react within a short simulated interval). */
+    static void
+    SetUpTestSuite()
     {
-        auto provider = std::make_shared<core::UniformThreshold>(
-            threshold, runner.config().rowsPerBank);
-        // Hotspot-heavy mix: high per-row activation density, the
-        // regime where count-triggered defenses react within a short
-        // simulated interval.
         WorkloadMix mix;
+        mix.name = "hotspot";
         mix.benchIdx = {16, 17, 16, 17, 16, 17, 16, 17};
-        return runner.runMix(mix, defense, provider).weightedSpeedup;
+        engine::SweepSpec spec;
+        spec.config = smallConfig();
+        spec.defenses = {"none", "para", "blockhammer", "hydra", "aqua",
+                         "rrs"};
+        spec.thresholds = {64, 4096};
+        spec.providers = {engine::ProviderSpec::uniform(),
+                          engine::ProviderSpec::svard("S0")};
+        spec.mixes = {mix};
+        spec.requestsPerCore = 20000;
+        cells = engine::ExperimentRunner(std::move(spec)).run();
     }
 
-    MixRunner runner;
+    /** WS of `defense` at `threshold` under the named provider
+     *  ("none" ignores the threshold). */
+    static double
+    wsFor(const std::string &defense, double threshold,
+          const std::string &provider = "NoSvard")
+    {
+        for (const engine::CellResult &r : cells)
+            if (r.defense == defense && r.provider == provider &&
+                (defense == "none" || r.threshold == threshold))
+                return r.metrics.weightedSpeedup;
+        ADD_FAILURE() << "no cell " << defense << "@" << threshold
+                      << " " << provider;
+        return 0.0;
+    }
+
+    static inline std::vector<engine::CellResult> cells;
 };
 
 TEST_F(Fig12Fixture, DefenseOverheadsOrderAsInThePaper)
@@ -309,27 +337,10 @@ TEST_F(Fig12Fixture, OverheadGrowsAsThresholdShrinks)
 
 TEST_F(Fig12Fixture, SvardImprovesEveryDefenseAtLowThreshold)
 {
-    const auto &spec = dram::moduleByLabel("S0");
-    auto sa = std::make_shared<dram::SubarrayMap>(spec);
-    auto model = std::make_shared<fault::VulnerabilityModel>(spec, sa);
-    auto prof = std::make_shared<core::VulnProfile>(
-        core::VulnProfile::fromModel(*model));
-    auto scaled = std::make_shared<core::VulnProfile>(
-        prof->resampledTo(runner.config().banksPerRank(),
-                          runner.config().rowsPerBank)
-            .scaledTo(64.0));
-    auto svard = std::make_shared<core::Svard>(scaled);
-    auto uni = std::make_shared<core::UniformThreshold>(
-        64.0, runner.config().rowsPerBank);
-
-    WorkloadMix mix;
-    mix.benchIdx = {16, 17, 16, 17, 16, 17, 16, 17};
     for (const char *defense :
          {"para", "blockhammer", "hydra", "aqua", "rrs"}) {
-        const double without =
-            runner.runMix(mix, defense, uni).weightedSpeedup;
-        const double with_svard =
-            runner.runMix(mix, defense, svard).weightedSpeedup;
+        const double without = wsFor(defense, 64);
+        const double with_svard = wsFor(defense, 64, "Svard-S0");
         EXPECT_GE(with_svard, without * 0.999) << defense;
     }
 }
