@@ -538,6 +538,11 @@ TEST(AdversarialSweep, ThreadCountInvariantAndPinned)
     }
     EXPECT_EQ(h.value(), kPinnedDigest)
         << std::hex << "digest 0x" << h.value();
+    // Fig. 13's direction: under its attack, RRS with Svärd slows the
+    // benign cores less than with the uniform worst case.
+    EXPECT_EQ(a[3].caseName, "RRS-swap");
+    EXPECT_EQ(a[3].provider, "Svard-S3");
+    EXPECT_LT(a[3].normalizedSlowdown, 1.0);
 }
 
 TEST(AdversarialSweep, KilledSweepResumesByteIdentical)

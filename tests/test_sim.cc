@@ -10,6 +10,7 @@
 #include <set>
 
 #include "engine/runner.h"
+#include "obs/metrics.h"
 #include "sim/addrmap.h"
 #include "sim/system.h"
 
@@ -265,10 +266,12 @@ struct Fig12Fixture : public ::testing::Test
     /** One engine grid serves every test: each defense at two
      *  thresholds, uniform and Svärd-S0, on a hotspot-heavy mix (high
      *  per-row activation density, the regime where count-triggered
-     *  defenses react within a short simulated interval). */
+     *  defenses react within a short simulated interval). Metrics are
+     *  on, so the grid also feeds the mechanism counters. */
     static void
     SetUpTestSuite()
     {
+        obs::setMetricsEnabled(true);
         WorkloadMix mix;
         mix.name = "hotspot";
         mix.benchIdx = {16, 17, 16, 17, 16, 17, 16, 17};
@@ -343,6 +346,21 @@ TEST_F(Fig12Fixture, SvardImprovesEveryDefenseAtLowThreshold)
         const double with_svard = wsFor(defense, 64, "Svard-S0");
         EXPECT_GE(with_svard, without * 0.999) << defense;
     }
+}
+
+TEST_F(Fig12Fixture, EveryDefenseMechanismActs)
+{
+    // Dead-instrument check: at HC_first = 64 every defense acts on
+    // this mix, so each mechanism's counter must have moved.
+    const obs::Snapshot snap = obs::snapshot();
+    for (const char *name : {
+             "defense.migrations",           // AQUA
+             "defense.swaps",                // RRS
+             "defense.throttle_events",      // BlockHammer
+             "defense.preventive_refreshes", // PARA, Hydra
+             "defense.metadata_accesses",    // Hydra
+         })
+        EXPECT_GT(snap.value(name), 0u) << name;
 }
 
 } // namespace
