@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/mutex.h"
+#include "common/table.h"
 
 #ifdef _WIN32
 #include <io.h>
@@ -18,16 +19,6 @@
 
 namespace svard::obs {
 namespace {
-
-int64_t
-envMs(const char *name, int64_t dflt)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return dflt;
-    const long long n = std::atoll(v);
-    return n > 0 ? n : dflt;
-}
 
 /** Whether the stderr progress line is wanted, and how to render it. */
 struct LineMode
@@ -52,15 +43,15 @@ lineMode()
 int64_t
 progressIntervalMs()
 {
-    static const int64_t ms = envMs("SVARD_PROGRESS_MS", 500);
-    return ms;
+    static const int64_t ms = envInt("SVARD_PROGRESS_MS", 500);
+    return ms > 0 ? ms : 500;
 }
 
 int64_t
 heartbeatIntervalMs()
 {
-    static const int64_t ms = envMs("SVARD_HEARTBEAT_MS", 1000);
-    return ms;
+    static const int64_t ms = envInt("SVARD_HEARTBEAT_MS", 1000);
+    return ms > 0 ? ms : 1000;
 }
 
 /** Append-mode heartbeat file shared by every meter in the process. */

@@ -15,6 +15,10 @@
  *                            the first and final beat of every phase
  *                            are always written)
  *
+ * Both intervals are whole base-10 integers (envInt): N <= 0 means the
+ * default, and anything else ("5s", "abc") throws
+ * std::invalid_argument naming the variable.
+ *
  * Heartbeat schema (one JSON object per line):
  *   {"schema": "svard-heartbeat-v1", "ts_ms": <unix ms>,
  *    "phase": "...", "unit": "cells", "done": N, "cached": N,

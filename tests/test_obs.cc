@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -372,6 +374,35 @@ TEST(ObsProgress, HeartbeatJsonlStream)
     EXPECT_GE(lines, 2u);
     EXPECT_TRUE(saw_final);
     std::remove(path.c_str());
+}
+
+TEST(ObsProgressDeathTest, IntervalKnobsRejectMalformedValues)
+{
+    // Each interval is read once per process, so every probe runs in
+    // a re-executed child, which reports the exception it caught.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    auto construct = [] {
+        try {
+            obs::ProgressMeter meter("probe", 1);
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "invalid_argument: %s\n", e.what());
+            std::exit(2);
+        }
+        std::exit(0);
+    };
+    ::setenv("SVARD_PROGRESS", "1", 1);
+    for (const char *ms : {"5s", "99999999999999999999"}) {
+        ::setenv("SVARD_PROGRESS_MS", ms, 1);
+        EXPECT_EXIT(construct(), ::testing::ExitedWithCode(2),
+                    "invalid_argument: SVARD_PROGRESS_MS")
+            << ms;
+    }
+    ::unsetenv("SVARD_PROGRESS_MS");
+    ::unsetenv("SVARD_PROGRESS");
+    ::setenv("SVARD_HEARTBEAT_MS", "abc", 1);
+    EXPECT_EXIT(construct(), ::testing::ExitedWithCode(2),
+                "invalid_argument: SVARD_HEARTBEAT_MS");
+    ::unsetenv("SVARD_HEARTBEAT_MS");
 }
 
 // ------------------------------------------------------------------
