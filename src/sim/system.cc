@@ -216,9 +216,11 @@ mixTraces(const WorkloadMix &mix, size_t requests, uint64_t seed)
 {
     std::vector<std::vector<TraceEntry>> traces;
     const auto &suite = benchmarkSuite();
-    for (uint32_t c = 0; c < mix.benchIdx.size(); ++c)
+    for (uint32_t c = 0; c < mix.benchIdx.size(); ++c) {
+        SVARD_ASSERT(mix.benchIdx[c] < suite.size(), "bench out of range");
         traces.push_back(generateTrace(suite[mix.benchIdx[c]], requests,
                                        seed, coreTraceOffset(seed, c)));
+    }
     return traces;
 }
 
