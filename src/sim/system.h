@@ -101,8 +101,8 @@ using AloneIpcFn = std::function<double(uint32_t)>;
 
 /**
  * The three paper metrics of one run against fixed alone baselines.
- * Single source of the formula for the experiment engine and
- * direct System drivers, so their numbers stay comparable.
+ * Single source of the formula for the experiment engine and for
+ * code that runs System directly, so their numbers stay comparable.
  */
 MixMetrics computeMixMetrics(const RunResult &res,
                              const WorkloadMix &mix,
@@ -124,8 +124,8 @@ double adversarialBenignWs(
 /**
  * One trace per core of `mix`, core c seeded with
  * coreTraceOffset(seed, c). The single definition of how a mix is
- * seeded, so the engine and direct System drivers replay the same
- * request streams.
+ * seeded, so the engine and code that runs System directly replay
+ * the same request streams.
  */
 std::vector<std::vector<TraceEntry>>
 mixTraces(const WorkloadMix &mix, size_t requests, uint64_t seed);
