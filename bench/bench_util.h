@@ -202,7 +202,7 @@ installStopHandlers()
  * from argv or the environment.
  *
  *   --out=PATH    stream finished cells to PATH as they complete
- *                 (.csv default; .jsonl / .bin|.svc by extension),
+ *                 (.csv default; .bin|.svc by extension),
  *                 wrapped in an AsyncSink so workers never block on
  *                 file I/O. Env: SVARD_OUT.
  *   --cache=PATH  per-cell cache + checkpoint: cached cells skip

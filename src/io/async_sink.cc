@@ -169,6 +169,16 @@ AsyncSink::writerLoop()
                         "injected fault at sink.write");
                 inner_->write(row);
             });
+            // Queue drained: push the inner sink's buffered rows out,
+            // so a wrapped file grows per finished cell (tail -f).
+            // writing_ is still set, which keeps flush() off inner_.
+            bool drained = false;
+            {
+                MutexLock lock(mu_);
+                drained = queue_.empty();
+            }
+            if (drained)
+                inner_->flush();
         } catch (...) {
             werr = std::current_exception();
         }

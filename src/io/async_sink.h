@@ -5,8 +5,11 @@
  * the wrapped sink, so simulation workers never block on file I/O
  * (until the queue fills, at which point writes apply backpressure
  * instead of buffering unboundedly). flush() waits for the queue to
- * drain and then flushes the inner sink; errors raised on the writer
- * thread are rethrown to the producer at the next write()/flush().
+ * drain and then flushes the inner sink; the writer also flushes it
+ * each time the queue drains, so a batching inner sink (CsvSink)
+ * still shows every row handed over. Errors raised on the writer
+ * thread, flushes included, are rethrown to the producer at the next
+ * write()/flush().
  */
 #ifndef SVARD_IO_ASYNC_SINK_H
 #define SVARD_IO_ASYNC_SINK_H
@@ -37,7 +40,8 @@ class AsyncSink : public ResultSink
     /** High-water mark of the queue (tuning/observability). */
     size_t maxDepthSeen() const;
 
-    /** Rows currently queued and not yet handed to the inner sink. */
+    /** Rows queued or in the writer's hands (0: all written and, via
+     *  the drain flush, passed on by the inner sink). */
     size_t queueDepth() const;
 
     /** Rows written through to the inner sink so far. */

@@ -1,8 +1,9 @@
 #include "io/result_sink.h"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,9 @@ namespace {
 constexpr uint32_t kRecordMagic = 0x34435653u;
 /** Defensive cap: no serialized cell is remotely this large. */
 constexpr uint32_t kMaxPayload = 1u << 20;
+/** CsvSink appends its pending rows once they reach this many bytes
+ *  (~300 rows of a Fig. 12 grid). */
+constexpr size_t kCsvBatchBytes = 64 * 1024;
 
 std::FILE *
 openOrDie(const std::string &path, const char *mode)
@@ -60,9 +64,11 @@ checkFlush(std::FILE *f, const std::string &path)
 void
 checkFieldClean(const std::string &s)
 {
-    if (s.find_first_of(",|=\n\"") != std::string::npos)
-        throw std::runtime_error(
-            "result field contains a separator: \"" + s + "\"");
+    // A plain loop: find_first_of calls memchr once per character.
+    for (const char c : s)
+        if (c == ',' || c == '|' || c == '=' || c == '\n' || c == '"')
+            throw std::runtime_error(
+                "result field contains a separator: \"" + s + "\"");
 }
 
 uint64_t
@@ -169,20 +175,6 @@ struct Cursor
     }
 };
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20)
-            continue; // row fields never contain control chars
-        out.push_back(c);
-    }
-    return out;
-}
-
 std::runtime_error
 badField(const std::string &path, const std::string &field,
          const std::string &text)
@@ -243,30 +235,97 @@ splitOn(const std::string &line, char sep)
     }
 }
 
+/** 17 significant digits round-trip IEEE-754 doubles exactly, so
+ *  text written here parses back to the same bits (the property the
+ *  resume byte-identity guarantee rests on). `general` at precision
+ *  17 is defined to match printf's "%.17g". */
+void
+appendDouble(std::string &out, double v)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::general, 17);
+    out.append(buf, res.ptr);
+}
+
+void
+appendUint(std::string &out, uint64_t v)
+{
+    char buf[20];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+/** One CSV field (checked for separators) and the comma after it. */
+void
+appendField(std::string &out, const std::string &s)
+{
+    checkFieldClean(s);
+    out += s;
+    out.push_back(',');
+}
+
+/** One CsvSink row, newline included, appended to `out`. Throws on a
+ *  field holding a separator, possibly after a partial append. */
+void
+appendCsvRow(std::string &out, const engine::CellResult &r)
+{
+    const uint32_t coords[] = {r.cell.geom,     r.cell.defense,
+                               r.cell.threshold, r.cell.provider,
+                               r.cell.mix,      r.cell.drift};
+    for (size_t i = 0; i < 6; ++i) {
+        appendUint(out, coords[i]);
+        out.push_back(i < 5 ? '.' : ',');
+    }
+    const auto num = [&](double v) {
+        appendDouble(out, v);
+        out.push_back(',');
+    };
+    const auto u64 = [&](uint64_t v) {
+        appendUint(out, v);
+        out.push_back(',');
+    };
+    u64(r.seed);
+    u64(r.fingerprint);
+    appendField(out, r.geometry);
+    appendField(out, r.defense);
+    num(r.threshold);
+    appendField(out, r.provider);
+    appendField(out, r.mix);
+    appendField(out, r.driftModel);
+    appendField(out, r.driftPolicy);
+    u64(r.driftEpochs);
+    num(r.guardband);
+    num(r.metrics.weightedSpeedup);
+    num(r.metrics.harmonicSpeedup);
+    num(r.metrics.maxSlowdown);
+    num(r.normalized.weightedSpeedup);
+    num(r.normalized.harmonicSpeedup);
+    num(r.normalized.maxSlowdown);
+    u64(r.drift.escapes);
+    num(r.drift.escapeRate);
+    u64(r.drift.recalibrations);
+    num(r.drift.recalCost);
+    // The params bag: "name=value|name=value".
+    for (size_t i = 0; i < r.params.size(); ++i) {
+        const auto &[name, value] = r.params[i];
+        checkFieldClean(name);
+        if (i)
+            out.push_back('|');
+        out += name;
+        out.push_back('=');
+        appendDouble(out, value);
+    }
+    out.push_back('\n');
+}
+
 } // anonymous namespace
 
 std::string
 formatDouble(double v)
 {
-    // 17 significant digits round-trip IEEE-754 doubles exactly, so
-    // text written here parses back to the same bits (the property
-    // the resume byte-identity guarantee rests on).
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-formatParams(
-    const std::vector<std::pair<std::string, double>> &params)
-{
     std::string out;
-    for (const auto &[name, value] : params) {
-        checkFieldClean(name);
-        if (!out.empty())
-            out.push_back('|');
-        out += name + "=" + formatDouble(value);
-    }
+    appendDouble(out, v);
     return out;
 }
 
@@ -294,6 +353,16 @@ CsvSink::CsvSink(const std::string &path)
 
 CsvSink::~CsvSink()
 {
+    // Destructors must not throw: a failed final append loses the
+    // pending rows loudly, never silently.
+    try {
+        appendPending();
+    } catch (const std::exception &e) {
+        warn("dropping " +
+             std::to_string(std::count(pending_.begin(),
+                                       pending_.end(), '\n')) +
+             " unwritten CSV rows: " + e.what());
+    }
     if (file_)
         std::fclose(file_);
 }
@@ -301,43 +370,36 @@ CsvSink::~CsvSink()
 void
 CsvSink::write(const engine::CellResult &r)
 {
-    checkFieldClean(r.geometry);
-    checkFieldClean(r.defense);
-    checkFieldClean(r.provider);
-    checkFieldClean(r.mix);
-    checkFieldClean(r.driftModel);
-    checkFieldClean(r.driftPolicy);
-    // Materialize the row, then one retryable fwrite: a transient
-    // failure retries the whole line, never splicing half a row in.
-    char coords[96];
-    std::snprintf(coords, sizeof(coords),
-                  "%u.%u.%u.%u.%u.%u,%" PRIu64 ",%" PRIu64,
-                  r.cell.geom, r.cell.defense, r.cell.threshold,
-                  r.cell.provider, r.cell.mix, r.cell.drift, r.seed,
-                  r.fingerprint);
-    std::string row(coords);
-    row += "," + r.geometry + "," + r.defense + "," +
-           formatDouble(r.threshold) + "," + r.provider + "," + r.mix +
-           "," + r.driftModel + "," + r.driftPolicy + "," +
-           std::to_string(r.driftEpochs) + "," +
-           formatDouble(r.guardband) + "," +
-           formatDouble(r.metrics.weightedSpeedup) + "," +
-           formatDouble(r.metrics.harmonicSpeedup) + "," +
-           formatDouble(r.metrics.maxSlowdown) + "," +
-           formatDouble(r.normalized.weightedSpeedup) + "," +
-           formatDouble(r.normalized.harmonicSpeedup) + "," +
-           formatDouble(r.normalized.maxSlowdown) + "," +
-           std::to_string(r.drift.escapes) + "," +
-           formatDouble(r.drift.escapeRate) + "," +
-           std::to_string(r.drift.recalibrations) + "," +
-           formatDouble(r.drift.recalCost) + "," +
-           formatParams(r.params) + "\n";
-    appendWithRetry(file_, path_, "csv.write", row);
+    // A failed write leaves pending_ as it found it, so a caller's
+    // retry of the same row (AsyncSink's withBackoff) cannot
+    // duplicate it.
+    const size_t before = pending_.size();
+    try {
+        appendCsvRow(pending_, r);
+        if (pending_.size() >= kCsvBatchBytes)
+            appendPending();
+    } catch (...) {
+        pending_.resize(before);
+        throw;
+    }
+}
+
+void
+CsvSink::appendPending()
+{
+    if (pending_.empty())
+        return;
+    // One retryable transaction per batch of whole rows: a failed
+    // attempt is truncated back to the previous batch's end, so only
+    // a kill mid-append (torn) can leave part of a row in the file.
+    appendWithRetry(file_, path_, "csv.write", pending_);
+    pending_.clear();
 }
 
 void
 CsvSink::flush()
 {
+    appendPending();
     checkFlush(file_, path_);
 }
 
@@ -421,73 +483,6 @@ readCsvResults(const std::string &path)
         out.push_back(std::move(r));
     }
     return out;
-}
-
-// ------------------------------------------------------------------
-// JsonlSink
-// ------------------------------------------------------------------
-
-JsonlSink::JsonlSink(const std::string &path)
-    : path_(path), file_(openOrDie(path, "w"))
-{}
-
-JsonlSink::~JsonlSink()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-void
-JsonlSink::write(const engine::CellResult &r)
-{
-    std::string params = "{";
-    for (const auto &[name, value] : r.params) {
-        if (params.size() > 1)
-            params += ",";
-        params += "\"" + jsonEscape(name) +
-                  "\":" + formatDouble(value);
-    }
-    params += "}";
-    char head[160];
-    std::snprintf(head, sizeof(head),
-                  "{\"coords\":[%u,%u,%u,%u,%u,%u],\"seed\":%" PRIu64
-                  ",\"fingerprint\":%" PRIu64,
-                  r.cell.geom, r.cell.defense, r.cell.threshold,
-                  r.cell.provider, r.cell.mix, r.cell.drift, r.seed,
-                  r.fingerprint);
-    std::string line(head);
-    line += ",\"geometry\":\"" + jsonEscape(r.geometry) +
-            "\",\"defense\":\"" + jsonEscape(r.defense) +
-            "\",\"threshold\":" + formatDouble(r.threshold) +
-            ",\"provider\":\"" + jsonEscape(r.provider) +
-            "\",\"mix\":\"" + jsonEscape(r.mix) +
-            "\",\"drift_model\":\"" + jsonEscape(r.driftModel) +
-            "\",\"drift_policy\":\"" + jsonEscape(r.driftPolicy) +
-            "\",\"drift_epochs\":" + std::to_string(r.driftEpochs) +
-            ",\"guardband\":" + formatDouble(r.guardband) +
-            ",\"escapes\":" + std::to_string(r.drift.escapes) +
-            ",\"escape_rate\":" + formatDouble(r.drift.escapeRate) +
-            ",\"recalibrations\":" +
-            std::to_string(r.drift.recalibrations) +
-            ",\"recal_cost\":" + formatDouble(r.drift.recalCost) +
-            ",\"ws\":" + formatDouble(r.metrics.weightedSpeedup) +
-            ",\"hs\":" + formatDouble(r.metrics.harmonicSpeedup) +
-            ",\"max_slowdown\":" +
-            formatDouble(r.metrics.maxSlowdown) +
-            ",\"norm_ws\":" +
-            formatDouble(r.normalized.weightedSpeedup) +
-            ",\"norm_hs\":" +
-            formatDouble(r.normalized.harmonicSpeedup) +
-            ",\"norm_max_slowdown\":" +
-            formatDouble(r.normalized.maxSlowdown) +
-            ",\"params\":" + params + "}\n";
-    appendWithRetry(file_, path_, "jsonl.write", line);
-}
-
-void
-JsonlSink::flush()
-{
-    checkFlush(file_, path_);
 }
 
 // ------------------------------------------------------------------
@@ -694,7 +689,10 @@ makeSinkForPath(const std::string &path)
                path.compare(path.size() - n, n, suffix) == 0;
     };
     if (ends_with(".jsonl"))
-        return std::make_unique<JsonlSink>(path);
+        throw std::invalid_argument(
+            "\"" + path +
+            "\": the JSONL result format is retired; write .csv or "
+            ".bin/.svc");
     if (ends_with(".bin") || ends_with(".svc"))
         return std::make_unique<BinarySink>(path);
     return std::make_unique<CsvSink>(path);

@@ -5,12 +5,15 @@
  * paper-scale grids can be tailed, checkpointed, and resumed instead
  * of materializing in memory until the last cell lands.
  *
- * Three on-disk formats share one row model:
+ * Two on-disk formats share one row model:
  *  - CsvSink: human/tool-friendly, one row per cell. Doubles are
  *    printed with 17 significant digits, so text -> double recovers
  *    the exact bits and a resumed sweep's CSV is byte-identical to an
- *    uninterrupted run's.
- *  - JsonlSink: one JSON object per line (ingestion pipelines).
+ *    uninterrupted run's. Rows are built in memory and appended in
+ *    batches of whole rows: they reach the file once 64 KiB are
+ *    pending, at flush(), and at destruction. Wrapped in AsyncSink,
+ *    the file also grows each time the queue drains, so `tail -f`
+ *    follows a sweep cell by cell.
  *  - BinarySink: length-prefixed, checksummed records — the
  *    checkpoint format. A file of records doubles as a SweepCache, so
  *    "checkpoint" and "cache" are the same artifact.
@@ -50,38 +53,32 @@ class ResultSink
 };
 
 // ------------------------------------------------------------------
-// Text formats
+// Text format
 // ------------------------------------------------------------------
 
 class CsvSink : public ResultSink
 {
   public:
     explicit CsvSink(const std::string &path);
+    /** Appends the pending rows; a failure there is a warning. */
     ~CsvSink() override;
 
+    /** Queue one row; appends the batch once it reaches 64 KiB. On
+     *  a throw, no part of `row` stays queued. */
     void write(const engine::CellResult &row) override;
+    /** Append the pending rows (one "csv.write" transaction). */
     void flush() override;
 
     /** The header line (no newline); also what the reader expects. */
     static const char *header();
 
   private:
+    void appendPending();
+
     std::string path_;
     std::FILE *file_ = nullptr;
-};
-
-class JsonlSink : public ResultSink
-{
-  public:
-    explicit JsonlSink(const std::string &path);
-    ~JsonlSink() override;
-
-    void write(const engine::CellResult &row) override;
-    void flush() override;
-
-  private:
-    std::string path_;
-    std::FILE *file_ = nullptr;
+    /** Whole rows not yet appended to the file. */
+    std::string pending_;
 };
 
 // ------------------------------------------------------------------
@@ -162,17 +159,15 @@ std::vector<engine::CellResult>
 readBinaryResults(const std::string &path);
 
 /**
- * Sink for a path by extension: ".jsonl" -> JsonlSink, ".bin"/".svc"
- * -> BinarySink, anything else -> CsvSink.
+ * Sink for a path by extension: ".bin"/".svc" -> BinarySink, anything
+ * else -> CsvSink.
+ * @throws std::invalid_argument for ".jsonl" (a retired format).
  */
 std::unique_ptr<ResultSink> makeSinkForPath(const std::string &path);
 
-/** Exact-round-trip double formatting (17 significant digits). */
+/** Exact-round-trip double formatting: 17 significant digits, the
+ *  same text as printf("%.17g"). */
 std::string formatDouble(double v);
-
-/** "name=value|name=value" encoding of a cell's parameter bag. */
-std::string
-formatParams(const std::vector<std::pair<std::string, double>> &params);
 
 } // namespace svard::io
 

@@ -5,7 +5,8 @@
  * triggering, the transactional append retry (transient EIO absorbed,
  * persistent short writes surfaced with the file rolled back),
  * mid-file record resync, atomic manifest replacement, AsyncSink
- * error propagation, and the cache's graceful-degradation open.
+ * error propagation, CsvSink's whole-row batch appends, and the
+ * cache's graceful-degradation open.
  */
 #include <gtest/gtest.h>
 
@@ -78,6 +79,7 @@ using RetryPath = FaultTest;
 using ResyncPath = FaultTest;
 using ManifestAtomicity = FaultTest;
 using AsyncSinkFaults = FaultTest;
+using CsvBatchFaults = FaultTest;
 using Degradation = FaultTest;
 
 TEST_F(FaultGrammar, CountBasedOneShotAndPersistentTriggers)
@@ -298,6 +300,106 @@ TEST_F(AsyncSinkFaults, TransientWriteFaultIsInvisible)
     for (char c : text)
         lines += c == '\n';
     EXPECT_EQ(lines, 5u);
+}
+
+// Enough rows for three 64 KiB CSV batches plus a partial fourth.
+constexpr uint32_t kBatchRows = 1500;
+
+/** The CSV a fault-free CsvSink writes for rows 0..n-1. */
+std::string
+referenceCsv(uint32_t n)
+{
+    const std::string path = tmpPath("csv_reference.csv");
+    {
+        io::CsvSink sink(path);
+        for (uint32_t i = 0; i < n; ++i)
+            sink.write(makeRow(i));
+        sink.flush();
+    }
+    return slurp(path);
+}
+
+TEST_F(CsvBatchFaults, TransientEioLeavesTheCsvByteIdentical)
+{
+    const std::string want = referenceCsv(kBatchRows);
+    ASSERT_GT(want.size(), 3u * 64 * 1024);
+    const std::string path = tmpPath("csv_eio_once.csv");
+    faults::configure("csv.write:eio@1");
+    {
+        io::CsvSink sink(path);
+        for (uint32_t i = 0; i < kBatchRows; ++i)
+            sink.write(makeRow(i));
+        sink.flush();
+    }
+    EXPECT_EQ(slurp(path), want);
+    // csv.write counts batch appends, not rows: three full batches
+    // and the flush's remainder, plus the one retried attempt.
+    EXPECT_EQ(faults::hitCount("csv.write"), 5u);
+}
+
+TEST_F(CsvBatchFaults, PersistentEioFailsFlushAndKeepsOnlyWholeRows)
+{
+    const std::string want = referenceCsv(kBatchRows);
+    const std::string path = tmpPath("csv_eio_forever.csv");
+    faults::configure("csv.write:eio@1+");
+    {
+        io::CsvSink sink(path);
+        for (uint32_t i = 0; i < 10; ++i)
+            sink.write(makeRow(i));
+        EXPECT_THROW(sink.flush(), std::runtime_error);
+    } // the destructor's final append fails too, with a warning
+    const std::string text = slurp(path);
+    EXPECT_EQ(text, std::string(io::CsvSink::header()) + "\n");
+    EXPECT_TRUE(io::readCsvResults(path).empty());
+
+    // Failing from the second batch on: the file is the header plus
+    // exactly the first batch's rows, each of them whole.
+    faults::configure("csv.write:eio@2+");
+    {
+        io::CsvSink sink(path);
+        try {
+            for (uint32_t i = 0; i < kBatchRows; ++i)
+                sink.write(makeRow(i));
+            sink.flush();
+            ADD_FAILURE() << "persistent EIO did not surface";
+        } catch (const std::runtime_error &) {
+        }
+    }
+    const std::string partial = slurp(path);
+    ASSERT_FALSE(partial.empty());
+    EXPECT_EQ(partial.back(), '\n');
+    EXPECT_EQ(want.compare(0, partial.size(), partial), 0)
+        << "the failed file is not a prefix of the fault-free one";
+    const auto rows = io::readCsvResults(path);
+    EXPECT_GT(rows.size(), 0u);
+    EXPECT_LT(rows.size(), kBatchRows);
+}
+
+TEST_F(CsvBatchFaults, RetriedRowAfterAFailedBatchIsNotDuplicated)
+{
+    const std::string want = referenceCsv(kBatchRows);
+    const std::string path = tmpPath("csv_retry_row.csv");
+    faults::configure("csv.write:eio@1+");
+    {
+        io::CsvSink sink(path);
+        uint32_t failed_at = kBatchRows;
+        for (uint32_t i = 0; i < kBatchRows; ++i) {
+            try {
+                sink.write(makeRow(i));
+            } catch (const std::runtime_error &) {
+                failed_at = i;
+                break;
+            }
+        }
+        ASSERT_LT(failed_at, kBatchRows) << "no batch append failed";
+        // What AsyncSink's withBackoff does: retry the same row once
+        // the fault is gone.
+        faults::reset();
+        for (uint32_t i = failed_at; i < kBatchRows; ++i)
+            sink.write(makeRow(i));
+        sink.flush();
+    }
+    EXPECT_EQ(slurp(path), want);
 }
 
 TEST_F(Degradation, OpenOrNullWarnsInsteadOfThrowing)

@@ -9,14 +9,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "common/rng.h"
 #include "defense/blockhammer.h"
 #include "defense/registry.h"
 #include "engine/runner.h"
@@ -246,16 +251,14 @@ TEST(ResultSink, BinaryReaderDropsTruncatedTailRecord)
 
 TEST(ResultSink, MakeSinkForPathSelectsFormatByExtension)
 {
-    const std::string jsonl = tmpPath("rows.jsonl");
+    const std::string csv = tmpPath("rows.csv");
     {
-        auto sink = io::makeSinkForPath(jsonl);
+        auto sink = io::makeSinkForPath(csv);
         sink->write(makeRow(2));
-        sink->flush();
     }
-    const std::string text = slurp(jsonl);
-    EXPECT_NE(text.find("\"defense\":\"blockhammer\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"blacklist_fraction\":"), std::string::npos);
+    const auto from_csv = io::readCsvResults(csv);
+    ASSERT_EQ(from_csv.size(), 1u);
+    expectRowsEqual(from_csv[0], makeRow(2));
 
     const std::string bin = tmpPath("rows.svc");
     {
@@ -265,6 +268,134 @@ TEST(ResultSink, MakeSinkForPathSelectsFormatByExtension)
     const auto rows = io::readBinaryResults(bin);
     ASSERT_EQ(rows.size(), 1u);
     expectRowsEqual(rows[0], makeRow(3));
+
+    // The JSONL format is retired: asking for it is an error that
+    // names it, not a silent CSV file with a .jsonl name.
+    try {
+        io::makeSinkForPath(tmpPath("rows.jsonl"));
+        ADD_FAILURE() << ".jsonl path made a sink";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("JSONL"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ResultSink, FormatDoubleMatchesPrintf17g)
+{
+    const auto expectSame = [](double v) {
+        char want[64];
+        std::snprintf(want, sizeof(want), "%.17g", v);
+        const std::string got = io::formatDouble(v);
+        if (got != want) {
+            uint64_t bits = 0;
+            std::memcpy(&bits, &v, sizeof(bits));
+            ADD_FAILURE() << "bits 0x" << std::hex << bits << ": \""
+                          << got << "\" vs printf \"" << want << "\"";
+            return false;
+        }
+        return true;
+    };
+    const double specials[] = {
+        0.0, -0.0, HUGE_VAL, -HUGE_VAL, std::nan(""), -std::nan(""),
+        DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), 1.0, 0.1, 1e-4,
+        1e-5, 1e16, 1e17, 1e22, 123456789012345678.0, 1.0 / 3.0};
+    for (double v : specials)
+        expectSame(v);
+    // Random bit patterns cover every exponent, both signs, NaN
+    // payloads and subnormals; short decimals cover the trailing-zero
+    // trimming and the fixed/exponent switch that patterns rarely hit.
+    Rng rng(0xF0F7D0B1E5ULL);
+    size_t failures = 0;
+    for (int i = 0; i < 1000000 && failures < 10; ++i) {
+        const uint64_t bits = rng.next();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        failures += !expectSame(v);
+    }
+    for (int i = 0; i < 100000 && failures < 10; ++i) {
+        const double v = static_cast<double>(rng.below(2000000)) /
+                         std::pow(10.0, rng.range(-20, 20));
+        failures += !expectSame(v);
+    }
+    EXPECT_EQ(failures, 0u);
+}
+
+TEST(CsvBatching, DestroyedWithoutFlushKeepsHeaderAndEveryRow)
+{
+    // Enough rows for several 64 KiB batches plus a partial one.
+    constexpr uint32_t kRows = 700;
+    const std::string flushed = tmpPath("batch_flushed.csv");
+    const std::string dropped = tmpPath("batch_dropped.csv");
+    {
+        io::CsvSink a(flushed);
+        io::CsvSink b(dropped);
+        for (uint32_t i = 0; i < kRows; ++i) {
+            a.write(makeRow(i % 6));
+            b.write(makeRow(i % 6));
+        }
+        a.flush();
+        // b goes out of scope with its last rows still pending.
+    }
+    const std::string text = slurp(dropped);
+    EXPECT_GT(text.size(), 3u * 64 * 1024);
+    EXPECT_EQ(text, slurp(flushed));
+    EXPECT_EQ(text.compare(0, std::strlen(io::CsvSink::header()),
+                           io::CsvSink::header()),
+              0);
+    const auto rows = io::readCsvResults(dropped);
+    ASSERT_EQ(rows.size(), kRows);
+    for (uint32_t i = 0; i < kRows; ++i)
+        expectRowsEqual(rows[i], makeRow(i % 6));
+}
+
+TEST(CsvBatching, RowWithASeparatorThrowsAndLeavesNoPartialRow)
+{
+    // The row is built into the pending batch field by field; a
+    // rejected field must take the row's already-built prefix with it.
+    const std::string path = tmpPath("separator.csv");
+    {
+        io::CsvSink sink(path);
+        sink.write(makeRow(0));
+        engine::CellResult bad = makeRow(1);
+        bad.driftPolicy = "periodic,8";
+        EXPECT_THROW(sink.write(bad), std::runtime_error);
+        bad = makeRow(1);
+        bad.params.emplace_back("a|b", 1.0);
+        EXPECT_THROW(sink.write(bad), std::runtime_error);
+        sink.write(makeRow(2));
+        sink.flush();
+    }
+    const auto rows = io::readCsvResults(path);
+    ASSERT_EQ(rows.size(), 2u);
+    expectRowsEqual(rows[0], makeRow(0));
+    expectRowsEqual(rows[1], makeRow(2));
+}
+
+TEST(CsvBatching, AsyncWrappedFileHoldsEveryRowOnceTheQueueDrains)
+{
+    // No flush(): the writer's drain flush alone must make each row
+    // handed to AsyncSink visible in the file (tail -f).
+    const std::string path = tmpPath("async_tail.csv");
+    io::AsyncSink sink(std::make_unique<io::CsvSink>(path));
+    uint32_t written = 0;
+    for (uint32_t burst : {1u, 2u, 40u}) {
+        for (uint32_t i = 0; i < burst; ++i)
+            sink.write(makeRow(written++ % 6));
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (sink.queueDepth() != 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(sink.queueDepth(), 0u);
+        const std::string text = slurp(path);
+        size_t lines = 0;
+        for (char c : text)
+            lines += c == '\n';
+        EXPECT_EQ(lines, 1u + written) << "after " << written << " rows";
+        EXPECT_EQ(io::readCsvResults(path).size(), written);
+    }
 }
 
 // -----------------------------------------------------------------
