@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -196,15 +197,28 @@ installStopHandlers()
     ::sigaction(SIGTERM, &sa, nullptr);
 }
 
+/** True when `a` and `b` name the same file, however spelled
+ *  ("c.ckpt" vs "./c.ckpt", symlinks, hard links). Neither needs to
+ *  exist yet. */
+inline bool
+samePath(const std::string &a, const std::string &b)
+{
+    namespace fs = std::filesystem;
+    std::error_code ea, eb;
+    const fs::path ca = fs::weakly_canonical(a, ea);
+    const fs::path cb = fs::weakly_canonical(b, eb);
+    return (ea || eb ? a == b : ca == cb) || fs::equivalent(a, b, ea);
+}
+
 /**
  * Shared streaming/caching plumbing of the sweep benches
  * (fig12/fig13): a result sink and a per-cell sweep cache resolved
  * from argv or the environment.
  *
- *   --out=PATH    stream finished cells to PATH as they complete
- *                 (.csv default; .bin|.svc by extension),
- *                 wrapped in an AsyncSink so workers never block on
- *                 file I/O. Env: SVARD_OUT.
+ *   --out=PATH    stream finished cells to PATH as CSV as they
+ *                 complete, wrapped in an AsyncSink so workers never
+ *                 block on file I/O (.jsonl/.bin/.svc are retired
+ *                 and exit via fatal:). Env: SVARD_OUT.
  *   --cache=PATH  per-cell cache + checkpoint: cached cells skip
  *                 execution, finished cells append immediately, so a
  *                 killed sweep resumes from PATH. Env: SVARD_CACHE.
@@ -262,7 +276,8 @@ parseSweepIo(int argc, char **argv)
         else if (!out.cachePath.empty())
             out.manifestPath = out.cachePath + ".manifest.json";
     }
-    if (!out.outPath.empty() && out.outPath == out.cachePath)
+    if (!out.outPath.empty() && !out.cachePath.empty() &&
+        samePath(out.outPath, out.cachePath))
         SVARD_FATAL("--out and --cache must name different files "
                     "(\"" + out.outPath + "\"): the sink would "
                     "truncate the checkpoint it is resuming from");
@@ -274,18 +289,24 @@ parseSweepIo(int argc, char **argv)
             SVARD_FATAL("--resume: no checkpoint at \"" +
                         out.cachePath + "\"");
     }
-    if (!out.cachePath.empty()) {
-        // Degrade, don't die: an unwritable cache loses
-        // checkpointing, not the run. --resume stays strict — its
-        // contract is "the checkpoint is there and loads".
-        out.cache = io::SweepCache::openOrNull(out.cachePath);
-        if (out.resume && !out.cache)
-            SVARD_FATAL("--resume: checkpoint \"" + out.cachePath +
-                        "\" exists but cannot be used");
+    // A retired --out extension or a malformed SVARD_CACHE_FSYNC is
+    // an argument error like the ones above: exit 1, not an abort.
+    try {
+        if (!out.cachePath.empty()) {
+            // Degrade, don't die: an unwritable cache loses
+            // checkpointing, not the run. --resume stays strict — its
+            // contract is "the checkpoint is there and loads".
+            out.cache = io::SweepCache::openOrNull(out.cachePath);
+            if (out.resume && !out.cache)
+                SVARD_FATAL("--resume: checkpoint \"" + out.cachePath +
+                            "\" exists but cannot be used");
+        }
+        if (!out.outPath.empty())
+            out.sink = std::make_shared<io::AsyncSink>(
+                io::makeSinkForPath(out.outPath));
+    } catch (const std::invalid_argument &e) {
+        SVARD_FATAL(e.what());
     }
-    if (!out.outPath.empty())
-        out.sink = std::make_shared<io::AsyncSink>(
-            io::makeSinkForPath(out.outPath));
     return out;
 }
 

@@ -50,10 +50,4 @@ TemperatureController::settle()
         step(0.25);
 }
 
-double
-TemperatureController::sensorReading()
-{
-    return plant_ + rng_.normal(0.0, 0.05);
-}
-
 } // namespace svard::bender

@@ -50,9 +50,6 @@ class TemperatureController
     /** Current chip temperature (true plant state), Celsius. */
     double temperature() const { return plant_; }
 
-    /** Thermocouple reading: plant + bounded sensor noise. */
-    double sensorReading();
-
     /** True when within the rig's +-0.5 C holding precision. */
     bool
     stable() const

@@ -14,7 +14,6 @@ void
 TestSession::act(uint32_t bank, uint32_t row)
 {
     device_.activate(bank, row, now_);
-    ++acts_;
     now_ += timing_.tRCD;
 }
 
@@ -69,7 +68,6 @@ TestSession::hammerDoubleSided(uint32_t bank, uint32_t aggr_low,
     device_.hammer(bank, aggr_high, count, t_on, now_);
     device_.hammer(bank, aggr_low, count, t_on, now_);
     now_ += 2 * static_cast<dram::Tick>(count) * (t_on + timing_.tRP);
-    acts_ += 2 * count;
     if (refreshWindowExceeded() && !overrunLatched_) {
         overrunLatched_ = true;
         ++overruns_;
@@ -83,7 +81,6 @@ TestSession::hammerSingleSided(uint32_t bank, uint32_t aggr,
     const dram::Tick t_on = std::max(t_agg_on, timing_.tRAS);
     device_.hammer(bank, aggr, count, t_on, now_);
     now_ += static_cast<dram::Tick>(count) * (t_on + timing_.tRP);
-    acts_ += count;
     if (refreshWindowExceeded() && !overrunLatched_) {
         overrunLatched_ = true;
         ++overruns_;
@@ -130,7 +127,6 @@ TestSession::measureBer(uint32_t bank, uint32_t victim,
         device_.hammer(bank, a, hammer_count, t_on, now_);
         now_ += static_cast<dram::Tick>(hammer_count) *
                 (t_on + timing_.tRP);
-        acts_ += hammer_count;
     }
     if (refreshWindowExceeded() && !overrunLatched_) {
         overrunLatched_ = true;

@@ -133,15 +133,11 @@ class TestSession
     dram::DramDevice &device() { return device_; }
     const dram::TimingParams &timing() const { return timing_; }
 
-    /** Total ACT commands issued by this session. */
-    uint64_t actsIssued() const { return acts_; }
-
   private:
     dram::DramDevice &device_;
     dram::TimingParams timing_;
     dram::Tick now_ = 0;
     dram::Tick programStart_ = 0;
-    uint64_t acts_ = 0;
     uint64_t overruns_ = 0;
     bool overrunLatched_ = false;
 };

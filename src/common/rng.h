@@ -196,13 +196,6 @@ class Rng
         return mean + stdev * normal();
     }
 
-    /** Log-normal: exp(N(mu, sigma)). */
-    double
-    logNormal(double mu, double sigma)
-    {
-        return std::exp(normal(mu, sigma));
-    }
-
     /**
      * Binomial(n, p) sample. Exact summation for small n, normal
      * approximation for large n (fine for BER bit-count draws where

@@ -54,24 +54,6 @@ Table::print(std::FILE *out) const
         print_row(row);
 }
 
-bool
-Table::writeCsv(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    auto write_row = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c)
-            std::fprintf(f, "%s%s", row[c].c_str(),
-                         c + 1 == row.size() ? "\n" : ",");
-    };
-    write_row(headers_);
-    for (const auto &row : rows_)
-        write_row(row);
-    std::fclose(f);
-    return true;
-}
-
 std::string
 Table::fmt(double v, int precision)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight text/CSV table emitter used by the bench harnesses to
+ * Lightweight text table emitter used by the bench harnesses to
  * print the rows/series each paper table and figure reports.
  */
 #ifndef SVARD_COMMON_TABLE_H
@@ -14,7 +14,7 @@ namespace svard {
 
 /**
  * A named table of string cells. Benches fill one Table per figure
- * series and print it aligned to stdout (and optionally as CSV).
+ * series and print it aligned to stdout.
  */
 class Table
 {
@@ -26,9 +26,6 @@ class Table
 
     /** Print the table aligned to the given stream (default stdout). */
     void print(std::FILE *out = stdout) const;
-
-    /** Write the table as CSV to the given path; returns success. */
-    bool writeCsv(const std::string &path) const;
 
     const std::string &title() const { return title_; }
     size_t rows() const { return rows_.size(); }

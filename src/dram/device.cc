@@ -77,14 +77,6 @@ DramDevice::precharge(uint32_t bank, Tick now)
 }
 
 void
-DramDevice::prechargeAll(Tick now)
-{
-    for (uint32_t b = 0; b < spec_.banks; ++b)
-        if (bankState_[b].open)
-            precharge(b, now);
-}
-
-void
 DramDevice::refreshAllRows(Tick /* now */)
 {
     // Realize + reset every row with pending disturbance; rows with no

@@ -73,9 +73,6 @@ class DramDevice
     /** Close the open row; credits disturbance to its neighbors. */
     void precharge(uint32_t bank, Tick now);
 
-    /** Precharge every open bank. */
-    void prechargeAll(Tick now);
-
     /**
      * Refresh every row of every bank: pending disturbance is realized
      * (flips that already crossed threshold are locked in) and the

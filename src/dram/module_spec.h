@@ -122,11 +122,6 @@ const std::vector<ModuleSpec> &allModules();
 /** Lookup by label; fatal error if unknown. */
 const ModuleSpec &moduleByLabel(std::string_view label);
 
-/** The three representative modules used for Svärd profiles (Sec. 7). */
-inline const ModuleSpec &profileH1() { return moduleByLabel("H1"); }
-inline const ModuleSpec &profileM0() { return moduleByLabel("M0"); }
-inline const ModuleSpec &profileS0() { return moduleByLabel("S0"); }
-
 /** The 14 hammer counts Alg. 1 tests, ascending (1K..128K, K=2^10). */
 const std::vector<int64_t> &testedHammerCounts();
 

@@ -31,7 +31,6 @@ struct SubarrayLocation
     }
     bool isLowEdge() const { return offset == 0; }
     bool isHighEdge() const { return offset == size - 1; }
-    bool isEdge() const { return isLowEdge() || isHighEdge(); }
 };
 
 /**

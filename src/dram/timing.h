@@ -55,16 +55,6 @@ struct TimingParams
     Tick tREFW = 64 * kPsPerMs;///< refresh window (64ms at <= 85C)
 
     bool operator==(const TimingParams &) const = default;
-
-    /** Minimum legal on-time of an activated row: tRAS. */
-    Tick minOnTime() const { return tRAS; }
-
-    /** Back-to-back double-sided hammer period: 2 x (tRAS + tRP). */
-    Tick
-    doubleSidedHammerPeriod() const
-    {
-        return 2 * (tRAS + tRP);
-    }
 };
 
 /**

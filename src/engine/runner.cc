@@ -868,33 +868,6 @@ ExperimentRunner::summarize()
     return rows;
 }
 
-Table
-ExperimentRunner::cellTable()
-{
-    run();
-    Table t("Experiment sweep (" + std::to_string(results_.size()) +
-                " cells)",
-            {"Geometry", "Defense", "HCfirst", "Provider", "Mix",
-             "Params", "WS", "HS", "MaxSd", "NormWS", "NormHS",
-             "NormMaxSd"});
-    for (const auto &r : results_) {
-        std::string params;
-        for (const auto &[name, value] : r.params)
-            params += (params.empty() ? "" : "|") + name + "=" +
-                      Table::fmt(value, 3);
-        t.addRow({r.geometry,
-                  r.defense, Table::fmtHc(int64_t(r.threshold)),
-                  r.provider, r.mix, params.empty() ? "-" : params,
-                  Table::fmt(r.metrics.weightedSpeedup, 4),
-                  Table::fmt(r.metrics.harmonicSpeedup, 4),
-                  Table::fmt(r.metrics.maxSlowdown, 4),
-                  Table::fmt(r.normalized.weightedSpeedup, 4),
-                  Table::fmt(r.normalized.harmonicSpeedup, 4),
-                  Table::fmt(r.normalized.maxSlowdown, 4)});
-    }
-    return t;
-}
-
 double
 ExperimentRunner::aloneIpc(uint32_t geom, uint32_t bench_idx) const
 {

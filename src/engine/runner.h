@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/table.h"
 #include "core/recal.h"
 #include "core/vuln_profile.h"
 #include "engine/sweep.h"
@@ -99,14 +98,7 @@ class ExperimentRunner
     /** Mean normalized metrics per configuration, axis order. */
     std::vector<SummaryRow> summarize();
 
-    /** Per-cell result table (one row per executed cell). */
-    Table cellTable();
-
     const SweepSpec &spec() const { return spec_; }
-
-    /** The drift axis after defaulting and canonicalization (one
-     *  static entry when the spec sets none). */
-    const std::vector<DriftSpec> &drifts() const { return drifts_; }
 
     /** Run-wide escape/recalibration totals of executed cells (the
      *  manifest sums *all* cells, cached ones included, from the

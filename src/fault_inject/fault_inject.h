@@ -25,12 +25,12 @@
  * Examples:
  *   cache.store:kill@5          die (exit 137) after the 5th
  *                               checkpointed cell is durable
- *   record.append:eio@2         one transient EIO on the 2nd record
+ *   cache.store:eio@2           one transient EIO on the 2nd record
  *                               (the bounded-backoff retry absorbs it)
- *   record.append:short@1+      every append comes up short: the
+ *   cache.store:short@1+        every append comes up short: the
  *                               retry budget exhausts and the error
  *                               reaches the producer
- *   record.append:torn@3        write half of record 3, flush, die —
+ *   cache.store:torn@3          write half of record 3, flush, die —
  *                               the torn-tail repair path on reload
  *   runner.cell:stall@3:800     the 3rd simulated cell sleeps 800 ms
  *                               first (slow-cell / progress drills)

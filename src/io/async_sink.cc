@@ -129,13 +129,6 @@ AsyncSink::queueDepth() const
     return queue_.size() + (writing_ ? 1 : 0);
 }
 
-uint64_t
-AsyncSink::rowsWritten() const
-{
-    MutexLock lock(mu_);
-    return rowsWritten_;
-}
-
 void
 AsyncSink::writerLoop()
 {
@@ -195,7 +188,6 @@ AsyncSink::writerLoop()
             drained_.notify_all();
             return;
         }
-        ++rowsWritten_;
         if (queue_.empty())
             drained_.notify_all();
     }

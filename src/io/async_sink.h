@@ -44,9 +44,6 @@ class AsyncSink : public ResultSink
      *  the drain flush, passed on by the inner sink). */
     size_t queueDepth() const;
 
-    /** Rows written through to the inner sink so far. */
-    uint64_t rowsWritten() const;
-
   private:
     void writerLoop();
 
@@ -66,7 +63,6 @@ class AsyncSink : public ResultSink
     /** A row is between pop and inner write. */
     bool writing_ SVARD_GUARDED_BY(mu_) = false;
     size_t maxDepth_ SVARD_GUARDED_BY(mu_) = 0;
-    uint64_t rowsWritten_ SVARD_GUARDED_BY(mu_) = 0;
     std::exception_ptr error_ SVARD_GUARDED_BY(mu_);
 
     std::thread writer_;

@@ -489,6 +489,9 @@ readCsvResults(const std::string &path)
 // Binary records
 // ------------------------------------------------------------------
 
+namespace {
+
+/** Serialize one CellResult into the SVC4 record payload. */
 std::string
 encodeCellResult(const engine::CellResult &r)
 {
@@ -528,6 +531,7 @@ encodeCellResult(const engine::CellResult &r)
     return b;
 }
 
+/** Inverse of encodeCellResult; false on a malformed payload. */
 bool
 decodeCellResult(const std::string &payload, engine::CellResult *out)
 {
@@ -567,9 +571,11 @@ decodeCellResult(const std::string &payload, engine::CellResult *out)
     return true;
 }
 
+} // anonymous namespace
+
 void
 appendRecord(std::FILE *f, const engine::CellResult &r,
-             const std::string &path, const char *fault_point)
+             const std::string &path)
 {
     const std::string payload = encodeCellResult(r);
     std::string frame;
@@ -582,7 +588,7 @@ appendRecord(std::FILE *f, const engine::CellResult &r,
     // One write transaction per record: a kill can truncate the tail
     // record but never interleave two records, and the retry's
     // truncate-back keeps failed attempts out of the file.
-    appendWithRetry(f, path, fault_point, frame);
+    appendWithRetry(f, path, "cache.store", frame);
 }
 
 std::vector<engine::CellResult>
@@ -647,39 +653,6 @@ readRecords(std::FILE *f, RecordReadStats *stats)
     return out;
 }
 
-BinarySink::BinarySink(const std::string &path, bool append)
-    : path_(path), file_(openOrDie(path, append ? "ab" : "wb"))
-{}
-
-BinarySink::~BinarySink()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-void
-BinarySink::write(const engine::CellResult &r)
-{
-    appendRecord(file_, r, path_, "record.append");
-}
-
-void
-BinarySink::flush()
-{
-    checkFlush(file_, path_);
-}
-
-std::vector<engine::CellResult>
-readBinaryResults(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return {};
-    auto out = readRecords(f);
-    std::fclose(f);
-    return out;
-}
-
 std::unique_ptr<ResultSink>
 makeSinkForPath(const std::string &path)
 {
@@ -688,13 +661,11 @@ makeSinkForPath(const std::string &path)
         return path.size() >= n &&
                path.compare(path.size() - n, n, suffix) == 0;
     };
-    if (ends_with(".jsonl"))
+    if (ends_with(".jsonl") || ends_with(".bin") || ends_with(".svc"))
         throw std::invalid_argument(
             "\"" + path +
-            "\": the JSONL result format is retired; write .csv or "
-            ".bin/.svc");
-    if (ends_with(".bin") || ends_with(".svc"))
-        return std::make_unique<BinarySink>(path);
+            "\": the JSONL and binary result formats are retired; "
+            "write .csv, and checkpoint with --cache=PATH");
     return std::make_unique<CsvSink>(path);
 }
 

@@ -5,18 +5,18 @@
  * paper-scale grids can be tailed, checkpointed, and resumed instead
  * of materializing in memory until the last cell lands.
  *
- * Two on-disk formats share one row model:
- *  - CsvSink: human/tool-friendly, one row per cell. Doubles are
- *    printed with 17 significant digits, so text -> double recovers
- *    the exact bits and a resumed sweep's CSV is byte-identical to an
- *    uninterrupted run's. Rows are built in memory and appended in
- *    batches of whole rows: they reach the file once 64 KiB are
- *    pending, at flush(), and at destruction. Wrapped in AsyncSink,
- *    the file also grows each time the queue drains, so `tail -f`
- *    follows a sweep cell by cell.
- *  - BinarySink: length-prefixed, checksummed records — the
- *    checkpoint format. A file of records doubles as a SweepCache, so
- *    "checkpoint" and "cache" are the same artifact.
+ * CsvSink is the one result sink: one row per cell. Doubles are
+ * printed with 17 significant digits, so text -> double recovers the
+ * exact bits and a resumed sweep's CSV is byte-identical to an
+ * uninterrupted run's. Rows are built in memory and appended in
+ * batches of whole rows: they reach the file once 64 KiB are pending,
+ * at flush(), and at destruction. Wrapped in AsyncSink, the file also
+ * grows each time the queue drains, so `tail -f` follows a sweep cell
+ * by cell.
+ *
+ * The same file holds the binary record codec (length-prefixed,
+ * checksummed, format "SVC4") that SweepCache writes and reads: the
+ * checkpoint of a sweep is its cache.
  *
  * Sinks are NOT thread-safe: the engine serializes emission through
  * its ordered emitter; wrap a sink in AsyncSink to move the file I/O
@@ -82,44 +82,20 @@ class CsvSink : public ResultSink
 };
 
 // ------------------------------------------------------------------
-// Binary record format (checkpoint / cache)
+// Binary record format (SweepCache)
 // ------------------------------------------------------------------
 
-class BinarySink : public ResultSink
-{
-  public:
-    /** `append` continues an existing checkpoint instead of truncating. */
-    explicit BinarySink(const std::string &path, bool append = false);
-    ~BinarySink() override;
-
-    void write(const engine::CellResult &row) override;
-    void flush() override;
-
-  private:
-    std::string path_;
-    std::FILE *file_ = nullptr;
-};
-
-/** Serialize one CellResult into the binary payload. The on-disk
- *  layout is explicitly little-endian (format "SVC4"); big-endian
- *  hosts byte-swap on encode/decode, so cache and checkpoint files
- *  are portable between machines. */
-std::string encodeCellResult(const engine::CellResult &row);
-
-/** Inverse of encodeCellResult; false on malformed payload. */
-bool decodeCellResult(const std::string &payload,
-                      engine::CellResult *out);
-
 /**
- * Append one framed record (magic, length, key, checksum) to `f`,
- * retrying transient failures with the truncate-back transaction in
- * retry.h. `fault_point` names the injection point consulted per
- * write attempt (tests drive eio/short/torn through it).
+ * Append one framed record (magic, length, key, checksum) to `f`.
+ * The payload is explicitly little-endian (format "SVC4"); big-endian
+ * hosts byte-swap on encode and decode, so checkpoints are portable
+ * between machines. Transient failures retry with the truncate-back
+ * transaction in retry.h; each attempt consults the "cache.store"
+ * injection point (tests drive eio/short/torn through it).
  * @throws std::runtime_error after the retry budget is exhausted.
  */
 void appendRecord(std::FILE *f, const engine::CellResult &row,
-                  const std::string &path,
-                  const char *fault_point = "record.append");
+                  const std::string &path);
 
 /** What readRecords saw besides the records themselves. */
 struct RecordReadStats
@@ -147,21 +123,18 @@ std::vector<engine::CellResult>
 readRecords(std::FILE *f, RecordReadStats *stats = nullptr);
 
 // ------------------------------------------------------------------
-// Whole-file readers + helpers
+// Whole-file reader + helpers
 // ------------------------------------------------------------------
 
 /** Load a CsvSink file. @throws std::runtime_error on malformed input. */
 std::vector<engine::CellResult>
 readCsvResults(const std::string &path);
 
-/** Load a BinarySink/SweepCache file (empty if absent/unreadable). */
-std::vector<engine::CellResult>
-readBinaryResults(const std::string &path);
-
 /**
- * Sink for a path by extension: ".bin"/".svc" -> BinarySink, anything
- * else -> CsvSink.
- * @throws std::invalid_argument for ".jsonl" (a retired format).
+ * Sink for a path: a CsvSink.
+ * @throws std::invalid_argument for ".jsonl", ".bin" and ".svc": the
+ *         JSONL and binary result sinks are retired, and checkpoints
+ *         are written through SweepCache (a bench's --cache).
  */
 std::unique_ptr<ResultSink> makeSinkForPath(const std::string &path);
 

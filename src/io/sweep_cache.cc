@@ -1,24 +1,20 @@
 #include "io/sweep_cache.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
 #include <unistd.h>
 
 #include "common/log.h"
+#include "common/table.h"
 #include "io/result_sink.h"
 #include "obs/metrics.h"
 
 namespace svard::io {
 
 SweepCache::SweepCache(const std::string &path)
-    : path_(path)
+    : path_(path), fsyncPerStore_(envInt("SVARD_CACHE_FSYNC", 0) != 0)
 {
-    const char *fsync_env = std::getenv("SVARD_CACHE_FSYNC");
-    fsyncPerStore_ = fsync_env && std::strcmp(fsync_env, "1") == 0;
-
     // Load whatever a previous (possibly killed) run left behind.
     RecordReadStats stats;
     if (std::FILE *f = std::fopen(path_.c_str(), "rb")) {
@@ -122,7 +118,7 @@ SweepCache::store(const engine::CellResult &row)
     // once it returns, a kill cannot lose the cell to stdio
     // buffering. The sim work per cell dwarfs one small flushed
     // write.
-    appendRecord(file_, row, path_, "cache.store");
+    appendRecord(file_, row, path_);
     // Opt-in power-loss durability: flush only hands the bytes to
     // the OS; fsync makes the kernel persist them.
     if (fsyncPerStore_ && ::fsync(::fileno(file_)) != 0)
@@ -152,6 +148,8 @@ SweepCache::openOrNull(const std::string &path)
 {
     try {
         return std::make_unique<SweepCache>(path);
+    } catch (const std::invalid_argument &) {
+        throw; // a malformed knob is the user's error, not the disk's
     } catch (const std::exception &e) {
         warn(std::string("sweep cache unavailable (") + e.what() +
              "); running uncached — results are unaffected, but this "

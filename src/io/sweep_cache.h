@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-cell sweep cache / checkpoint. One append-only file of binary
- * records (the BinarySink format) maps (deterministic cell seed,
+ * SVC4 records (io/result_sink.h) maps (deterministic cell seed,
  * spec fingerprint) -> finished CellResult:
  *
  *  - Before scheduling, the engine looks every cell up; hits skip
@@ -22,8 +22,8 @@
  * concurrently with other lookups (the engine probes before sharding).
  *
  * Durability: store() flushes per record (a crash cannot lose a
- * checkpointed cell to stdio buffering). Set SVARD_CACHE_FSYNC=1 to
- * additionally fsync per record, extending the guarantee to power
+ * checkpointed cell to stdio buffering). A nonzero SVARD_CACHE_FSYNC
+ * additionally fsyncs per record, extending the guarantee to power
  * loss at the cost of store() latency.
  */
 #ifndef SVARD_IO_SWEEP_CACHE_H
@@ -48,7 +48,9 @@ class SweepCache
      *          append or a torn tail cannot be repaired. A retired
      *          v1/v2/v3-format file still aborts: silently recomputing
      *          (or truncating) a checkpoint the user thinks is valid
-     *          is worse than stopping. */
+     *          is worse than stopping.
+     *  @throws std::invalid_argument naming SVARD_CACHE_FSYNC when it
+     *          is not a base-10 integer. */
     explicit SweepCache(const std::string &path);
     ~SweepCache();
 
@@ -77,7 +79,9 @@ class SweepCache
      * Graceful-degradation open: on failure (unwritable directory,
      * unrepairable file) warn and return nullptr instead of
      * throwing, so callers run uncached rather than die — losing
-     * checkpointing is strictly better than losing the run.
+     * checkpointing is strictly better than losing the run. A
+     * malformed SVARD_CACHE_FSYNC still throws std::invalid_argument:
+     * it is a typo to fix, not a disk to route around.
      */
     static std::unique_ptr<SweepCache>
     openOrNull(const std::string &path);
@@ -86,7 +90,7 @@ class SweepCache
     std::string path_;
     /** Append handle (opened in the ctor, written under mu_). */
     std::FILE *file_ SVARD_GUARDED_BY(mu_) = nullptr;
-    bool fsyncPerStore_ = false; ///< SVARD_CACHE_FSYNC=1
+    bool fsyncPerStore_ = false; ///< SVARD_CACHE_FSYNC nonzero
     mutable Mutex mu_;
     std::map<std::pair<uint64_t, uint64_t>, engine::CellResult>
         cells_ SVARD_GUARDED_BY(mu_);

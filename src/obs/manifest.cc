@@ -122,7 +122,6 @@ writeManifest(const std::string &path, const RunManifest &m,
                  "  \"baselines_executed\": %llu,\n"
                  "  \"baselines_cached\": %llu,\n"
                  "  \"sink_queue_high_water\": %llu,\n"
-                 "  \"out_path\": %s,\n"
                  "  \"cache_path\": %s,\n"
                  "  \"interrupted\": %s,\n"
                  "  \"drift_policies\": %s,\n"
@@ -143,7 +142,7 @@ writeManifest(const std::string &path, const RunManifest &m,
                  static_cast<unsigned long long>(m.baselinesExecuted),
                  static_cast<unsigned long long>(m.baselinesCached),
                  static_cast<unsigned long long>(m.sinkQueueHighWater),
-                 quoted(m.outPath).c_str(), quoted(m.cachePath).c_str(),
+                 quoted(m.cachePath).c_str(),
                  m.interrupted ? "true" : "false", drifts.c_str(),
                  static_cast<unsigned long long>(m.escapes),
                  static_cast<unsigned long long>(m.recalibrations),
@@ -208,7 +207,6 @@ readManifest(const std::string &path, RunManifest *out, std::string *err)
     out->buildFlags = strField(doc, "build_flags");
     if (const json::Value *w = doc.find("wall_s"))
         out->wallSeconds = w->asNumber();
-    out->outPath = strField(doc, "out_path");
     out->cachePath = strField(doc, "cache_path");
     if (const json::Value *i = doc.find("interrupted"))
         out->interrupted = i->asBool();

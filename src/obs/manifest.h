@@ -41,7 +41,6 @@ struct RunManifest
     uint64_t baselinesExecuted = 0;
     uint64_t baselinesCached = 0;
     uint64_t sinkQueueHighWater = 0;
-    std::string outPath;   ///< result sink path ("" if none)
     std::string cachePath; ///< sweep cache path ("" if none)
     /** The run was stopped early (SIGINT/SIGTERM or a stop flag);
      *  the sink holds a valid prefix, the cache all finished cells. */

@@ -157,15 +157,6 @@ setHeartbeatPath(const std::string &path)
     s.path = path;
 }
 
-std::string
-heartbeatPath()
-{
-    HeartbeatSink &s = heartbeatSink();
-    MutexLock lock(s.mu);
-    ensureEnvPath(s);
-    return s.path;
-}
-
 ProgressMeter::ProgressMeter(std::string phase, uint64_t total,
                              std::string unit)
     : phase_(std::move(phase)), unit_(std::move(unit)), total_(total),

@@ -42,9 +42,6 @@ namespace svard::obs {
 /** Route heartbeats to `path` ("" disables); overrides SVARD_HEARTBEAT. */
 void setHeartbeatPath(const std::string &path);
 
-/** Active heartbeat path ("" when disabled). */
-std::string heartbeatPath();
-
 /**
  * Progress over a known number of work items. Workers call tick()
  * concurrently; emission (stderr line + heartbeat) is throttled and

@@ -138,12 +138,6 @@ class CoreModel
                primaryCompleted_ >= primaryReads_;
     }
 
-    /** Committed instructions of the primary phase. */
-    uint64_t primaryInstructions() const { return primaryInsts_; }
-
-    /** Time the primary phase finished (valid once primaryDone()). */
-    dram::Tick finishTime() const { return finishTime_; }
-
     /** IPC of the primary phase. */
     double ipc() const;
 

@@ -135,7 +135,7 @@ TEST_F(RetryPath, TransientEioIsAbsorbedByTheRetry)
 {
     const std::string path = tmpPath("transient.svc");
     std::remove(path.c_str());
-    faults::configure("record.append:eio@1");
+    faults::configure("cache.store:eio@1");
     {
         std::FILE *f = std::fopen(path.c_str(), "ab");
         ASSERT_NE(f, nullptr);
@@ -148,7 +148,7 @@ TEST_F(RetryPath, TransientEioIsAbsorbedByTheRetry)
     std::fclose(f);
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[0].seed, makeRow(1).seed);
-    EXPECT_GT(faults::hitCount("record.append"), 2u)
+    EXPECT_GT(faults::hitCount("cache.store"), 2u)
         << "the failed attempt plus retries must all consult the "
            "injection point";
 }
@@ -163,7 +163,7 @@ TEST_F(RetryPath, PersistentShortWriteRollsTheFileBack)
     std::fflush(f);
     const std::string before = slurp(path);
 
-    faults::configure("record.append:short@1+");
+    faults::configure("cache.store:short@1+");
     EXPECT_THROW(io::appendRecord(f, makeRow(2), path),
                  std::runtime_error);
     std::fclose(f);
@@ -433,6 +433,38 @@ TEST_F(Degradation, FsyncOptInStoresAndReloads)
         cache.lookup(makeRow(2).seed, makeRow(2).fingerprint, &out));
     EXPECT_DOUBLE_EQ(out.normalized.weightedSpeedup,
                      makeRow(2).normalized.weightedSpeedup);
+}
+
+TEST_F(Degradation, FsyncKnobParsesAsAnInteger)
+{
+    // Any nonzero integer turns fsync on. /dev/null takes writes but
+    // rejects fsync (EINVAL), so a store there fails exactly when the
+    // cache fsyncs.
+    ::setenv("SVARD_CACHE_FSYNC", "2", 1);
+    {
+        io::SweepCache cache("/dev/null");
+        EXPECT_THROW(cache.store(makeRow(1)), std::runtime_error);
+    }
+    ::setenv("SVARD_CACHE_FSYNC", "0", 1);
+    {
+        io::SweepCache cache("/dev/null");
+        EXPECT_NO_THROW(cache.store(makeRow(1)));
+    }
+    // A word is a typo, not "off": it throws naming the variable,
+    // and openOrNull passes that on instead of running uncached.
+    ::setenv("SVARD_CACHE_FSYNC", "true", 1);
+    const std::string path = tmpPath("fsync_knob.svc");
+    try {
+        io::SweepCache cache(path);
+        ADD_FAILURE() << "SVARD_CACHE_FSYNC=true opened a cache";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("SVARD_CACHE_FSYNC"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(io::SweepCache::openOrNull(path),
+                 std::invalid_argument);
+    ::unsetenv("SVARD_CACHE_FSYNC");
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the streaming result-sink subsystem: exact CSV/binary
- * round-trips, the AsyncSink decorator, and the per-cell sweep cache
- * — including the headline guarantee that a sweep killed mid-run and
- * resumed from its checkpoint produces a byte-identical result table
- * to an uninterrupted run at any thread count, and that a fully
- * cached re-run executes zero cells.
+ * Tests for the streaming result-sink subsystem: exact CSV and
+ * checkpoint-record round-trips, the AsyncSink decorator, and the
+ * per-cell sweep cache — including the headline guarantee that a
+ * sweep killed mid-run and resumed from its checkpoint produces a
+ * byte-identical result table to an uninterrupted run at any thread
+ * count, and that a fully cached re-run executes zero cells.
  */
 #include <gtest/gtest.h>
 
@@ -46,6 +46,31 @@ slurp(const std::string &path)
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
+}
+
+/** Every intact SVC4 record in the file at `path`. */
+std::vector<engine::CellResult>
+readRecordFile(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (!f)
+        return {};
+    auto rows = io::readRecords(f);
+    std::fclose(f);
+    return rows;
+}
+
+/** A fresh record file at `path` holding `rows`, in order. */
+void
+writeRecordFile(const std::string &path,
+                const std::vector<engine::CellResult> &rows)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    for (const auto &r : rows)
+        io::appendRecord(f, r, path);
+    std::fclose(f);
 }
 
 /** Synthetic row with awkward doubles (round-trip must be exact). */
@@ -133,34 +158,38 @@ class CollectSink : public io::ResultSink
 // Sink round-trips
 // -----------------------------------------------------------------
 
-TEST(ResultSink, CsvAndBinaryRoundTripIdenticalRows)
+TEST(ResultSink, CsvAndSweepCacheRoundTripIdenticalRows)
 {
     std::vector<engine::CellResult> rows;
     for (uint32_t i = 0; i < 6; ++i)
         rows.push_back(makeRow(i));
 
     const std::string csv = tmpPath("roundtrip.csv");
-    const std::string bin = tmpPath("roundtrip.bin");
+    const std::string svc = tmpPath("roundtrip.svc");
+    std::remove(svc.c_str());
     {
         io::CsvSink cs(csv);
-        io::BinarySink bs(bin);
+        io::SweepCache cache(svc);
         for (const auto &r : rows) {
             cs.write(r);
-            bs.write(r);
+            cache.store(r);
         }
         cs.flush();
-        bs.flush();
     }
 
+    // Reopening reloads every record through the SVC4 decoder.
+    const io::SweepCache reopened(svc);
     const auto from_csv = io::readCsvResults(csv);
-    const auto from_bin = io::readBinaryResults(bin);
+    ASSERT_EQ(reopened.size(), rows.size());
     ASSERT_EQ(from_csv.size(), rows.size());
-    ASSERT_EQ(from_bin.size(), rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
+        engine::CellResult from_cache;
+        ASSERT_TRUE(reopened.lookup(rows[i].seed, rows[i].fingerprint,
+                                    &from_cache));
+        expectRowsEqual(rows[i], from_cache);
         expectRowsEqual(rows[i], from_csv[i]);
-        expectRowsEqual(rows[i], from_bin[i]);
         // Both formats decode to the same rows as each other, too.
-        expectRowsEqual(from_csv[i], from_bin[i]);
+        expectRowsEqual(from_csv[i], from_cache);
     }
 }
 
@@ -227,14 +256,10 @@ TEST(ResultSink, CsvReaderRejectsMalformedNumericFields)
     std::remove(good.c_str());
 }
 
-TEST(ResultSink, BinaryReaderDropsTruncatedTailRecord)
+TEST(ResultSink, RecordReaderDropsTruncatedTailRecord)
 {
-    const std::string bin = tmpPath("truncated.bin");
-    {
-        io::BinarySink bs(bin);
-        bs.write(makeRow(0));
-        bs.write(makeRow(1));
-    }
+    const std::string bin = tmpPath("truncated.svc");
+    writeRecordFile(bin, {makeRow(0), makeRow(1)});
     // Simulate a kill mid-append: a partial record after intact ones.
     {
         std::FILE *f = std::fopen(bin.c_str(), "ab");
@@ -243,13 +268,13 @@ TEST(ResultSink, BinaryReaderDropsTruncatedTailRecord)
         std::fwrite(partial, 1, sizeof(partial), f);
         std::fclose(f);
     }
-    const auto rows = io::readBinaryResults(bin);
+    const auto rows = readRecordFile(bin);
     ASSERT_EQ(rows.size(), 2u);
     expectRowsEqual(rows[0], makeRow(0));
     expectRowsEqual(rows[1], makeRow(1));
 }
 
-TEST(ResultSink, MakeSinkForPathSelectsFormatByExtension)
+TEST(ResultSink, MakeSinkForPathWritesCsvAndRejectsRetiredFormats)
 {
     const std::string csv = tmpPath("rows.csv");
     {
@@ -260,23 +285,21 @@ TEST(ResultSink, MakeSinkForPathSelectsFormatByExtension)
     ASSERT_EQ(from_csv.size(), 1u);
     expectRowsEqual(from_csv[0], makeRow(2));
 
-    const std::string bin = tmpPath("rows.svc");
-    {
-        auto sink = io::makeSinkForPath(bin);
-        sink->write(makeRow(3));
-    }
-    const auto rows = io::readBinaryResults(bin);
-    ASSERT_EQ(rows.size(), 1u);
-    expectRowsEqual(rows[0], makeRow(3));
-
-    // The JSONL format is retired: asking for it is an error that
-    // names it, not a silent CSV file with a .jsonl name.
-    try {
-        io::makeSinkForPath(tmpPath("rows.jsonl"));
-        ADD_FAILURE() << ".jsonl path made a sink";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("JSONL"), std::string::npos)
-            << e.what();
+    // The JSONL and binary result formats are retired: asking for
+    // one is an error that names it and points at --cache, not a
+    // silent CSV file under that name.
+    for (const char *name : {"rows.jsonl", "rows.bin", "rows.svc"}) {
+        const std::string path = tmpPath(name);
+        std::remove(path.c_str());
+        try {
+            io::makeSinkForPath(path);
+            ADD_FAILURE() << name << " made a sink";
+        } catch (const std::invalid_argument &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("retired"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("--cache"), std::string::npos) << msg;
+        }
+        EXPECT_FALSE(std::filesystem::exists(path)) << name;
     }
 }
 
@@ -505,18 +528,14 @@ TEST(SweepCache, KilledAndResumedSweepIsBitIdenticalToUninterrupted)
     // holds baseline records (alone-IPC and no-defense runs, cached
     // since PR 3); the kill keeps only grid cells, so the resume
     // recomputes baselines but not the checkpointed cells.
-    const auto everything = io::readBinaryResults(full_cache);
+    const auto everything = readRecordFile(full_cache);
     std::vector<engine::CellResult> all;
     for (const auto &r : everything)
         if (r.provider != "(alone)" && r.provider != "(baseline)")
             all.push_back(r);
     ASSERT_EQ(all.size(), 8u);
     ASSERT_GT(everything.size(), all.size()); // baselines cached too
-    {
-        io::BinarySink trunc(killed_cache);
-        for (size_t i = 0; i < 3; ++i)
-            trunc.write(all[i]);
-    }
+    writeRecordFile(killed_cache, {all.begin(), all.begin() + 3});
     {
         std::FILE *f = std::fopen(killed_cache.c_str(), "ab");
         ASSERT_NE(f, nullptr);

@@ -427,7 +427,6 @@ TEST(ObsManifest, WriteReadRoundTrip)
     m.baselinesExecuted = 6;
     m.baselinesCached = 2;
     m.sinkQueueHighWater = 17;
-    m.outPath = "out.csv";
     m.cachePath = "sweep.cache";
     ASSERT_TRUE(obs::writeManifest(path, m, obs::snapshot()));
 
@@ -448,7 +447,6 @@ TEST(ObsManifest, WriteReadRoundTrip)
     EXPECT_EQ(r.baselinesExecuted, m.baselinesExecuted);
     EXPECT_EQ(r.baselinesCached, m.baselinesCached);
     EXPECT_EQ(r.sinkQueueHighWater, m.sinkQueueHighWater);
-    EXPECT_EQ(r.outPath, m.outPath);
     EXPECT_EQ(r.cachePath, m.cachePath);
 
     // Raw schema validation: the fields external tools key on.

@@ -31,6 +31,11 @@ established by hand:
   include-guard          Every header under src/ carries the canonical
                          guard SVARD_<DIR>_<NAME>_H; duplicated or stale
                          guards silently drop declarations.
+  example-in-ci          Every examples/*.cpp is named in
+                         .github/workflows/ci.yml as ./build/bin/<name>:
+                         an example stays only while a CI step runs it,
+                         so demo programs that nothing runs cannot pile
+                         up again.
 
 Escapes, in order of preference:
 
@@ -39,7 +44,8 @@ Escapes, in order of preference:
   2. Per-rule path allowlist with rationale: tools/svard_lint_allow.txt
 
 Usage:
-    tools/svard_lint.py               lint the tree (exit 1 on findings)
+    tools/svard_lint.py               lint src/ and examples/ (exit 1 on
+                                      findings)
     tools/svard_lint.py FILE...       lint specific files
     tools/svard_lint.py --self-test   run the fixture suite
     tools/svard_lint.py --list-rules  print the rule table
@@ -60,6 +66,10 @@ from dataclasses import dataclass, field
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALLOWLIST_PATH = os.path.join(REPO, "tools", "svard_lint_allow.txt")
 ALLOW_RE = re.compile(r"svard-lint:\s*allow\(([a-z0-9-]+)\)")
+CI_PATH = os.path.join(REPO, ".github", "workflows", "ci.yml")
+# What example-in-ci matches against: ci.yml, read on first use;
+# --self-test installs FIXTURE_CI instead.
+_ci_text: str | None = None
 
 
 @dataclass
@@ -166,6 +176,19 @@ def include_guard_check(rule: Rule, relpath: str, raw: list[str],
                           f"missing include guard '{expect}'")
 
 
+def example_in_ci_check(rule: Rule, relpath: str, raw: list[str],
+                        code: list[str]):
+    global _ci_text
+    if _ci_text is None:
+        with open(CI_PATH, encoding="utf-8") as f:
+            _ci_text = f.read()
+    name = os.path.splitext(os.path.basename(relpath))[0]
+    # Named as a path component (./build/bin/<name>), so "run" in a
+    # step's `run:` key or a longer binary name does not count.
+    if not re.search(rf"/{re.escape(name)}(?![\w.-])", _ci_text):
+        yield Finding(rule.id, relpath, 1, rule.message)
+
+
 RULES = [
     Rule(
         id="defense-no-node-maps",
@@ -213,6 +236,15 @@ RULES = [
         exts=(".h",),
         message="",  # composed per finding
         check=include_guard_check,
+    ),
+    Rule(
+        id="example-in-ci",
+        paths=["examples/*"],
+        exts=(".cpp",),
+        message="example not run in CI (.github/workflows/ci.yml must "
+                "name it as ./build/bin/<name> in a step that checks "
+                "its output; otherwise delete it)",
+        check=example_in_ci_check,
     ),
 ]
 
@@ -270,10 +302,11 @@ def lint_file(abspath: str, relpath: str,
 
 def iter_tree() -> list[str]:
     out = []
-    for root, _dirs, files in os.walk(os.path.join(REPO, "src")):
-        for name in files:
-            if name.endswith((".h", ".cc")):
-                out.append(os.path.join(root, name))
+    for top in ("src", "examples"):
+        for root, _dirs, files in os.walk(os.path.join(REPO, top)):
+            for name in files:
+                if name.endswith((".h", ".cc", ".cpp")):
+                    out.append(os.path.join(root, name))
     return sorted(out)
 
 
@@ -429,6 +462,24 @@ FIXTURES = [
         "#ifdef SVARD_OBS_OFF\n#endif\n"  # nested #ifndef-adjacent ok
         "#endif\n",
         []),
+    # -- example-in-ci (against FIXTURE_CI, not the real workflow) ------
+    Fixture(
+        "examples/unrun_demo.cpp",
+        "int main() { return 0; }\n",
+        ["example-in-ci"]),
+    Fixture(  # a step's `run:` key or a longer binary name don't count
+        "examples/run.cpp",
+        "int main() { return 0; }\n",
+        ["example-in-ci"]),
+    Fixture(
+        "examples/run_demo.cpp",
+        "int main() { return 0; }\n",
+        []),
+    Fixture(
+        "examples/unrun_demo.cpp",
+        "// svard-lint: allow(example-in-ci) run by a nightly job\n"
+        "int main() { return 0; }\n",
+        []),
     # -- multi-rule ----------------------------------------------------
     Fixture(
         "src/defense/fixture.cc",
@@ -437,7 +488,13 @@ FIXTURES = [
 ]
 
 
+# The workflow the example-in-ci fixtures are checked against.
+FIXTURE_CI = "      - run: ./build/bin/run_demo 128 1500 > out.txt\n"
+
+
 def self_test() -> int:
+    global _ci_text
+    _ci_text = FIXTURE_CI
     failures = 0
     import tempfile
     for i, fx in enumerate(FIXTURES):
@@ -472,7 +529,7 @@ def self_test() -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="*",
-                    help="files to lint (default: the whole src/ tree)")
+                    help="files to lint (default: src/ and examples/)")
     ap.add_argument("--self-test", action="store_true",
                     help="run the fixture suite and exit")
     ap.add_argument("--list-rules", action="store_true",
