@@ -291,7 +291,13 @@ parseSweepIo(int argc, char **argv)
     }
     // A retired --out extension or a malformed SVARD_CACHE_FSYNC is
     // an argument error like the ones above: exit 1, not an abort.
+    // The extension is checked before the cache is opened, so a
+    // rejected run leaves no fresh checkpoint file behind; the CSV
+    // itself is only opened after the cache, so an unusable --resume
+    // checkpoint never truncates it.
     try {
+        if (!out.outPath.empty())
+            io::checkSinkPath(out.outPath);
         if (!out.cachePath.empty()) {
             // Degrade, don't die: an unwritable cache loses
             // checkpointing, not the run. --resume stays strict — its

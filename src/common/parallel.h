@@ -217,8 +217,9 @@ class ParallelPool
  * workers (0 = hardware concurrency) from the persistent pool. With
  * threads == 1 the calls run inline in index order — handy for
  * debugging and for determinism comparisons against sharded runs.
- * A worker exception is rethrown on the calling thread after every
- * index has been claimed (remaining indices still run exactly once).
+ * Inline or pooled, an exception does not stop the job: every other
+ * index still runs exactly once, and the first exception is then
+ * rethrown on the calling thread.
  */
 inline void
 parallelFor(size_t n, unsigned threads,
@@ -227,8 +228,17 @@ parallelFor(size_t n, unsigned threads,
     const unsigned workers = static_cast<unsigned>(
         std::min<size_t>(resolveThreadCount(threads), n));
     if (workers <= 1 || detail::inPoolWorker()) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
+        std::exception_ptr first;
+        for (size_t i = 0; i < n; ++i) {
+            try {
+                fn(i);
+            } catch (...) {
+                if (!first)
+                    first = std::current_exception();
+            }
+        }
+        if (first)
+            std::rethrow_exception(first);
         return;
     }
     detail::ParallelPool::instance().run(n, workers, fn);

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-
 namespace svard::core {
 
 namespace {
@@ -99,27 +97,6 @@ RecalPolicy::name() const
         return buf;
     }
     return "none";
-}
-
-void
-GuardbandWatchdog::recordEscapes(uint64_t n)
-{
-    if (n == 0)
-        return;
-    escapes_.fetch_add(n, std::memory_order_relaxed);
-    static const obs::MetricId id = obs::counter("drift.escapes");
-    obs::add(id, n);
-}
-
-void
-GuardbandWatchdog::recordRecalibrations(uint64_t n)
-{
-    if (n == 0)
-        return;
-    recals_.fetch_add(n, std::memory_order_relaxed);
-    static const obs::MetricId id =
-        obs::counter("drift.recalibrations");
-    obs::add(id, n);
 }
 
 } // namespace svard::core

@@ -1,13 +1,13 @@
 /**
  * @file
- * Online recalibration policies and the guardband watchdog — the
- * defense-side half of the temporal-drift robustness layer. A
- * defense calibrated at epoch 0 sees its profile go stale as per-row
- * HC_first drifts (fault/drift.h); a RecalPolicy decides *when* to
- * pay for re-characterization, and the GuardbandWatchdog turns every
- * threshold escape (a row whose true HC_first fell below what the
- * stale profile plus guardband still guarantees) into obs metrics
- * instead of a crashed run.
+ * Online recalibration policies — the defense-side half of the
+ * temporal-drift robustness layer. A defense calibrated at epoch 0
+ * sees its profile go stale as per-row HC_first drifts
+ * (fault/drift.h); a RecalPolicy decides *when* to pay for
+ * re-characterization. Threshold escapes (rows whose true HC_first
+ * fell below what the stale profile plus guardband still guarantees)
+ * are counted per cell (engine/drift_eval.h) and summed in the run
+ * manifest.
  *
  * Policy grammar (the registry the sweep axis parses):
  *   none                  never recalibrate
@@ -20,7 +20,6 @@
 #ifndef SVARD_CORE_RECAL_H
 #define SVARD_CORE_RECAL_H
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -69,32 +68,6 @@ struct RecalPolicy
             return false;
         }
     }
-};
-
-/**
- * Counts stale-profile escapes and recalibrations; feeds the obs
- * metrics registry ("drift.escapes", "drift.recalibrations") so long
- * sweeps surface degradation in flight instead of failing. Thread
- * safe: workers record concurrently.
- */
-class GuardbandWatchdog
-{
-  public:
-    void recordEscapes(uint64_t n);
-    void recordRecalibrations(uint64_t n);
-
-    uint64_t escapes() const
-    {
-        return escapes_.load(std::memory_order_relaxed);
-    }
-    uint64_t recalibrations() const
-    {
-        return recals_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<uint64_t> escapes_{0};
-    std::atomic<uint64_t> recals_{0};
 };
 
 } // namespace svard::core

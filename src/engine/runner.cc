@@ -15,7 +15,6 @@
 #include "dram/module_spec.h"
 #include "fault/drift.h"
 #include "fault/vuln_model.h"
-#include "io/async_sink.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
 #include "obs/manifest.h"
@@ -42,42 +41,6 @@ requireSpec(bool ok, const std::string &what)
     if (!ok)
         throw std::invalid_argument("degenerate sweep spec: " + what);
 }
-
-/**
- * First-error latch for sharded workers. An exception thrown out of a
- * parallelFor lambda would unwind a bare pool thread and terminate
- * the process, so workers capture sink/cache I/O failures here and
- * the caller rethrows after the pool joins. Simulation results that
- * were checkpointed before the failure stay checkpointed, so the
- * retried sweep resumes instead of starting over.
- */
-class ErrorLatch
-{
-  public:
-    void
-    capture()
-    {
-        MutexLock lock(mu_);
-        if (!error_)
-            error_ = std::current_exception();
-    }
-
-    void
-    rethrow()
-    {
-        std::exception_ptr err;
-        {
-            MutexLock lock(mu_);
-            err = error_;
-        }
-        if (err)
-            std::rethrow_exception(err);
-    }
-
-  private:
-    Mutex mu_;
-    std::exception_ptr error_ SVARD_GUARDED_BY(mu_);
-};
 
 /**
  * Streams results to a sink in final enumeration order while workers
@@ -110,7 +73,8 @@ class OrderedEmitter
         }
     }
 
-    /** Stop emitting (after a sink failure; the error is latched). */
+    /** Stop emitting (after a cell or sink failure, which the pool
+     *  rethrows once every cell has run). */
     void
     disable()
     {
@@ -298,7 +262,8 @@ struct RunCounts
  * Resolve baseline records in place, sharded: a checkpointed record
  * keeps its metrics; a miss runs `compute` and is checkpointed under
  * the same fingerprint scheme as grid cells, so a partial resume stops
- * recomputing it. Cache I/O failures are rethrown after the pool joins.
+ * recomputing it. parallelFor rethrows the first cache I/O failure once
+ * every record has run.
  */
 void
 cacheOrCompute(
@@ -308,21 +273,15 @@ cacheOrCompute(
     RunCounts *counts)
 {
     std::atomic<size_t> executed{0};
-    ErrorLatch io_errors;
     parallelFor(records.size(), threads, [&](size_t i) {
         CellResult &rec = records[i];
         if (restoreCell(cache, rec))
             return;
         rec.metrics = compute(rec);
         executed.fetch_add(1);
-        try {
-            if (cache)
-                cache->store(rec);
-        } catch (...) {
-            io_errors.capture();
-        }
+        if (cache)
+            cache->store(rec);
     });
-    io_errors.rethrow();
     counts->executed += executed.load();
     counts->cached += records.size() - executed.load();
 }
@@ -376,16 +335,12 @@ runGrid(const Spec &spec, std::vector<CellResult> &results,
 
     // Cached cells are complete up front (a resumed sweep's sink emits
     // the finished prefix at once, on the caller's thread where sink
-    // errors may throw), their drift counts in the heartbeat too.
+    // errors may throw).
     OrderedEmitter emitter(results, sink);
     for (size_t i = 0; i < results.size(); ++i)
-        if (hit[i]) {
+        if (hit[i])
             emitter.complete(i);
-            progress.addEscapes(results[i].drift.escapes);
-            progress.addRecalibrations(results[i].drift.recalibrations);
-        }
 
-    ErrorLatch io_errors;
     std::atomic<size_t> executed{0};
     parallelFor(pending.size(), spec.threads, [&](size_t j) {
         const size_t i = pending[j];
@@ -398,7 +353,9 @@ runGrid(const Spec &spec, std::vector<CellResult> &results,
         const auto cell_start = Clock::now();
         // Checkpoint before emitting: a kill between the two loses
         // sink tail rows (rewritten on resume) but never cached work.
-        // I/O failures are latched, not thrown, on worker threads.
+        // After a failure the emitter stops, so the sink keeps a clean
+        // prefix; parallelFor rethrows the first failure once every
+        // cell has run.
         try {
             // Kill/stall drills at cell granularity (no bytes in
             // flight here, so eio/short/torn outcomes are ignored).
@@ -408,11 +365,9 @@ runGrid(const Spec &spec, std::vector<CellResult> &results,
             if (cache)
                 cache->store(results[i]);
             emitter.complete(i);
-            progress.addEscapes(results[i].drift.escapes);
-            progress.addRecalibrations(results[i].drift.recalibrations);
         } catch (...) {
-            io_errors.capture();
             emitter.disable();
+            throw;
         }
         const auto cell_us = std::chrono::duration_cast<
             std::chrono::microseconds>(Clock::now() - cell_start);
@@ -420,7 +375,6 @@ runGrid(const Spec &spec, std::vector<CellResult> &results,
         obs::add(cells_executed);
         progress.tick();
     });
-    io_errors.rethrow();
     run.executed = executed.load();
     run.interrupted =
         spec.stopFlag && spec.stopFlag->load(std::memory_order_relaxed);
@@ -450,9 +404,6 @@ writeGridManifest(const Spec &spec, obs::RunManifest &m,
     m.cellsCached = run.cached;
     m.baselinesExecuted = base.executed;
     m.baselinesCached = base.cached;
-    // Queue high-water mark when the sink is an AsyncSink (else 0).
-    if (auto *async = dynamic_cast<io::AsyncSink *>(spec.sink.get()))
-        m.sinkQueueHighWater = async->maxDepthSeen();
     m.interrupted = run.interrupted;
     if (spec.cache)
         m.cachePath = spec.cache->path();
@@ -756,8 +707,6 @@ ExperimentRunner::simulateCell(size_t i)
              .tRcPs = static_cast<double>(cfg.timing.tRC),
              .tRefwPs = static_cast<double>(cfg.timing.tREFW)});
         recal_duty = out.drift.recalCost;
-        watchdog_.recordEscapes(out.drift.escapes);
-        watchdog_.recordRecalibrations(out.drift.recalibrations);
     }
     out.metrics = runMixCell(
         c.geom, c.mix, out.defense,

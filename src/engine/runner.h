@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/recal.h"
 #include "core/vuln_profile.h"
 #include "engine/sweep.h"
 
@@ -100,14 +99,6 @@ class ExperimentRunner
 
     const SweepSpec &spec() const { return spec_; }
 
-    /** Run-wide escape/recalibration totals of executed cells (the
-     *  manifest sums *all* cells, cached ones included, from the
-     *  result table instead). */
-    const core::GuardbandWatchdog &watchdog() const
-    {
-        return watchdog_;
-    }
-
     /** The geometry axis after defaulting (spec.geometries or config). */
     const std::vector<sim::SimConfig> &geometries() const
     {
@@ -159,7 +150,6 @@ class ExperimentRunner
     SweepSpec spec_;
     std::vector<sim::SimConfig> geoms_;
     std::vector<DriftSpec> drifts_; ///< defaulted + canonicalized
-    core::GuardbandWatchdog watchdog_;
     /** (geometry, module label) -> profile. */
     using ProfileMap = std::map<std::pair<uint32_t, std::string>,
                                 std::shared_ptr<const core::VulnProfile>>;

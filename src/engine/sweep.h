@@ -178,7 +178,7 @@ struct SweepSpec
      */
     std::atomic<bool> *stopFlag = nullptr;
 
-    /** Progress/heartbeat phase label ("fig12-sweep" etc). */
+    /** Progress-line phase label ("fig12-sweep" etc). */
     std::string progressLabel = "sweep";
 };
 
@@ -268,7 +268,7 @@ struct AdversarialSpec
     /** Optional graceful-stop flag (see SweepSpec::stopFlag). */
     std::atomic<bool> *stopFlag = nullptr;
 
-    /** Progress/heartbeat phase label. */
+    /** Progress-line phase label. */
     std::string progressLabel = "adversarial";
 };
 

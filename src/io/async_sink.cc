@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include <stdexcept>
-
 #include "common/log.h"
-#include "fault_inject/fault_inject.h"
-#include "io/retry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -75,8 +71,7 @@ AsyncSink::write(const engine::CellResult &row)
             err = error_;
         } else {
             queue_.push_back(row);
-            maxDepth_ = std::max(maxDepth_, queue_.size());
-            obs::gaugeMax(queueHighWaterGauge(), maxDepth_);
+            obs::gaugeMax(queueHighWaterGauge(), queue_.size());
         }
     }
     if (err)
@@ -116,13 +111,6 @@ AsyncSink::flush()
 }
 
 size_t
-AsyncSink::maxDepthSeen() const
-{
-    MutexLock lock(mu_);
-    return maxDepth_;
-}
-
-size_t
 AsyncSink::queueDepth() const
 {
     MutexLock lock(mu_);
@@ -151,17 +139,9 @@ AsyncSink::writerLoop()
 
         std::exception_ptr werr;
         try {
-            // Bounded retry before latching: one transient inner-sink
-            // failure used to abort the whole sweep; now only a
-            // persistent one does. Inner file sinks also retry at the
-            // fwrite level, so this layer mainly covers wrapped sinks
-            // with non-transactional failure modes.
-            withBackoff("async sink write", [&] {
-                if (faults::check("sink.write"))
-                    throw std::runtime_error(
-                        "injected fault at sink.write");
-                inner_->write(row);
-            });
+            // The inner sink owns transient-failure retry (CsvSink
+            // retries each batch append); what reaches here latches.
+            inner_->write(row);
             // Queue drained: push the inner sink's buffered rows out,
             // so a wrapped file grows per finished cell (tail -f).
             // writing_ is still set, which keeps flush() off inner_.

@@ -37,9 +37,6 @@ class AsyncSink : public ResultSink
     /** Drain the queue, then flush the wrapped sink. */
     void flush() override;
 
-    /** High-water mark of the queue (tuning/observability). */
-    size_t maxDepthSeen() const;
-
     /** Rows queued or in the writer's hands (0: all written and, via
      *  the drain flush, passed on by the inner sink). */
     size_t queueDepth() const;
@@ -62,7 +59,6 @@ class AsyncSink : public ResultSink
     bool stop_ SVARD_GUARDED_BY(mu_) = false;
     /** A row is between pop and inner write. */
     bool writing_ SVARD_GUARDED_BY(mu_) = false;
-    size_t maxDepth_ SVARD_GUARDED_BY(mu_) = 0;
     std::exception_ptr error_ SVARD_GUARDED_BY(mu_);
 
     std::thread writer_;

@@ -371,8 +371,7 @@ void
 CsvSink::write(const engine::CellResult &r)
 {
     // A failed write leaves pending_ as it found it, so a caller's
-    // retry of the same row (AsyncSink's withBackoff) cannot
-    // duplicate it.
+    // retry of the same row cannot duplicate it.
     const size_t before = pending_.size();
     try {
         appendCsvRow(pending_, r);
@@ -653,8 +652,8 @@ readRecords(std::FILE *f, RecordReadStats *stats)
     return out;
 }
 
-std::unique_ptr<ResultSink>
-makeSinkForPath(const std::string &path)
+void
+checkSinkPath(const std::string &path)
 {
     auto ends_with = [&](const char *suffix) {
         const size_t n = std::strlen(suffix);
@@ -666,6 +665,12 @@ makeSinkForPath(const std::string &path)
             "\"" + path +
             "\": the JSONL and binary result formats are retired; "
             "write .csv, and checkpoint with --cache=PATH");
+}
+
+std::unique_ptr<ResultSink>
+makeSinkForPath(const std::string &path)
+{
+    checkSinkPath(path);
     return std::make_unique<CsvSink>(path);
 }
 

@@ -131,11 +131,15 @@ std::vector<engine::CellResult>
 readCsvResults(const std::string &path);
 
 /**
- * Sink for a path: a CsvSink.
+ * Reject a result path the sinks no longer write, without touching
+ * any file.
  * @throws std::invalid_argument for ".jsonl", ".bin" and ".svc": the
  *         JSONL and binary result sinks are retired, and checkpoints
  *         are written through SweepCache (a bench's --cache).
  */
+void checkSinkPath(const std::string &path);
+
+/** Sink for a path: a CsvSink, after checkSinkPath(path). */
 std::unique_ptr<ResultSink> makeSinkForPath(const std::string &path);
 
 /** Exact-round-trip double formatting: 17 significant digits, the

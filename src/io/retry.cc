@@ -18,13 +18,6 @@ namespace svard::io {
 
 namespace {
 
-void
-backoffSleep(int attempt)
-{
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(kIoBackoffMs << (3 * attempt)));
-}
-
 /** End-of-file offset via the fd, not ftell: append-mode streams
  *  leave the stdio position indeterminate until the first write. */
 off_t
@@ -100,33 +93,13 @@ appendWithRetry(std::FILE *f, const std::string &path,
                  std::strerror(err) + "), attempt " +
                  std::to_string(attempt + 1) + "/" +
                  std::to_string(kIoAttempts) + "; backing off");
-            backoffSleep(attempt);
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(kIoBackoffMs << (3 * attempt)));
         } else {
             throw std::runtime_error(
                 "write to \"" + path + "\" failed after " +
                 std::to_string(kIoAttempts) +
                 " attempts: " + std::strerror(err));
-        }
-    }
-}
-
-void
-withBackoff(const char *what, const std::function<void()> &fn)
-{
-    for (int attempt = 0;; ++attempt) {
-        try {
-            fn();
-            return;
-        } catch (const std::exception &e) {
-            static const obs::MetricId retries =
-                obs::counter("io.op_retries");
-            obs::add(retries);
-            if (attempt + 1 >= kIoAttempts)
-                throw;
-            warn(std::string(what) + " failed (" + e.what() +
-                 "), attempt " + std::to_string(attempt + 1) + "/" +
-                 std::to_string(kIoAttempts) + "; backing off");
-            backoffSleep(attempt);
         }
     }
 }

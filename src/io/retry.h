@@ -26,7 +26,6 @@
 #define SVARD_IO_RETRY_H
 
 #include <cstdio>
-#include <functional>
 #include <string>
 
 namespace svard::io {
@@ -57,14 +56,6 @@ appendWithRetry(std::FILE *f, const std::string &path,
 {
     appendWithRetry(f, path, fault_point, data.data(), data.size());
 }
-
-/**
- * Run `fn` up to kIoAttempts times, sleeping the bounded backoff
- * between failures; rethrows the last exception. For retryable
- * operations that manage their own consistency (e.g. a sink write
- * that is internally transactional).
- */
-void withBackoff(const char *what, const std::function<void()> &fn);
 
 } // namespace svard::io
 

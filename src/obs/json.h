@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal JSON support for the observability layer: string escaping for
- * the writers (trace, heartbeat, manifest, metrics snapshot) and a
+ * the writers (trace, manifest, metrics snapshot) and a
  * small DOM parser used by tests and tools to validate those artifacts
  * round-trip. Deliberately tiny — no external dependency, no streaming,
  * no SAX — because every producer in this repo emits well-formed

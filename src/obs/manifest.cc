@@ -121,7 +121,6 @@ writeManifest(const std::string &path, const RunManifest &m,
                  "  \"cells_cached\": %llu,\n"
                  "  \"baselines_executed\": %llu,\n"
                  "  \"baselines_cached\": %llu,\n"
-                 "  \"sink_queue_high_water\": %llu,\n"
                  "  \"cache_path\": %s,\n"
                  "  \"interrupted\": %s,\n"
                  "  \"drift_policies\": %s,\n"
@@ -141,7 +140,6 @@ writeManifest(const std::string &path, const RunManifest &m,
                  static_cast<unsigned long long>(m.cellsCached),
                  static_cast<unsigned long long>(m.baselinesExecuted),
                  static_cast<unsigned long long>(m.baselinesCached),
-                 static_cast<unsigned long long>(m.sinkQueueHighWater),
                  quoted(m.cachePath).c_str(),
                  m.interrupted ? "true" : "false", drifts.c_str(),
                  static_cast<unsigned long long>(m.escapes),
@@ -193,7 +191,6 @@ readManifest(const std::string &path, RunManifest *out, std::string *err)
         {"cells_cached", &out->cellsCached},
         {"baselines_executed", &out->baselinesExecuted},
         {"baselines_cached", &out->baselinesCached},
-        {"sink_queue_high_water", &out->sinkQueueHighWater},
         {"escapes", &out->escapes},
         {"recalibrations", &out->recalibrations},
     };

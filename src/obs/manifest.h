@@ -3,14 +3,15 @@
  * Run manifests: a small JSON file written next to every sink/cache
  * output describing what produced it — schema version, run kind,
  * geometry presets, spec fingerprint, base seed, thread count, build
- * flags, wall time, cell/baseline counts, sink queue high-water mark,
- * and the final metrics snapshot. A result file without its manifest
+ * flags, wall time, cell/baseline counts, and the final metrics
+ * snapshot (the sink queue's high-water mark is its
+ * io.sink_queue_high_water gauge). A result file without its manifest
  * is an orphan; with it, any later tool (or a human three months out)
  * can tell exactly which code and configuration produced the bytes.
  *
  * Schema: "svard-manifest-v1". The reader ignores keys it does not
- * know, so manifests from older builds (with "simd_impl" or a
- * per-process worker array) still load.
+ * know, so manifests from older builds (with "simd_impl",
+ * "sink_queue_high_water" or a per-process worker array) still load.
  */
 #ifndef SVARD_OBS_MANIFEST_H
 #define SVARD_OBS_MANIFEST_H
@@ -40,7 +41,6 @@ struct RunManifest
     uint64_t cellsCached = 0;
     uint64_t baselinesExecuted = 0;
     uint64_t baselinesCached = 0;
-    uint64_t sinkQueueHighWater = 0;
     std::string cachePath; ///< sweep cache path ("" if none)
     /** The run was stopped early (SIGINT/SIGTERM or a stop flag);
      *  the sink holds a valid prefix, the cache all finished cells. */

@@ -398,13 +398,30 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnceAtAnyWidth)
 
 TEST(ParallelFor, WorkerExceptionsPropagateToTheCaller)
 {
-    EXPECT_THROW(
-        parallelFor(64, 4,
-                    [&](size_t i) {
-                        if (i == 13)
-                            throw std::runtime_error("boom");
-                    }),
-        std::runtime_error);
+    for (unsigned threads : {1u, 4u}) {
+        std::vector<std::atomic<int>> hits(64);
+        for (auto &h : hits)
+            h.store(0);
+        // Two indices throw: the first exception (in index order when
+        // inline, in time when pooled) reaches the caller, and every
+        // index still runs exactly once.
+        std::string what;
+        try {
+            parallelFor(hits.size(), threads, [&](size_t i) {
+                hits[i].fetch_add(1);
+                if (i == 13 || i == 40)
+                    throw std::runtime_error("boom " + std::to_string(i));
+            });
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        if (threads == 1)
+            EXPECT_EQ(what, "boom 13");
+        else
+            EXPECT_TRUE(what == "boom 13" || what == "boom 40") << what;
+        for (size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1) << threads << " threads, " << i;
+    }
     // The pool survives a throwing job and runs the next one.
     std::atomic<int> total{0};
     parallelFor(64, 4, [&](size_t) { total.fetch_add(1); });

@@ -268,12 +268,13 @@ TEST_F(AsyncSinkFaults, PersistentWriteFaultReachesTheProducer)
 {
     const std::string path = tmpPath("asyncsink.csv");
     std::remove(path.c_str());
-    faults::configure("sink.write:eio@1+");
+    faults::configure("csv.write:eio@1+");
     auto sink = std::make_shared<io::AsyncSink>(
         std::make_unique<io::CsvSink>(path));
     sink->write(makeRow(1));
-    // The writer thread exhausts its retry budget; the latched error
-    // must surface on the producer side rather than vanish.
+    // The writer thread's drain flush exhausts CsvSink's retry budget;
+    // the latched error must surface on the producer side rather than
+    // vanish.
     EXPECT_THROW(
         {
             for (int i = 0; i < 64; ++i)
@@ -287,19 +288,21 @@ TEST_F(AsyncSinkFaults, TransientWriteFaultIsInvisible)
 {
     const std::string path = tmpPath("asyncsink_ok.csv");
     std::remove(path.c_str());
-    faults::configure("sink.write:eio@2");
+    faults::configure("csv.write:eio@1");
     {
         io::AsyncSink sink(std::make_unique<io::CsvSink>(path));
         for (uint32_t i = 0; i < 4; ++i)
             sink.write(makeRow(i));
         sink.flush();
     }
-    // Header + 4 rows despite the injected hiccup.
+    // Header + 4 rows despite the injected hiccup, which the writer's
+    // first batch append hit and CsvSink's retry absorbed.
     const std::string text = slurp(path);
     size_t lines = 0;
     for (char c : text)
         lines += c == '\n';
     EXPECT_EQ(lines, 5u);
+    EXPECT_GE(faults::hitCount("csv.write"), 2u);
 }
 
 // Enough rows for three 64 KiB CSV batches plus a partial fourth.
@@ -392,8 +395,7 @@ TEST_F(CsvBatchFaults, RetriedRowAfterAFailedBatchIsNotDuplicated)
             }
         }
         ASSERT_LT(failed_at, kBatchRows) << "no batch append failed";
-        // What AsyncSink's withBackoff does: retry the same row once
-        // the fault is gone.
+        // A caller retrying the same row once the fault is gone.
         faults::reset();
         for (uint32_t i = failed_at; i < kBatchRows; ++i)
             sink.write(makeRow(i));

@@ -28,6 +28,7 @@
 #include "io/async_sink.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
+#include "obs/metrics.h"
 
 namespace svard {
 namespace {
@@ -439,6 +440,8 @@ TEST(AsyncSink, DrainsEverythingInOrderThroughATinyQueue)
         }
     };
 
+    obs::setMetricsEnabled(true);
+    obs::resetMetrics();
     auto inner = std::make_unique<SlowCollect>();
     SlowCollect *collected = inner.get();
     io::AsyncSink sink(std::move(inner), /*queue_capacity=*/2);
@@ -448,7 +451,10 @@ TEST(AsyncSink, DrainsEverythingInOrderThroughATinyQueue)
     ASSERT_EQ(collected->rows.size(), 100u);
     for (uint32_t i = 0; i < 100; ++i)
         EXPECT_EQ(collected->rows[i].seed, makeRow(i % 6).seed) << i;
-    EXPECT_LE(sink.maxDepthSeen(), 2u);
+    const uint64_t high_water =
+        obs::snapshot().value("io.sink_queue_high_water");
+    EXPECT_GE(high_water, 1u);
+    EXPECT_LE(high_water, 2u);
 }
 
 TEST(AsyncSink, WriterThreadErrorsSurfaceOnTheProducer)

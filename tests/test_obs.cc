@@ -3,11 +3,11 @@
  * Tests for the observability layer (src/obs/) and its load-bearing
  * guarantee: instruments never feed back into simulation. The headline
  * test runs the same tiny sweep with everything off, with metrics +
- * tracing + heartbeats on, and at 1 vs 4 threads, and byte-compares
- * the CSVs. Also covered: exact metric merging across worker threads,
- * chrome-trace JSON validity, manifest round-trips, heartbeat JSONL
- * parsing, the JSON DOM parser itself, log-level filtering, and the
- * flat-vector CategoricalHistogram rewrite.
+ * tracing on, and at 1 vs 4 threads, and byte-compares the CSVs.
+ * Also covered: exact metric merging across worker threads,
+ * chrome-trace JSON validity, manifest round-trips, the progress
+ * knob's parsing, the JSON DOM parser itself, log-level filtering,
+ * and the flat-vector CategoricalHistogram rewrite.
  */
 #include <gtest/gtest.h>
 
@@ -332,54 +332,13 @@ TEST(ObsTrace, SpansAreNoOpsWhenDisabled)
 }
 
 // ------------------------------------------------------------------
-// Heartbeats
+// Progress line
 // ------------------------------------------------------------------
 
-TEST(ObsProgress, HeartbeatJsonlStream)
+TEST(ObsProgressDeathTest, ProgressKnobRejectsMalformedValues)
 {
-    const std::string path = tmpPath("heartbeat.jsonl");
-    std::remove(path.c_str());
-    obs::setHeartbeatPath(path);
-    {
-        obs::ProgressMeter meter("test-phase", 10, "rows");
-        meter.addCached(2);
-        for (int i = 0; i < 8; ++i)
-            meter.tick();
-        meter.finish();
-    }
-    obs::setHeartbeatPath("");
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    size_t lines = 0;
-    bool saw_final = false;
-    while (std::getline(in, line)) {
-        ++lines;
-        obs::json::Value v;
-        std::string err;
-        ASSERT_TRUE(obs::json::Value::parse(line, &v, &err))
-            << "line " << lines << ": " << err;
-        EXPECT_EQ(v.find("schema")->asString(), "svard-heartbeat-v1");
-        EXPECT_EQ(v.find("phase")->asString(), "test-phase");
-        EXPECT_EQ(v.find("unit")->asString(), "rows");
-        EXPECT_EQ(v.find("total")->asU64(), 10u);
-        if (v.find("final")->asBool()) {
-            saw_final = true;
-            EXPECT_EQ(v.find("done")->asU64(), 8u);
-            EXPECT_EQ(v.find("cached")->asU64(), 2u);
-        }
-    }
-    // At least the forced first and final beats.
-    EXPECT_GE(lines, 2u);
-    EXPECT_TRUE(saw_final);
-    std::remove(path.c_str());
-}
-
-TEST(ObsProgressDeathTest, IntervalKnobsRejectMalformedValues)
-{
-    // Each interval is read once per process, so every probe runs in
-    // a re-executed child, which reports the exception it caught.
+    // The knob is read once per process, so every probe runs in a
+    // re-executed child, which reports the exception it caught.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     auto construct = [] {
         try {
@@ -390,19 +349,15 @@ TEST(ObsProgressDeathTest, IntervalKnobsRejectMalformedValues)
         }
         std::exit(0);
     };
-    ::setenv("SVARD_PROGRESS", "1", 1);
-    for (const char *ms : {"5s", "99999999999999999999"}) {
-        ::setenv("SVARD_PROGRESS_MS", ms, 1);
+    for (const char *v : {"yes", "off"}) {
+        ::setenv("SVARD_PROGRESS", v, 1);
         EXPECT_EXIT(construct(), ::testing::ExitedWithCode(2),
-                    "invalid_argument: SVARD_PROGRESS_MS")
-            << ms;
+                    "invalid_argument: SVARD_PROGRESS")
+            << v;
     }
-    ::unsetenv("SVARD_PROGRESS_MS");
+    ::setenv("SVARD_PROGRESS", "0", 1);
+    EXPECT_EXIT(construct(), ::testing::ExitedWithCode(0), "");
     ::unsetenv("SVARD_PROGRESS");
-    ::setenv("SVARD_HEARTBEAT_MS", "abc", 1);
-    EXPECT_EXIT(construct(), ::testing::ExitedWithCode(2),
-                "invalid_argument: SVARD_HEARTBEAT_MS");
-    ::unsetenv("SVARD_HEARTBEAT_MS");
 }
 
 // ------------------------------------------------------------------
@@ -426,7 +381,6 @@ TEST(ObsManifest, WriteReadRoundTrip)
     m.cellsCached = 10;
     m.baselinesExecuted = 6;
     m.baselinesCached = 2;
-    m.sinkQueueHighWater = 17;
     m.cachePath = "sweep.cache";
     ASSERT_TRUE(obs::writeManifest(path, m, obs::snapshot()));
 
@@ -446,7 +400,6 @@ TEST(ObsManifest, WriteReadRoundTrip)
     EXPECT_EQ(r.cellsCached, m.cellsCached);
     EXPECT_EQ(r.baselinesExecuted, m.baselinesExecuted);
     EXPECT_EQ(r.baselinesCached, m.baselinesCached);
-    EXPECT_EQ(r.sinkQueueHighWater, m.sinkQueueHighWater);
     EXPECT_EQ(r.cachePath, m.cachePath);
 
     // Raw schema validation: the fields external tools key on.
@@ -459,17 +412,20 @@ TEST(ObsManifest, WriteReadRoundTrip)
     EXPECT_EQ(doc.find("metrics")->type(),
               obs::json::Value::Type::Object);
     EXPECT_EQ(doc.find("simd_impl"), nullptr);
+    EXPECT_EQ(doc.find("sink_queue_high_water"), nullptr);
 
-    // Manifests written by older builds carry a "simd_impl" key and,
-    // from multi-process runs, a per-worker array; they must keep
-    // loading, with every other field intact.
+    // Manifests written by older builds carry "simd_impl" and
+    // "sink_queue_high_water" keys and, from multi-process runs, a
+    // per-worker array; they must keep loading, with every other
+    // field intact.
     const std::string old_path = tmpPath("old_manifest.json");
     {
         std::string text = slurp(path);
         const std::string anchor = "  \"build_flags\"";
         const size_t at = text.find(anchor);
         ASSERT_NE(at, std::string::npos);
-        text.insert(at, "  \"simd_impl\": \"avx2\",\n");
+        text.insert(at, "  \"simd_impl\": \"avx2\",\n"
+                        "  \"sink_queue_high_water\": 17,\n");
         const size_t metrics_at = text.find("  \"metrics\"");
         ASSERT_NE(metrics_at, std::string::npos);
         text.insert(metrics_at,
@@ -591,21 +547,17 @@ TEST(ObsInvariant, SweepCsvByteIdenticalWithInstrumentsOnOrOff)
     const std::string plain = slurp(plain_csv);
     ASSERT_FALSE(plain.empty());
 
-    // Pass 2: metrics + tracing + heartbeats + manifest, 1 thread.
+    // Pass 2: metrics + tracing + manifest, 1 thread.
     const std::string obs_csv = tmpPath("observed.csv");
     const std::string trace_path = tmpPath("sweep_trace.json");
-    const std::string beat_path = tmpPath("sweep_beats.jsonl");
-    std::remove(beat_path.c_str());
     obs::setMetricsEnabled(true);
     obs::startTrace(trace_path);
-    obs::setHeartbeatPath(beat_path);
     engine::SweepSpec observed = tinySpec(obs_csv, 1);
     observed.manifestPath = obs_csv + ".manifest.json";
     observed.progressLabel = "obs-test";
     engine::ExperimentRunner runner(std::move(observed));
     const size_t cells = runner.run().size();
     obs::stopTrace();
-    obs::setHeartbeatPath("");
     obs::setMetricsEnabled(false);
     EXPECT_EQ(slurp(obs_csv), plain)
         << "instrumented run altered the result table";
@@ -631,8 +583,7 @@ TEST(ObsInvariant, SweepCsvByteIdenticalWithInstrumentsOnOrOff)
             ++cell_spans;
     EXPECT_EQ(cell_spans, cells);
 
-    // Heartbeats flowed and the manifest describes the run.
-    EXPECT_FALSE(slurp(beat_path).empty());
+    // The manifest describes the run.
     obs::RunManifest m;
     ASSERT_TRUE(
         obs::readManifest(obs_csv + ".manifest.json", &m, &err))
@@ -647,7 +598,7 @@ TEST(ObsInvariant, SweepCsvByteIdenticalWithInstrumentsOnOrOff)
     EXPECT_FALSE(m.buildFlags.empty());
 
     for (const std::string &p :
-         {plain_csv, obs_csv, mt_csv, trace_path, beat_path,
+         {plain_csv, obs_csv, mt_csv, trace_path,
           obs_csv + ".manifest.json"})
         std::remove(p.c_str());
 }

@@ -36,6 +36,10 @@ established by hand:
                          an example stays only while a CI step runs it,
                          so demo programs that nothing runs cannot pile
                          up again.
+  env-knob-documented    Every SVARD_* knob read through envInt/envStr/
+                         std::getenv under src/ or bench/ is named in
+                         README.md: a knob nobody can find is an option
+                         nobody can use, or retire.
 
 Escapes, in order of preference:
 
@@ -44,8 +48,8 @@ Escapes, in order of preference:
   2. Per-rule path allowlist with rationale: tools/svard_lint_allow.txt
 
 Usage:
-    tools/svard_lint.py               lint src/ and examples/ (exit 1 on
-                                      findings)
+    tools/svard_lint.py               lint src/, bench/ and examples/
+                                      (exit 1 on findings)
     tools/svard_lint.py FILE...       lint specific files
     tools/svard_lint.py --self-test   run the fixture suite
     tools/svard_lint.py --list-rules  print the rule table
@@ -67,9 +71,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALLOWLIST_PATH = os.path.join(REPO, "tools", "svard_lint_allow.txt")
 ALLOW_RE = re.compile(r"svard-lint:\s*allow\(([a-z0-9-]+)\)")
 CI_PATH = os.path.join(REPO, ".github", "workflows", "ci.yml")
-# What example-in-ci matches against: ci.yml, read on first use;
-# --self-test installs FIXTURE_CI instead.
+README_PATH = os.path.join(REPO, "README.md")
+# What example-in-ci and env-knob-documented match against: ci.yml and
+# README.md, read on first use; --self-test installs FIXTURE_CI and
+# FIXTURE_README instead.
 _ci_text: str | None = None
+_readme_text: str | None = None
 
 
 @dataclass
@@ -189,6 +196,26 @@ def example_in_ci_check(rule: Rule, relpath: str, raw: list[str],
         yield Finding(rule.id, relpath, 1, rule.message)
 
 
+ENV_KNOB_RE = re.compile(
+    r"\b(?:envInt|envStr|getenv)\s*\(\s*\"(SVARD_[A-Z0-9_]+)\"")
+
+
+def env_knob_check(rule: Rule, relpath: str, raw: list[str],
+                   code: list[str]):
+    global _readme_text
+    if _readme_text is None:
+        with open(README_PATH, encoding="utf-8") as f:
+            _readme_text = f.read()
+    for idx, line in enumerate(code):
+        for m in ENV_KNOB_RE.finditer(line):
+            knob = m.group(1)
+            # The whole name: SVARD_CACHE_FSYNC does not document
+            # SVARD_CACHE.
+            if not re.search(rf"{knob}(?![A-Z0-9_])", _readme_text):
+                yield Finding(rule.id, relpath, idx + 1,
+                              f"{knob} is not documented in README.md")
+
+
 RULES = [
     Rule(
         id="defense-no-node-maps",
@@ -246,6 +273,13 @@ RULES = [
                 "its output; otherwise delete it)",
         check=example_in_ci_check,
     ),
+    Rule(
+        id="env-knob-documented",
+        paths=["src/*", "src/*/*", "bench/*"],
+        message="SVARD_* knob read through envInt/envStr/getenv but "
+                "not named in README.md",
+        check=env_knob_check,
+    ),
 ]
 
 
@@ -302,7 +336,7 @@ def lint_file(abspath: str, relpath: str,
 
 def iter_tree() -> list[str]:
     out = []
-    for top in ("src", "examples"):
+    for top in ("src", "bench", "examples"):
         for root, _dirs, files in os.walk(os.path.join(REPO, top)):
             for name in files:
                 if name.endswith((".h", ".cc", ".cpp")):
@@ -480,6 +514,24 @@ FIXTURES = [
         "// svard-lint: allow(example-in-ci) run by a nightly job\n"
         "int main() { return 0; }\n",
         []),
+    # -- env-knob-documented (against FIXTURE_README) -------------------
+    Fixture(
+        "bench/fixture.cc",
+        "const int64_t n = envInt(\"SVARD_UNDOCUMENTED\", 4);\n",
+        ["env-knob-documented"]),
+    Fixture(  # a longer documented name does not cover a prefix
+        "src/obs/fixture.cc",
+        "const char *v = std::getenv(\"SVARD_DEMO\");\n",
+        ["env-knob-documented"]),
+    Fixture(
+        "src/obs/fixture.cc",
+        "const std::string p = envStr(\"SVARD_DEMO_PATH\", \"\");\n",
+        []),
+    Fixture(
+        "bench/fixture.cc",
+        "// svard-lint: allow(env-knob-documented) test-only knob\n"
+        "const int64_t n = envInt(\"SVARD_UNDOCUMENTED\", 4);\n",
+        []),
     # -- multi-rule ----------------------------------------------------
     Fixture(
         "src/defense/fixture.cc",
@@ -490,11 +542,14 @@ FIXTURES = [
 
 # The workflow the example-in-ci fixtures are checked against.
 FIXTURE_CI = "      - run: ./build/bin/run_demo 128 1500 > out.txt\n"
+# The README the env-knob-documented fixtures are checked against.
+FIXTURE_README = "| `SVARD_DEMO_PATH=p` | where the demo writes |\n"
 
 
 def self_test() -> int:
-    global _ci_text
+    global _ci_text, _readme_text
     _ci_text = FIXTURE_CI
+    _readme_text = FIXTURE_README
     failures = 0
     import tempfile
     for i, fx in enumerate(FIXTURES):
@@ -529,7 +584,8 @@ def self_test() -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="*",
-                    help="files to lint (default: src/ and examples/)")
+                    help="files to lint (default: src/, bench/ and "
+                         "examples/)")
     ap.add_argument("--self-test", action="store_true",
                     help="run the fixture suite and exit")
     ap.add_argument("--list-rules", action="store_true",
