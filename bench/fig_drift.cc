@@ -15,7 +15,9 @@
  *
  * Scale knobs: SVARD_MIXES (default 3), SVARD_REQS (default 6000),
  * SVARD_THREADS, SVARD_EPOCHS drifted tREFW epochs (default 32),
- * SVARD_GUARDBAND fractional threshold headroom (default 0.02).
+ * SVARD_GUARDBAND the escape margin (default 0.02): a row escapes when
+ * its drifted HC_first falls more than this fraction below its
+ * calibrated value. No defense reads it.
  * SVARD_TINY=1 shrinks to {PARA, Hydra} x {aging} x {none,
  * periodic:8} for smoke tests and the CI drift-grid check.
  *
@@ -25,6 +27,7 @@
  * the thermal+aging composite drifts hardest.
  */
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 
@@ -37,6 +40,18 @@ using namespace svard::bench;
 int
 main(int argc, char **argv)
 {
+    // Parsed before parseSweepIo opens --out, so a malformed value
+    // exits without leaving a file behind.
+    const double guardband = [] {
+        const std::string raw = envStr("SVARD_GUARDBAND", "0.02");
+        double v = 0.0;
+        const char *end = raw.data() + raw.size();
+        const auto [ptr, ec] = std::from_chars(raw.data(), end, v);
+        if (ec != std::errc() || ptr != end)
+            SVARD_FATAL("SVARD_GUARDBAND: expected a number, got \"" +
+                        raw + "\"");
+        return v;
+    }();
     const SweepIo sio = parseSweepIo(argc, argv);
     installStopHandlers();
 
@@ -49,10 +64,6 @@ main(int argc, char **argv)
     const bool tiny = envInt("SVARD_TINY", 0) != 0;
     const uint32_t epochs =
         static_cast<uint32_t>(envInt("SVARD_EPOCHS", 32));
-    const double guardband = [] {
-        const std::string raw = envStr("SVARD_GUARDBAND", "0.02");
-        return std::strtod(raw.c_str(), nullptr);
-    }();
 
     std::vector<std::string> models;
     std::vector<std::string> policies;

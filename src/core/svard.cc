@@ -29,7 +29,6 @@ Svard::Svard(std::shared_ptr<const VulnProfile> profile)
 double
 Svard::victimThreshold(uint32_t bank, uint32_t row) const
 {
-    ++lookups_;
     return profile_->thresholdOf(bank, row);
 }
 

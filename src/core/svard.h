@@ -76,40 +76,7 @@ class ThresholdProvider
         return slot;
     }
 
-    // ---- temporal calibration state (drift robustness layer) ----
-    // Thresholds above are a snapshot from characterization time; on
-    // a drifting module the defense must know *when* it was
-    // calibrated and how much safety margin it keeps against the
-    // profile going stale (fault/drift.h, core/recal.h).
-
-    /** Stamp the profile snapshot: drift epoch it was taken at and
-     *  the fractional threshold headroom the defense enforces. */
-    void
-    setCalibration(uint64_t epoch, double guardband)
-    {
-        calibrationEpoch_ = epoch;
-        guardband_ = guardband;
-    }
-
-    /** Drift epoch this provider's thresholds were characterized at
-     *  (0 = factory calibration / static operation). */
-    uint64_t calibrationEpoch() const { return calibrationEpoch_; }
-
-    /** Fractional safety margin in [0, 1): the defense acts as if
-     *  every threshold were this much lower than calibrated. */
-    double guardband() const { return guardband_; }
-
-    /** The threshold a guardbanded defense actually enforces. */
-    double
-    enforcedThreshold(uint32_t bank, uint32_t row) const
-    {
-        return victimThreshold(bank, row) * (1.0 - guardband_);
-    }
-
   private:
-    uint64_t calibrationEpoch_ = 0;
-    double guardband_ = 0.0;
-
     void
     initBudgetMemo() const
     {
@@ -179,12 +146,8 @@ class Svard : public ThresholdProvider
 
     const VulnProfile &profile() const { return *profile_; }
 
-    /** Table lookups served (each overlaps a row activation). */
-    uint64_t lookups() const { return lookups_; }
-
   private:
     std::shared_ptr<const VulnProfile> profile_;
-    mutable uint64_t lookups_ = 0;
 };
 
 } // namespace svard::core

@@ -165,15 +165,6 @@ class DramDevice
     void setDisturbanceEnabled(bool on) { disturbanceEnabled_ = on; }
     bool disturbanceEnabled() const { return disturbanceEnabled_; }
 
-    /**
-     * Drop every memoized per-row model quantity (HC_first,
-     * severities, ACT weights). Required whenever the disturbance
-     * model's answers change underneath the device — e.g. a
-     * fault::DriftingModel epoch advance — since the memo otherwise
-     * keeps serving calibration-time values. O(1) (generation bump).
-     */
-    void invalidateModelMemo() { memo_.clear(); }
-
   private:
     struct BankState
     {

@@ -53,8 +53,6 @@ struct TimingParams
     Tick tRFC = 350000;        ///< REF -> next command (8Gb: 350ns)
     Tick tREFI = 7800000;      ///< average refresh interval (7.8us)
     Tick tREFW = 64 * kPsPerMs;///< refresh window (64ms at <= 85C)
-
-    bool operator==(const TimingParams &) const = default;
 };
 
 /**

@@ -141,34 +141,6 @@ validateProviderLabels(const std::vector<ProviderSpec> &providers)
     }
 }
 
-/** Organization-derived geometry label ("2ch-16b-128Kr"). */
-std::string
-derivedGeometryLabel(const sim::SimConfig &g)
-{
-    return std::to_string(g.channels) + "ch-" +
-           std::to_string(g.banksPerRank()) + "b-" +
-           std::to_string(g.rowsPerBank / 1024) + "Kr";
-}
-
-/** Does the config's DRAM system still match the preset its label
- *  claims — organization AND timing table (a preset name promises
- *  both; CPU-side fields are not geometry)? Hand-built geometries
- *  start from a preset (usually the default SimConfig) and mutate
- *  fields, which would leave two different systems reported under
- *  one label. */
-bool
-labelMatchesOrganization(const sim::SimConfig &g)
-{
-    if (!sim::presets::contains(g.geometry))
-        return true; // custom label: the caller's to keep
-    const sim::SimConfig p = sim::presets::get(g.geometry);
-    return g.standard == p.standard && g.channels == p.channels &&
-           g.ranks == p.ranks && g.bankGroups == p.bankGroups &&
-           g.banksPerGroup == p.banksPerGroup &&
-           g.rowsPerBank == p.rowsPerBank && g.rowBytes == p.rowBytes &&
-           g.timing == p.timing;
-}
-
 using ProfileMap =
     std::map<std::pair<uint32_t, std::string>,
              std::shared_ptr<const core::VulnProfile>>;
@@ -214,8 +186,8 @@ sharedScaled(const core::VulnProfile &base, double threshold)
     return scaled;
 }
 
-/** A cell's threshold provider, fresh per cell (its lookup counters
- *  mutate): Svärd over the shared scaled profile of its module, or
+/** A cell's threshold provider, fresh per cell (its budget memo
+ *  mutates): Svärd over the shared scaled profile of its module, or
  *  the uniform worst case when the provider names none. */
 std::shared_ptr<const core::ThresholdProvider>
 cellProvider(const ProfileMap &scaled, uint32_t geom,
@@ -415,21 +387,12 @@ writeGridManifest(const Spec &spec, obs::RunManifest &m,
 ExperimentRunner::ExperimentRunner(SweepSpec spec)
     : spec_(std::move(spec))
 {
-    // Geometry axis: explicit configs, then named presets (resolved
-    // here so a typo throws on the caller's thread). Both empty means
-    // the base config alone.
-    geoms_ = spec_.geometries;
+    // Geometry axis: named presets (resolved here so a typo throws
+    // on the caller's thread), else the base config alone.
     for (const auto &name : spec_.geometryNames)
         geoms_.push_back(sim::presets::get(name));
     if (geoms_.empty())
         geoms_.push_back(spec_.config);
-    // A hand-built config that mutated organization fields but kept
-    // its source preset's label would report two organizations under
-    // one name; relabel those from their actual shape. (Fingerprints
-    // hash every field regardless — this is about honest columns.)
-    for (sim::SimConfig &g : geoms_)
-        if (!labelMatchesOrganization(g))
-            g.geometry = derivedGeometryLabel(g);
     // Validate names up front: a typo must throw here on the caller's
     // thread, not inside a sharded worker.
     for (const auto &name : spec_.defenses)

@@ -99,7 +99,7 @@ class ExperimentRunner
 
     const SweepSpec &spec() const { return spec_; }
 
-    /** The geometry axis after defaulting (spec.geometries or config). */
+    /** The geometry axis after defaulting (geometryNames or config). */
     const std::vector<sim::SimConfig> &geometries() const
     {
         return geoms_;
@@ -159,13 +159,13 @@ class ExperimentRunner
      *  prebuilt: the cells sharing a provider configuration share one
      *  immutable profile (occupancy pre-refreshed) instead of each
      *  copying and rescaling megabytes of bin data. Svard instances
-     *  stay per-cell — their lookup counters and budget memos mutate. */
+     *  stay per-cell — their budget memos mutate. */
     std::vector<ProfileMap> scaledProfiles_;
 
     /** Per-mix core traces, generated once and copied into each cell
      *  (traces depend only on the base seed, not the geometry).
-     *  Providers, by contrast, stay per-cell: Svard and VulnProfile
-     *  keep mutable lazy counters, so sharing one instance across
+     *  Providers, by contrast, stay per-cell: each fills a mutable
+     *  aggressor-budget memo, so sharing one instance across
      *  concurrently-running cells would race. */
     std::vector<std::vector<std::vector<sim::TraceEntry>>> mixTraces_;
     std::vector<std::vector<double>> aloneIpc_;         ///< [geom][bench]

@@ -98,19 +98,13 @@ struct SweepSpec
     sim::SimConfig config;
 
     /**
-     * Optional geometry axis. Every entry is swept as its own
-     * (channels/ranks/banks/rows) system; each entry's `geometry`
-     * label lands in the sink's geometry column and in cache
-     * fingerprints. When both this and `geometryNames` are empty the
-     * axis defaults to {config}.
-     */
-    std::vector<sim::SimConfig> geometries;
-
-    /**
-     * Geometry axis by preset name (sim/presets.h): resolved through
-     * sim::presets::get and appended after `geometries`. Unknown
-     * names throw std::invalid_argument at construction — a typoed
-     * preset must never silently sweep the default system.
+     * Optional geometry axis by preset name (sim/presets.h), resolved
+     * through sim::presets::get. Every entry is swept as its own
+     * (channels/ranks/banks/rows) system; its `geometry` label lands
+     * in the sink's geometry column and in cache fingerprints. Empty
+     * defaults the axis to {config}. Unknown names throw
+     * std::invalid_argument at construction — a typoed preset must
+     * never silently sweep the default system.
      */
     std::vector<std::string> geometryNames;
 

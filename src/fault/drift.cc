@@ -212,65 +212,4 @@ DriftField::factor(uint32_t bank, uint32_t row, int64_t hc_q,
     return f;
 }
 
-DriftingModel::DriftingModel(
-    std::shared_ptr<const dram::DisturbanceModel> inner,
-    const DriftModelSpec &spec, uint64_t seed, uint32_t epochs)
-    : inner_(std::move(inner)), field_(spec, seed, epochs)
-{
-}
-
-double
-DriftingModel::hcFirst(uint32_t bank, uint32_t phys_row) const
-{
-    const double hc = inner_->hcFirst(bank, phys_row);
-    if (epoch_ == 0)
-        return hc;
-    return hc * field_.factor(bank, phys_row,
-                              VulnerabilityModel::quantizeHc(hc),
-                              epoch_);
-}
-
-double
-DriftingModel::berAt(uint32_t bank, uint32_t phys_row,
-                     double eff_hammers) const
-{
-    if (epoch_ == 0)
-        return inner_->berAt(bank, phys_row, eff_hammers);
-    // An HC_first scaled by f behaves as if hammered 1/f as hard.
-    const double hc = inner_->hcFirst(bank, phys_row);
-    const double f = field_.factor(
-        bank, phys_row, VulnerabilityModel::quantizeHc(hc), epoch_);
-    return inner_->berAt(bank, phys_row, eff_hammers / f);
-}
-
-double
-DriftingModel::actWeight(uint32_t bank, uint32_t phys_row,
-                         dram::Tick t_agg_on) const
-{
-    return inner_->actWeight(bank, phys_row, t_agg_on);
-}
-
-double
-DriftingModel::trueCellFraction(uint32_t bank,
-                                uint32_t phys_row) const
-{
-    return inner_->trueCellFraction(bank, phys_row);
-}
-
-double
-DriftingModel::sameDataCoupling(uint32_t bank,
-                                uint32_t phys_row) const
-{
-    return inner_->sameDataCoupling(bank, phys_row);
-}
-
-double
-DriftingModel::patternJitter(uint32_t bank, uint32_t phys_row,
-                             uint8_t victim_fill,
-                             uint8_t aggr_fill) const
-{
-    return inner_->patternJitter(bank, phys_row, victim_fill,
-                                 aggr_fill);
-}
-
 } // namespace svard::fault

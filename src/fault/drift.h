@@ -19,20 +19,18 @@
  *
  * The factor is exactly 1.0 at epoch 0 (calibration time), so a
  * zero-epoch or `none` drift axis reproduces the static path bit for
- * bit. DriftingModel wraps any DisturbanceModel so a DramDevice
- * exposes the *current* HC_first while defenses keep whatever profile
- * they were last calibrated with; callers must invalidate the
- * device's model memo after advancing the epoch.
+ * bit. Drift reaches sweep results only through
+ * engine::evaluateDrift (engine/drift_eval.h): it compares each
+ * sampled row's factor now against its factor at the last
+ * recalibration, while the defense keeps the profile it was
+ * calibrated with.
  */
 #ifndef SVARD_FAULT_DRIFT_H
 #define SVARD_FAULT_DRIFT_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "dram/disturbance.h"
 
 namespace svard::fault {
 
@@ -102,51 +100,11 @@ class DriftField
     double factor(uint32_t bank, uint32_t row, int64_t hc_q,
                   uint32_t epoch) const;
 
-    const DriftModelSpec &spec() const { return spec_; }
-    uint32_t epochs() const { return epochs_; }
-
   private:
     DriftModelSpec spec_;
     uint64_t seed_;
     uint32_t epochs_;
     std::vector<double> temps_; ///< [epoch] settled plant temperature
-};
-
-/**
- * DisturbanceModel decorator that applies a DriftField to an inner
- * model's HC_first at the current epoch; all other disturbance
- * quantities pass through. After setEpoch(), any DramDevice built on
- * this model must invalidateModelMemo() — the device memoizes
- * hcFirst per row.
- */
-class DriftingModel : public dram::DisturbanceModel
-{
-  public:
-    DriftingModel(std::shared_ptr<const dram::DisturbanceModel> inner,
-                  const DriftModelSpec &spec, uint64_t seed,
-                  uint32_t epochs);
-
-    void setEpoch(uint32_t e) { epoch_ = e; }
-    uint32_t epoch() const { return epoch_; }
-    const DriftField &field() const { return field_; }
-
-    double hcFirst(uint32_t bank, uint32_t phys_row) const override;
-    double berAt(uint32_t bank, uint32_t phys_row,
-                 double eff_hammers) const override;
-    double actWeight(uint32_t bank, uint32_t phys_row,
-                     dram::Tick t_agg_on) const override;
-    double trueCellFraction(uint32_t bank,
-                            uint32_t phys_row) const override;
-    double sameDataCoupling(uint32_t bank,
-                            uint32_t phys_row) const override;
-    double patternJitter(uint32_t bank, uint32_t phys_row,
-                         uint8_t victim_fill,
-                         uint8_t aggr_fill) const override;
-
-  private:
-    std::shared_ptr<const dram::DisturbanceModel> inner_;
-    DriftField field_;
-    uint32_t epoch_ = 0;
 };
 
 } // namespace svard::fault

@@ -22,9 +22,8 @@ struct Event
     const char *category;
     const char *name;
     uint64_t tsNs;  ///< start, ns since trace epoch
-    uint64_t durNs; ///< 0 for instant events
+    uint64_t durNs;
     uint32_t tid;
-    char phase; ///< 'X' complete, 'i' instant
     std::string args; ///< pre-rendered `"k": v` pairs, comma-joined
 };
 
@@ -81,18 +80,13 @@ writeTraceFile(Recorder &r) SVARD_REQUIRES(r.mu)
     for (const Event &e : r.events) {
         std::fprintf(
             f,
-            "%s\n{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", "
-            "\"ts\": %.3f, ",
+            "%s\n{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
+            "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %u, "
+            "\"args\": {%s}}",
             first ? "" : ",", json::escape(e.name).c_str(),
-            json::escape(e.category).c_str(), e.phase,
-            double(e.tsNs) / 1000.0);
+            json::escape(e.category).c_str(), double(e.tsNs) / 1000.0,
+            double(e.durNs) / 1000.0, e.tid, e.args.c_str());
         first = false;
-        if (e.phase == 'X')
-            std::fprintf(f, "\"dur\": %.3f, ", double(e.durNs) / 1000.0);
-        else
-            std::fprintf(f, "\"s\": \"t\", ");
-        std::fprintf(f, "\"pid\": 1, \"tid\": %u, \"args\": {%s}}",
-                     e.tid, e.args.c_str());
     }
     std::fprintf(f, "\n]}\n");
     std::fclose(f);
@@ -116,7 +110,7 @@ initFromEnv()
 
 void
 record(const char *category, const char *name, uint64_t tsNs,
-       uint64_t durNs, char phase, std::string args)
+       uint64_t durNs, std::string args)
 {
     Recorder &r = recorder();
     const uint32_t lane = myLane();
@@ -125,7 +119,7 @@ record(const char *category, const char *name, uint64_t tsNs,
         return; // stopped while the span was open: drop it
     r.lanesSeen = std::max(r.lanesSeen, lane);
     r.events.push_back(
-        {category, name, tsNs, durNs, lane, phase, std::move(args)});
+        {category, name, tsNs, durNs, lane, std::move(args)});
 }
 
 uint64_t
@@ -202,7 +196,7 @@ Span::~Span()
         return;
     const uint64_t tsNs = sinceEpochNs(rec_->start);
     const uint64_t durNs = sinceEpochNs(Clock::now()) - tsNs;
-    record(rec_->category, rec_->name, tsNs, durNs, 'X',
+    record(rec_->category, rec_->name, tsNs, durNs,
            std::move(rec_->args));
     delete rec_;
 }
@@ -237,14 +231,6 @@ Span::arg(const char *key, double v)
         rec_->args += ", ";
     rec_->args +=
         "\"" + json::escape(key) + "\": " + json::formatNumber(v);
-}
-
-void
-traceInstant(const char *category, const char *name)
-{
-    if (!traceEnabled())
-        return;
-    record(category, name, sinceEpochNs(Clock::now()), 0, 'i', {});
 }
 
 } // namespace svard::obs

@@ -62,9 +62,6 @@ class Span
     Rec *rec_ = nullptr; ///< null when tracing is disabled
 };
 
-/** Record a zero-duration instant event (marks, e.g. "cache invalid"). */
-void traceInstant(const char *category, const char *name);
-
 } // namespace svard::obs
 
 #endif // SVARD_OBS_TRACE_H

@@ -61,16 +61,10 @@ defense::DefenseStats
 SimEngine::defenseStats() const
 {
     defense::DefenseStats sum;
-    // The external-defense constructor aliases one instance across
-    // its (single) channel; count each distinct instance once.
-    for (uint32_t c = 0; c < channels(); ++c) {
-        const defense::Defense *d = defenses_[c];
+    // Each non-null defense is its channel's own instance: the
+    // caller-owned constructor allows one only on a single channel.
+    for (const defense::Defense *d : defenses_) {
         if (!d)
-            continue;
-        bool seen = false;
-        for (uint32_t p = 0; p < c; ++p)
-            seen = seen || defenses_[p] == d;
-        if (seen)
             continue;
         const defense::DefenseStats &s = d->stats();
         sum.activationsObserved += s.activationsObserved;

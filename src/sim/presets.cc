@@ -73,15 +73,6 @@ names()
     return all;
 }
 
-bool
-contains(const std::string &name)
-{
-    for (const Preset &p : kPresets)
-        if (name == p.name)
-            return true;
-    return false;
-}
-
 SimConfig
 get(const std::string &name)
 {

@@ -33,8 +33,6 @@ namespace svard::sim::presets {
 /** All registered preset names, in registration order. */
 const std::vector<std::string> &names();
 
-bool contains(const std::string &name);
-
 /**
  * The fully-resolved configuration of a preset (its `geometry` field
  * carries the preset name).

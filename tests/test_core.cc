@@ -118,7 +118,7 @@ TEST(VulnProfile, MetadataBitsMatchesFourBitsPerRow)
               4ull * 16ull * 64ull * 1024ull);
 }
 
-TEST(Svard, LookupMatchesProfileAndCounts)
+TEST(Svard, LookupMatchesProfile)
 {
     auto model = makeModel("M0");
     auto prof = std::make_shared<VulnProfile>(
@@ -127,7 +127,6 @@ TEST(Svard, LookupMatchesProfileAndCounts)
     EXPECT_DOUBLE_EQ(svard.victimThreshold(3, 77),
                      prof->thresholdOf(3, 77));
     EXPECT_DOUBLE_EQ(svard.worstCase(), prof->minThreshold());
-    EXPECT_EQ(svard.lookups(), 1u);
 }
 
 TEST(Svard, AggressorBudgetIsMinOfNeighbors)

@@ -2,12 +2,11 @@
  * @file
  * Tests for the temporal-drift robustness layer: the drift-model and
  * recalibration-policy grammars, the deterministic DriftField
- * trajectory, the DriftingModel device decorator (stale-profile
- * escapes at the device level), the pure per-cell drift evaluator,
- * and the sweep-axis plumbing — degenerate equivalence with the
- * static path (byte-identical CSV at 1 and 4 threads), cache resume,
- * kill drills at the recal.apply/recal.write fault points, and the
- * manifest's drift totals.
+ * trajectory, the pure per-cell drift evaluator, and the sweep-axis
+ * plumbing — degenerate equivalence with the static path
+ * (byte-identical CSV at 1 and 4 threads), guardband semantics, cache
+ * resume, kill drills at the recal.apply/recal.write fault points,
+ * and the manifest's drift totals.
  */
 #include <gtest/gtest.h>
 
@@ -19,15 +18,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "bender/test_session.h"
 #include "core/recal.h"
-#include "core/svard.h"
-#include "dram/device.h"
-#include "dram/module_spec.h"
 #include "engine/drift_eval.h"
 #include "engine/runner.h"
 #include "fault/drift.h"
-#include "fault/vuln_model.h"
 #include "fault_inject/fault_inject.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
@@ -176,99 +170,6 @@ TEST(DriftField, ThermalScheduleSettlesAroundCalibration)
     // The sinusoid actually moves the operating point.
     EXPECT_GT(field.temperatureAt(1),
               fault::DriftField::kCalibTempC + 5.0);
-}
-
-// -----------------------------------------------------------------
-// DriftingModel against the behavioral device
-// -----------------------------------------------------------------
-
-TEST(DriftingModel, ExposesCurrentHcFirstWhileCalibrationGoesStale)
-{
-    const dram::ModuleSpec &spec = dram::moduleByLabel("S2");
-    auto subarrays = std::make_shared<dram::SubarrayMap>(spec);
-    auto inner = std::make_shared<fault::VulnerabilityModel>(
-        spec, subarrays);
-    auto drifting = std::make_shared<fault::DriftingModel>(
-        inner, fault::DriftModelSpec::parse("thermal:40:4"), 21, 4);
-    dram::DramDevice device(spec, subarrays, drifting);
-    bender::TestSession session(device);
-
-    const uint32_t bank = 1;
-    uint32_t victim = UINT32_MAX;
-    for (uint32_t r = 0; r < 8192 && victim == UINT32_MAX; ++r)
-        if (session.aggressorRowsOf(r).size() == 2)
-            victim = r;
-    ASSERT_NE(victim, UINT32_MAX);
-    const auto aggr = session.aggressorRowsOf(victim);
-    const uint32_t phys = device.mapping().toPhysical(victim);
-
-    const double cal_hc = inner->hcFirst(bank, phys);
-    EXPECT_EQ(drifting->hcFirst(bank, phys), cal_hc);
-
-    // Epoch 1 sits at the hot peak of the 4-epoch sinusoid: every
-    // row's HC_first must have dropped below its calibration value.
-    drifting->setEpoch(1);
-    device.invalidateModelMemo(); // the device memoizes hcFirst
-    ASSERT_GT(drifting->field().temperatureAt(1),
-              drifting->field().temperatureAt(0) + 20.0);
-    const double hot_hc = drifting->hcFirst(bank, phys);
-    EXPECT_LT(hot_hc, cal_hc);
-    EXPECT_GT(hot_hc, 0.2 * cal_hc);
-    // thermal:40 at sensitivity in [0.5, 1.5) lands the factor in
-    // (0.76, 0.92]; the 0.95-step search below needs f < 0.94.
-    const double f = hot_hc / cal_hc;
-    ASSERT_LT(f, 0.94) << "thermal drift too weak for this drill";
-    drifting->setEpoch(0);
-    device.invalidateModelMemo();
-
-    // Device-level stale-profile escape: find the largest hammer
-    // count the calibrated module survives, then replay the identical
-    // attack at the hot epoch — the same count must now flip bits,
-    // because the device exposes the *current* HC_first while any
-    // defense profile captured at calibration time is stale.
-    auto flips_at = [&](uint64_t hammers) {
-        const auto m = session.measureBer(
-            bank, victim, aggr[0], aggr[1],
-            fault::DataPattern::RowStripe, hammers,
-            36 * dram::kPsPerNs);
-        return m.flippedBits;
-    };
-    uint64_t h = static_cast<uint64_t>(2.0 * cal_hc);
-    int guard = 0;
-    while (flips_at(h) == 0 && ++guard < 4)
-        h *= 2; // pattern effects can push the flip point above 2x
-    ASSERT_LT(guard, 4) << "no hammer count flips this victim";
-    guard = 0;
-    while (flips_at(h) > 0 && ++guard < 120)
-        h = static_cast<uint64_t>(h * 0.95);
-    ASSERT_LT(guard, 120);
-    ASSERT_GT(h, 0u);
-    EXPECT_EQ(flips_at(h), 0u);
-
-    drifting->setEpoch(1);
-    device.invalidateModelMemo();
-    EXPECT_GT(flips_at(h), 0u)
-        << "drifted chip must flip where the calibrated one held";
-}
-
-// -----------------------------------------------------------------
-// ThresholdProvider calibration state + guardband
-// -----------------------------------------------------------------
-
-TEST(ThresholdProvider, GuardbandTightensEnforcedThreshold)
-{
-    core::UniformThreshold provider(1000.0, 4096);
-    EXPECT_EQ(provider.calibrationEpoch(), 0u);
-    EXPECT_DOUBLE_EQ(provider.guardband(), 0.0);
-    EXPECT_DOUBLE_EQ(provider.enforcedThreshold(0, 7), 1000.0);
-
-    provider.setCalibration(5, 0.1);
-    EXPECT_EQ(provider.calibrationEpoch(), 5u);
-    EXPECT_DOUBLE_EQ(provider.guardband(), 0.1);
-    EXPECT_DOUBLE_EQ(provider.enforcedThreshold(0, 7), 900.0);
-    // The raw victim threshold is untouched: the guardband is an
-    // enforcement-side margin, not a profile rewrite.
-    EXPECT_DOUBLE_EQ(provider.victimThreshold(0, 7), 1000.0);
 }
 
 // -----------------------------------------------------------------
@@ -429,6 +330,43 @@ TEST(DriftSweep, DegenerateAxisIsByteIdenticalToStaticPath)
     EXPECT_EQ(csv[1][0], csv[1][1]) << "degenerate axis thread variance";
     EXPECT_EQ(csv[0][0], csv[1][0])
         << "explicit static drift entry must not change a single byte";
+}
+
+TEST(DriftSweep, GuardbandOnlySetsTheEscapeMargin)
+{
+    // No defense reads the guardband: under a policy that never
+    // recalibrates, two sweeps that differ only in guardband simulate
+    // bit-identical mixes, and only the escape count moves.
+    std::vector<engine::CellResult> runs[2];
+    const double guardbands[2] = {0.02, 0.3};
+    for (int v = 0; v < 2; ++v) {
+        engine::SweepSpec s = driftSweepSpec(1);
+        s.drifts = {driftEntry("aging:8", "none", 8, guardbands[v])};
+        engine::ExperimentRunner runner(std::move(s));
+        runs[v] = runner.run();
+    }
+    ASSERT_EQ(runs[0].size(), 4u);
+    ASSERT_EQ(runs[1].size(), runs[0].size());
+    uint64_t escapes[2] = {0, 0};
+    for (size_t i = 0; i < runs[0].size(); ++i) {
+        const engine::CellResult &a = runs[0][i];
+        const engine::CellResult &b = runs[1][i];
+        EXPECT_EQ(a.metrics.weightedSpeedup, b.metrics.weightedSpeedup);
+        EXPECT_EQ(a.metrics.harmonicSpeedup, b.metrics.harmonicSpeedup);
+        EXPECT_EQ(a.metrics.maxSlowdown, b.metrics.maxSlowdown);
+        EXPECT_EQ(a.normalized.weightedSpeedup,
+                  b.normalized.weightedSpeedup);
+        EXPECT_EQ(a.normalized.harmonicSpeedup,
+                  b.normalized.harmonicSpeedup);
+        EXPECT_EQ(a.normalized.maxSlowdown, b.normalized.maxSlowdown);
+        EXPECT_EQ(a.drift.recalibrations, 0u);
+        EXPECT_EQ(b.drift.recalibrations, 0u);
+        escapes[0] += a.drift.escapes;
+        escapes[1] += b.drift.escapes;
+    }
+    EXPECT_NE(escapes[0], escapes[1]);
+    EXPECT_GT(escapes[0], escapes[1])
+        << "a wider guardband must not admit more escapes";
 }
 
 TEST(DriftSweep, ThreadCountAndCacheResumeAreByteIdentical)

@@ -288,31 +288,6 @@ TEST(ExperimentRunner, CellsCarryMetadataAndSaneNormalization)
     }
 }
 
-TEST(ExperimentRunner, GeometryIsASweepAxis)
-{
-    engine::SweepSpec spec = smallSpec(0);
-    sim::SimConfig two_channel = spec.config;
-    two_channel.channels = 2;
-    spec.geometries = {spec.config, two_channel};
-    spec.defenses = {"para"};
-    spec.providers = {engine::ProviderSpec::svard("S3")};
-    spec.mixes = {spec.mixes[0]};
-
-    engine::ExperimentRunner runner(std::move(spec));
-    const auto &cells = runner.run();
-    ASSERT_EQ(cells.size(), 2u);
-    EXPECT_EQ(cells[0].cell.geom, 0u);
-    EXPECT_EQ(cells[1].cell.geom, 1u);
-    for (const auto &c : cells)
-        EXPECT_GT(c.metrics.weightedSpeedup, 0.0);
-    // The hand-built 2-channel config kept the default config's
-    // "ddr4-table4" label while changing the organization; the
-    // runner relabels it from its actual shape so the two
-    // geometries never report under one name.
-    EXPECT_EQ(cells[0].geometry, "ddr4-table4");
-    EXPECT_EQ(cells[1].geometry, "2ch-16b-128Kr");
-}
-
 engine::SweepSpec
 presetSpec(unsigned threads)
 {

@@ -95,14 +95,12 @@ TEST(Presets, RegistryResolvesFullConfigs)
     const auto &names = sim::presets::names();
     ASSERT_GE(names.size(), 3u);
     for (const auto &name : names) {
-        EXPECT_TRUE(sim::presets::contains(name));
         const sim::SimConfig cfg = sim::presets::get(name);
         EXPECT_EQ(cfg.geometry, name);
         EXPECT_GT(cfg.banksPerRank(), 0u);
         EXPECT_GT(cfg.rowsPerBank, 0u);
         EXPECT_GT(cfg.timing.tCK, 0);
     }
-    EXPECT_FALSE(sim::presets::contains("ddr6-vaporware"));
     try {
         sim::presets::get("ddr6-vaporware");
         FAIL() << "expected std::invalid_argument";
@@ -267,10 +265,11 @@ expectActTimingRespected(const std::vector<ActRecorder::Act> &acts,
         std::map<uint32_t, dram::Tick> last_bg;
         for (const auto &[time, bg] : seq) {
             const auto it = last_bg.find(bg);
-            if (it != last_bg.end())
+            if (it != last_bg.end()) {
                 EXPECT_GE(time - it->second, t.tRRD_L)
                     << "tRRD_L violated in rank " << rank
                     << " bank group " << bg;
+            }
             last_bg[bg] = time;
         }
     }
