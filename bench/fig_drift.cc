@@ -15,9 +15,9 @@
  *
  * Scale knobs: SVARD_MIXES (default 3), SVARD_REQS (default 6000),
  * SVARD_THREADS, SVARD_EPOCHS drifted tREFW epochs (default 32),
- * SVARD_GUARDBAND the escape margin (default 0.02): a row escapes when
- * its drifted HC_first falls more than this fraction below its
- * calibrated value. No defense reads it.
+ * SVARD_GUARDBAND the escape margin (default 0.02, in [0, 0.9)): a
+ * row escapes when its drifted HC_first falls more than this fraction
+ * below its calibrated value. No defense reads it.
  * SVARD_TINY=1 shrinks to {PARA, Hydra} x {aging} x {none,
  * periodic:8} for smoke tests and the CI drift-grid check.
  *
@@ -40,8 +40,9 @@ using namespace svard::bench;
 int
 main(int argc, char **argv)
 {
-    // Parsed before parseSweepIo opens --out, so a malformed value
-    // exits without leaving a file behind.
+    // Parsed and range-checked before parseSweepIo opens --out, so a
+    // malformed or out-of-range value exits without leaving a file
+    // behind. The runner's own check stays for library callers.
     const double guardband = [] {
         const std::string raw = envStr("SVARD_GUARDBAND", "0.02");
         double v = 0.0;
@@ -49,6 +50,9 @@ main(int argc, char **argv)
         const auto [ptr, ec] = std::from_chars(raw.data(), end, v);
         if (ec != std::errc() || ptr != end)
             SVARD_FATAL("SVARD_GUARDBAND: expected a number, got \"" +
+                        raw + "\"");
+        if (!(v >= 0.0 && v < 0.9))
+            SVARD_FATAL("SVARD_GUARDBAND: must be in [0, 0.9), got \"" +
                         raw + "\"");
         return v;
     }();

@@ -12,10 +12,12 @@
 #define SVARD_COMMON_RNG_H
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 namespace svard {
@@ -75,23 +77,28 @@ class HashStream
         return mixWord(bits);
     }
 
-    /** Length-prefixed, so {"ab","c"} and {"a","bc"} differ. */
+    /** Length-prefixed, so {"ab","c"} and {"a","bc"} differ. Each
+     *  8-byte chunk folds in as one big-endian word (the first byte
+     *  most significant); a short last chunk keeps its bytes in the
+     *  low end of the word. */
     HashStream &
-    mix(const std::string &s)
+    mix(std::string_view s)
     {
         mixWord(s.size());
-        uint64_t word = 0;
-        int filled = 0;
-        for (unsigned char c : s) {
-            word = (word << 8) | c;
-            if (++filled == 8) {
-                mixWord(word);
-                word = 0;
-                filled = 0;
-            }
-        }
-        if (filled)
+        size_t i = 0;
+        for (; i + 8 <= s.size(); i += 8) {
+            uint64_t word = 0;
+            std::memcpy(&word, s.data() + i, sizeof(word));
+            if constexpr (std::endian::native == std::endian::little)
+                word = __builtin_bswap64(word);
             mixWord(word);
+        }
+        if (i < s.size()) {
+            uint64_t word = 0;
+            for (; i < s.size(); ++i)
+                word = (word << 8) | static_cast<unsigned char>(s[i]);
+            mixWord(word);
+        }
         return *this;
     }
 

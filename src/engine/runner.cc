@@ -209,17 +209,12 @@ aloneRun(const sim::SimConfig &cfg, uint32_t bench, size_t requests,
     return {.weightedSpeedup = sim::aloneIpc(cfg, bench, requests, seed)};
 }
 
-/** Fill a resolved cell from its checkpoint; false on a miss. */
+/** Fill a resolved cell's outcome from its checkpoint; false on a
+ *  miss. */
 bool
 restoreCell(io::SweepCache *cache, CellResult &out)
 {
-    CellResult cached;
-    if (!cache || !cache->lookup(out.seed, out.fingerprint, &cached))
-        return false;
-    out.metrics = cached.metrics;
-    out.normalized = cached.normalized;
-    out.drift = cached.drift;
-    return true;
+    return cache && cache->lookup(out.seed, out.fingerprint, &out);
 }
 
 /** What a batch of runs (grid cells or baselines) did. */

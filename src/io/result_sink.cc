@@ -9,6 +9,9 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
+
+#include <sys/stat.h>
 
 #include "common/log.h"
 #include "common/rng.h"
@@ -72,7 +75,7 @@ checkFieldClean(const std::string &s)
 }
 
 uint64_t
-payloadChecksum(const std::string &payload)
+payloadChecksum(std::string_view payload)
 {
     return HashStream(0xC0DEC0DEC0DEC0DEULL).mix(payload).value();
 }
@@ -128,8 +131,10 @@ putStr(std::string &b, const std::string &s)
 /** Bounds-checked sequential reader over a payload buffer. */
 struct Cursor
 {
-    const std::string &buf;
+    std::string_view buf;
     size_t pos = 0;
+
+    size_t remaining() const { return buf.size() - pos; }
 
     bool
     getU32(uint32_t *v)
@@ -167,9 +172,9 @@ struct Cursor
     getStr(std::string *s)
     {
         uint32_t len = 0;
-        if (!getU32(&len) || pos + len > buf.size())
+        if (!getU32(&len) || len > remaining())
             return false;
-        s->assign(buf, pos, len);
+        s->assign(buf.data() + pos, len);
         pos += len;
         return true;
     }
@@ -530,44 +535,42 @@ encodeCellResult(const engine::CellResult &r)
     return b;
 }
 
-/** Inverse of encodeCellResult; false on a malformed payload. */
+/** Inverse of encodeCellResult, decoding in place into `*r` (a
+ *  reused CellResult keeps its string and params capacity); false on
+ *  a malformed payload, with `*r` then partly overwritten. */
 bool
-decodeCellResult(const std::string &payload, engine::CellResult *out)
+decodeCellResult(std::string_view payload, engine::CellResult *r)
 {
+    // Each params entry takes at least a name length and a value.
+    constexpr size_t kMinParamBytes = 4 + 8;
     Cursor c{payload};
-    engine::CellResult r;
     uint32_t nparams = 0;
-    if (!c.getU32(&r.cell.geom) || !c.getU32(&r.cell.defense) ||
-        !c.getU32(&r.cell.threshold) || !c.getU32(&r.cell.provider) ||
-        !c.getU32(&r.cell.mix) || !c.getU64(&r.seed) ||
-        !c.getU64(&r.fingerprint) || !c.getStr(&r.geometry) ||
-        !c.getStr(&r.defense) ||
-        !c.getF64(&r.threshold) || !c.getStr(&r.provider) ||
-        !c.getStr(&r.mix) || !c.getU32(&r.cell.drift) ||
-        !c.getStr(&r.driftModel) || !c.getStr(&r.driftPolicy) ||
-        !c.getU32(&r.driftEpochs) || !c.getF64(&r.guardband) ||
-        !c.getU64(&r.drift.escapes) ||
-        !c.getU64(&r.drift.recalibrations) ||
-        !c.getF64(&r.drift.escapeRate) ||
-        !c.getF64(&r.drift.recalCost) || !c.getU32(&nparams))
+    if (!c.getU32(&r->cell.geom) || !c.getU32(&r->cell.defense) ||
+        !c.getU32(&r->cell.threshold) || !c.getU32(&r->cell.provider) ||
+        !c.getU32(&r->cell.mix) || !c.getU64(&r->seed) ||
+        !c.getU64(&r->fingerprint) || !c.getStr(&r->geometry) ||
+        !c.getStr(&r->defense) ||
+        !c.getF64(&r->threshold) || !c.getStr(&r->provider) ||
+        !c.getStr(&r->mix) || !c.getU32(&r->cell.drift) ||
+        !c.getStr(&r->driftModel) || !c.getStr(&r->driftPolicy) ||
+        !c.getU32(&r->driftEpochs) || !c.getF64(&r->guardband) ||
+        !c.getU64(&r->drift.escapes) ||
+        !c.getU64(&r->drift.recalibrations) ||
+        !c.getF64(&r->drift.escapeRate) ||
+        !c.getF64(&r->drift.recalCost) || !c.getU32(&nparams) ||
+        nparams > c.remaining() / kMinParamBytes)
         return false;
-    for (uint32_t i = 0; i < nparams; ++i) {
-        std::string name;
-        double value = 0.0;
+    r->params.resize(nparams);
+    for (auto &[name, value] : r->params)
         if (!c.getStr(&name) || !c.getF64(&value))
             return false;
-        r.params.emplace_back(std::move(name), value);
-    }
-    if (!c.getF64(&r.metrics.weightedSpeedup) ||
-        !c.getF64(&r.metrics.harmonicSpeedup) ||
-        !c.getF64(&r.metrics.maxSlowdown) ||
-        !c.getF64(&r.normalized.weightedSpeedup) ||
-        !c.getF64(&r.normalized.harmonicSpeedup) ||
-        !c.getF64(&r.normalized.maxSlowdown) ||
-        c.pos != payload.size())
-        return false;
-    *out = std::move(r);
-    return true;
+    return c.getF64(&r->metrics.weightedSpeedup) &&
+           c.getF64(&r->metrics.harmonicSpeedup) &&
+           c.getF64(&r->metrics.maxSlowdown) &&
+           c.getF64(&r->normalized.weightedSpeedup) &&
+           c.getF64(&r->normalized.harmonicSpeedup) &&
+           c.getF64(&r->normalized.maxSlowdown) &&
+           c.pos == payload.size();
 }
 
 } // anonymous namespace
@@ -590,20 +593,26 @@ appendRecord(std::FILE *f, const engine::CellResult &r,
     appendWithRetry(f, path, "cache.store", frame);
 }
 
-std::vector<engine::CellResult>
-readRecords(std::FILE *f, RecordReadStats *stats)
+void
+forEachRecord(std::FILE *f, RecordReadStats *stats,
+              const std::function<void(const engine::CellResult &)> &fn)
 {
     // Slurp the rest of the stream: resync needs random access to
     // scan forward for a record magic, and record files are bounded
-    // by sweep size (a few MB), not trace size.
+    // by sweep size (a few MB), not trace size. Reserving the bytes
+    // left in the file reads it without regrowing the buffer.
     std::string buf;
+    struct stat file{};
+    const long at = std::ftell(f);
+    if (at >= 0 && ::fstat(::fileno(f), &file) == 0 && file.st_size > at)
+        buf.reserve(static_cast<size_t>(file.st_size - at));
     char chunk[1 << 16];
     for (size_t n; (n = std::fread(chunk, 1, sizeof(chunk), f)) > 0;)
         buf.append(chunk, n);
 
     static const char magicBytes[4] = {'S', 'V', 'C', '4'};
     constexpr size_t kHeader = 24, kChecksum = 8;
-    std::vector<engine::CellResult> out;
+    engine::CellResult r; // decoded into in place, record by record
     RecordReadStats st;
     size_t pos = 0;
     while (pos + kHeader <= buf.size()) {
@@ -619,9 +628,9 @@ readRecords(std::FILE *f, RecordReadStats *stats)
         fingerprint = toLe64(fingerprint);
         bool ok = magic == kRecordMagic && size <= kMaxPayload &&
                   pos + kHeader + size + kChecksum <= buf.size();
-        engine::CellResult r;
         if (ok) {
-            const std::string payload(buf, pos + kHeader, size);
+            const std::string_view payload(buf.data() + pos + kHeader,
+                                           size);
             uint64_t checksum = 0;
             std::memcpy(&checksum, buf.data() + pos + kHeader + size,
                         8);
@@ -630,7 +639,7 @@ readRecords(std::FILE *f, RecordReadStats *stats)
                  r.fingerprint == fingerprint;
         }
         if (ok) {
-            out.push_back(std::move(r));
+            fn(r);
             pos += kHeader + size + kChecksum;
             st.validBytes = pos;
             continue;
@@ -649,6 +658,14 @@ readRecords(std::FILE *f, RecordReadStats *stats)
     }
     if (stats)
         *stats = st;
+}
+
+std::vector<engine::CellResult>
+readRecords(std::FILE *f, RecordReadStats *stats)
+{
+    std::vector<engine::CellResult> out;
+    forEachRecord(f, stats,
+                  [&](const engine::CellResult &r) { out.push_back(r); });
     return out;
 }
 

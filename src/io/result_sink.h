@@ -25,7 +25,9 @@
 #ifndef SVARD_IO_RESULT_SINK_H
 #define SVARD_IO_RESULT_SINK_H
 
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,15 +112,28 @@ struct RecordReadStats
     uint32_t resyncs = 0;
 };
 
+/** Bytes of the smallest SVC4 record (empty strings, no params), so
+ *  a file of N bytes holds at most N / kMinRecordBytes records. */
+inline constexpr uint64_t kMinRecordBytes = 200;
+
 /**
- * Read every intact record from `f` (from its current position).
- * A corrupt record mid-file no longer hides everything after it: the
- * reader scans forward for the next record magic, resumes there, and
- * reports what it skipped in `stats`. Bytes after the last intact
- * record (the torn tail a kill mid-write leaves) are excluded from
- * validBytes but not counted as dropped — tail truncation is routine
- * crash recovery, mid-file damage is worth a warning.
+ * Decode every intact record from `f` (from its current position),
+ * calling `fn` on each in file order. The file is read once into one
+ * buffer; each payload is checksummed and decoded in place into one
+ * reused CellResult, so the reference `fn` gets is valid only for
+ * that call. A record counts only when its checksum matches, its
+ * payload decodes to exactly its length and its key matches the
+ * frame's. A corrupt record mid-file does not hide everything after
+ * it: the reader scans forward for the next record magic, resumes
+ * there, and reports what it skipped in `stats`. Bytes after the last
+ * intact record (the torn tail a kill mid-write leaves) are excluded
+ * from validBytes but not counted as dropped — tail truncation is
+ * routine crash recovery, mid-file damage is worth a warning.
  */
+void forEachRecord(std::FILE *f, RecordReadStats *stats,
+                   const std::function<void(const engine::CellResult &)> &fn);
+
+/** forEachRecord collected into a vector. */
 std::vector<engine::CellResult>
 readRecords(std::FILE *f, RecordReadStats *stats = nullptr);
 

@@ -2,10 +2,12 @@
 
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include <unistd.h>
 
 #include "common/log.h"
+#include "common/rng.h"
 #include "common/table.h"
 #include "io/result_sink.h"
 #include "obs/metrics.h"
@@ -15,6 +17,11 @@ namespace svard::io {
 SweepCache::SweepCache(const std::string &path)
     : path_(path), fsyncPerStore_(envInt("SVARD_CACHE_FSYNC", 0) != 0)
 {
+    std::error_code ec;
+    const uint64_t on_disk = std::filesystem::file_size(path_, ec);
+    // Filled through a callback, so built here and moved into the
+    // guarded index_ once loaded.
+    Index index(ec ? 0 : on_disk / kMinRecordBytes);
     // Load whatever a previous (possibly killed) run left behind.
     RecordReadStats stats;
     if (std::FILE *f = std::fopen(path_.c_str(), "rb")) {
@@ -35,11 +42,10 @@ SweepCache::SweepCache(const std::string &path)
                                            : "no drift axis") +
                         "); delete it to recompute");
         std::rewind(f);
-        for (auto &r : readRecords(f, &stats)) {
-            const std::pair<uint64_t, uint64_t> key{r.seed,
-                                                    r.fingerprint};
-            cells_[key] = std::move(r); // duplicates: last one wins
-        }
+        // Duplicates: the last record in the file wins.
+        forEachRecord(f, &stats, [&index](const engine::CellResult &r) {
+            index.put(r);
+        });
         std::fclose(f);
         // Mid-file damage was skipped by resync; the cells in the
         // dropped region recompute (their lookups miss). Loud, not
@@ -54,9 +60,6 @@ SweepCache::SweepCache(const std::string &path)
         // Repair a torn tail (a kill mid-append) before appending:
         // records written after in-file garbage would be invisible to
         // the next load, which stops at the first corrupt byte.
-        std::error_code ec;
-        const auto on_disk =
-            std::filesystem::file_size(path_, ec);
         if (!ec && on_disk > stats.validBytes) {
             warn("sweep cache \"" + path_ + "\": dropping " +
                  std::to_string(on_disk - stats.validBytes) +
@@ -68,6 +71,7 @@ SweepCache::SweepCache(const std::string &path)
                     "\": " + ec.message());
         }
     }
+    index_ = std::move(index);
     file_ = std::fopen(path_.c_str(), "ab");
     if (!file_)
         throw std::runtime_error("cannot open sweep cache \"" + path_ +
@@ -80,6 +84,65 @@ SweepCache::~SweepCache()
         std::fclose(file_);
 }
 
+SweepCache::Index::Index(size_t records)
+{
+    reserve(records);
+}
+
+size_t
+SweepCache::Index::probe(uint64_t seed, uint64_t fingerprint,
+                         bool *seed_cached) const
+{
+    // Load stays at most 3/4, so a free slot always ends the run.
+    const size_t mask = slots_.size() - 1;
+    uint64_t state = seed;
+    for (size_t i = splitmix64(state) & mask;; i = (i + 1) & mask) {
+        const Slot &s = slots_[i];
+        if (!s.used || (s.seed == seed && s.fingerprint == fingerprint))
+            return i;
+        if (seed_cached && s.seed == seed)
+            *seed_cached = true;
+    }
+}
+
+void
+SweepCache::Index::put(const engine::CellResult &row)
+{
+    if ((size_ + 1) * 4 > slots_.size() * 3)
+        reserve(size_ + 1);
+    Slot &s = slots_[probe(row.seed, row.fingerprint, nullptr)];
+    if (!s.used) {
+        s.seed = row.seed;
+        s.fingerprint = row.fingerprint;
+        s.used = true;
+        ++size_;
+    }
+    s.outcome = {row.metrics, row.normalized, row.drift};
+}
+
+const SweepCache::Outcome *
+SweepCache::Index::find(uint64_t seed, uint64_t fingerprint,
+                        bool *seed_cached) const
+{
+    const Slot &s = slots_[probe(seed, fingerprint, seed_cached)];
+    return s.used ? &s.outcome : nullptr;
+}
+
+void
+SweepCache::Index::reserve(size_t records)
+{
+    size_t cap = 16;
+    while (cap * 3 < records * 4)
+        cap <<= 1;
+    if (cap <= slots_.size())
+        return;
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(cap));
+    for (const Slot &o : old)
+        if (o.used)
+            slots_[probe(o.seed, o.fingerprint, nullptr)] = o;
+}
+
 bool
 SweepCache::lookup(uint64_t seed, uint64_t fingerprint,
                    engine::CellResult *out) const
@@ -89,18 +152,20 @@ SweepCache::lookup(uint64_t seed, uint64_t fingerprint,
     static const obs::MetricId invalidated =
         obs::counter("cache.invalidated");
     MutexLock lock(mu_);
-    const auto it = cells_.find({seed, fingerprint});
-    if (it == cells_.end()) {
+    bool seed_cached = false;
+    const Outcome *hit = index_.find(seed, fingerprint, &seed_cached);
+    if (!hit) {
         obs::add(misses);
         // Same cell seed cached under a different fingerprint: the
         // spec's resolved inputs changed and invalidated this record.
-        const auto near = cells_.lower_bound({seed, 0});
-        if (near != cells_.end() && near->first.first == seed)
+        if (seed_cached)
             obs::add(invalidated);
         return false;
     }
     obs::add(hits);
-    *out = it->second;
+    out->metrics = hit->metrics;
+    out->normalized = hit->normalized;
+    out->drift = hit->drift;
     return true;
 }
 
@@ -110,15 +175,14 @@ SweepCache::store(const engine::CellResult &row)
     static const obs::MetricId stores = obs::counter("cache.stores");
     obs::add(stores);
     MutexLock lock(mu_);
-    const std::pair<uint64_t, uint64_t> key{row.seed,
-                                            row.fingerprint};
-    if (!cells_.emplace(key, row).second)
+    if (index_.find(row.seed, row.fingerprint))
         return; // already persisted
     // appendRecord retries transient failures and flushes per record:
     // once it returns, a kill cannot lose the cell to stdio
     // buffering. The sim work per cell dwarfs one small flushed
-    // write.
+    // write. The key is indexed only once its record is in the file.
     appendRecord(file_, row, path_);
+    index_.put(row);
     // Opt-in power-loss durability: flush only hands the bytes to
     // the OS; fsync makes the kernel persist them.
     if (fsyncPerStore_ && ::fsync(::fileno(file_)) != 0)
@@ -130,7 +194,7 @@ size_t
 SweepCache::size() const
 {
     MutexLock lock(mu_);
-    return cells_.size();
+    return index_.size();
 }
 
 bool

@@ -14,12 +14,22 @@
  *    bag, request count), so editing a spec invalidates exactly the
  *    cells whose inputs changed.
  *
- * Loading tolerates damage anywhere in the file: a truncated or
- * corrupt tail record (what a kill mid-append leaves behind) is
- * dropped; corruption mid-file resyncs onto the next record magic,
- * keeping the intact tail and warning with the dropped byte count.
- * store() is thread-safe; lookup() is const and safe to call
- * concurrently with other lookups (the engine probes before sharding).
+ * The file holds whole records; memory holds only what a hit
+ * restores. The in-memory index is an open-addressing hash table from
+ * (seed, fingerprint) to the cell's outcome (`metrics`, `normalized`
+ * and `drift`, 80 bytes), sized from the file length on open. A
+ * hit's identity fields (coordinates, labels, params) are the ones
+ * the caller already resolved to compute the key, so lookup() fills
+ * only the outcome fields and leaves the rest of `*out` untouched.
+ *
+ * Loading decodes each record once, in place, and tolerates damage
+ * anywhere in the file: a truncated or corrupt tail record (what a
+ * kill mid-append leaves behind) is dropped; corruption mid-file
+ * resyncs onto the next record magic, keeping the intact tail and
+ * warning with the dropped byte count. With duplicate keys, the last
+ * record in the file wins. store() is thread-safe; lookup() is const
+ * and safe to call concurrently with other lookups (the engine probes
+ * before sharding).
  *
  * Durability: store() flushes per record (a crash cannot lose a
  * checkpointed cell to stdio buffering). A nonzero SVARD_CACHE_FSYNC
@@ -30,10 +40,9 @@
 #define SVARD_IO_SWEEP_CACHE_H
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "common/mutex.h"
 #include "engine/sweep.h"
@@ -59,12 +68,18 @@ class SweepCache
 
     /**
      * Fetch a finished cell by (seed, fingerprint). On a hit, copies
-     * the cached result into `*out` and returns true.
+     * the cached `metrics`, `normalized` and `drift` into `*out` and
+     * returns true; every other field of `*out` is left as it was. A
+     * miss leaves `*out` untouched and counts `cache.misses`, plus
+     * `cache.invalidated` when the seed is cached under another
+     * fingerprint (the spec's resolved inputs changed).
      */
     bool lookup(uint64_t seed, uint64_t fingerprint,
                 engine::CellResult *out) const;
 
-    /** Append a finished cell (thread-safe; flushed per record).
+    /** Append a finished cell (thread-safe; flushed per record) and
+     *  index its outcome. A key already cached is neither rewritten
+     *  nor re-appended.
      *  @throws std::runtime_error on I/O failure. */
     void store(const engine::CellResult &row);
 
@@ -87,13 +102,59 @@ class SweepCache
     openOrNull(const std::string &path);
 
   private:
+    /** What a hit restores of a cell. */
+    struct Outcome
+    {
+        sim::MixMetrics metrics;
+        sim::MixMetrics normalized;
+        engine::DriftMetrics drift;
+    };
+
+    /** Open-addressing table (power-of-two slots, linear probing,
+     *  load at most 3/4) from (seed, fingerprint) to an Outcome. */
+    class Index
+    {
+      public:
+        /** Room for `records` keys without growing. */
+        explicit Index(size_t records = 0);
+
+        /** Insert, or overwrite the outcome of a cached key. */
+        void put(const engine::CellResult &row);
+
+        /** The outcome of (seed, fingerprint), or nullptr. On a miss,
+         *  `*seed_cached` (if given) says whether the seed is cached
+         *  under another fingerprint. */
+        const Outcome *find(uint64_t seed, uint64_t fingerprint,
+                            bool *seed_cached = nullptr) const;
+
+        size_t size() const { return size_; }
+
+      private:
+        struct Slot
+        {
+            uint64_t seed = 0;
+            uint64_t fingerprint = 0;
+            Outcome outcome;
+            bool used = false;
+        };
+
+        /** Slot holding (seed, fingerprint), or the free slot ending
+         *  its probe run. Slots are homed by seed alone, so the run
+         *  passes every record of the seed. */
+        size_t probe(uint64_t seed, uint64_t fingerprint,
+                     bool *seed_cached) const;
+        void reserve(size_t records);
+
+        std::vector<Slot> slots_;
+        size_t size_ = 0;
+    };
+
     std::string path_;
     /** Append handle (opened in the ctor, written under mu_). */
     std::FILE *file_ SVARD_GUARDED_BY(mu_) = nullptr;
     bool fsyncPerStore_ = false; ///< SVARD_CACHE_FSYNC nonzero
     mutable Mutex mu_;
-    std::map<std::pair<uint64_t, uint64_t>, engine::CellResult>
-        cells_ SVARD_GUARDED_BY(mu_);
+    Index index_ SVARD_GUARDED_BY(mu_);
 };
 
 } // namespace svard::io

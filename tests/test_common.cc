@@ -308,6 +308,38 @@ TEST(HashStream, WordFoldsMatchHashSeed)
     EXPECT_EQ(resumed.value(), h.value());
 }
 
+TEST(HashStream, StringFoldMatchesTheByteAtATimeDefinition)
+{
+    // Strings fold as a length word, then each 8-byte chunk as one
+    // word with its first byte most significant, then the short tail
+    // the same way. Every checkpoint checksum and cell fingerprint is
+    // this value, so pin the word-at-a-time loop to the definition,
+    // high bytes and every tail length included.
+    const auto reference = [](const std::string &s) {
+        HashStream h;
+        h.mix(uint64_t{s.size()});
+        uint64_t word = 0;
+        int filled = 0;
+        for (const unsigned char c : s) {
+            word = (word << 8) | c;
+            if (++filled == 8) {
+                h.mix(word);
+                word = 0;
+                filled = 0;
+            }
+        }
+        if (filled)
+            h.mix(word);
+        return h.value();
+    };
+    Rng rng(7);
+    std::string s;
+    for (size_t len = 0; len <= 40; ++len) {
+        EXPECT_EQ(HashStream().mix(s).value(), reference(s)) << len;
+        s.push_back(static_cast<char>(rng.below(256)));
+    }
+}
+
 TEST(FlatTable, EmptyTableAllocatesNothingUntilFirstInsert)
 {
     // RowData embeds a FlatTable per DRAM row; an untouched row must

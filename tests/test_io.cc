@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <chrono>
 #include <cmath>
@@ -17,10 +18,12 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "common/log.h"
 #include "common/rng.h"
 #include "defense/blockhammer.h"
 #include "defense/registry.h"
@@ -178,20 +181,44 @@ TEST(ResultSink, CsvAndSweepCacheRoundTripIdenticalRows)
         cs.flush();
     }
 
-    // Reopening reloads every record through the SVC4 decoder.
-    const io::SweepCache reopened(svc);
+    // The SVC4 codec, field by field: the cache's file decodes back to
+    // the stored rows, identity fields included.
+    const auto from_svc = readRecordFile(svc);
     const auto from_csv = io::readCsvResults(csv);
-    ASSERT_EQ(reopened.size(), rows.size());
+    ASSERT_EQ(from_svc.size(), rows.size());
     ASSERT_EQ(from_csv.size(), rows.size());
+    // Reopening reloads every record through the same decoder; a hit
+    // restores the outcome fields.
+    const io::SweepCache reopened(svc);
+    ASSERT_EQ(reopened.size(), rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-        engine::CellResult from_cache;
-        ASSERT_TRUE(reopened.lookup(rows[i].seed, rows[i].fingerprint,
-                                    &from_cache));
-        expectRowsEqual(rows[i], from_cache);
+        expectRowsEqual(rows[i], from_svc[i]);
         expectRowsEqual(rows[i], from_csv[i]);
         // Both formats decode to the same rows as each other, too.
-        expectRowsEqual(from_csv[i], from_cache);
+        expectRowsEqual(from_csv[i], from_svc[i]);
+        engine::CellResult restored = rows[i];
+        restored.metrics = {};
+        restored.normalized = {};
+        restored.drift = {};
+        ASSERT_TRUE(reopened.lookup(rows[i].seed, rows[i].fingerprint,
+                                    &restored));
+        expectRowsEqual(rows[i], restored);
     }
+}
+
+TEST(ResultSink, SmallestRecordIsMinRecordBytes)
+{
+    // SweepCache sizes its index from file length / kMinRecordBytes,
+    // so no record may be smaller: pin the size of the emptiest one.
+    engine::CellResult r;
+    r.driftModel.clear();
+    r.driftPolicy.clear();
+    const std::string path = tmpPath("minrecord.svc");
+    writeRecordFile(path, {r});
+    EXPECT_EQ(std::filesystem::file_size(path), io::kMinRecordBytes);
+    const auto rows = readRecordFile(path);
+    ASSERT_EQ(rows.size(), 1u);
+    expectRowsEqual(r, rows[0]);
 }
 
 TEST(ResultSink, CsvReaderRejectsMalformedNumericFields)
@@ -273,6 +300,38 @@ TEST(ResultSink, RecordReaderDropsTruncatedTailRecord)
     ASSERT_EQ(rows.size(), 2u);
     expectRowsEqual(rows[0], makeRow(0));
     expectRowsEqual(rows[1], makeRow(1));
+}
+
+TEST(ResultSink, RecordReaderDropsAParamsCountItsPayloadCannotHold)
+{
+    // A record whose checksum matches but whose params count claims
+    // more entries than its payload has bytes for is dropped before
+    // anything is sized from that count.
+    engine::CellResult r = makeRow(1);
+    r.params.clear();
+    const std::string path = tmpPath("nparams.svc");
+    writeRecordFile(path, {makeRow(0)});
+    const size_t second = std::filesystem::file_size(path);
+    writeRecordFile(path, {makeRow(0), r});
+    std::string bytes = slurp(path);
+    // The second frame ends with the count, no params, six metric
+    // doubles and the little-endian checksum of its payload, which
+    // follows a 24-byte header.
+    const size_t count_at = bytes.size() - 8 - 6 * 8 - 4;
+    std::memset(bytes.data() + count_at, 0xFF, 4);
+    const std::string_view payload(bytes.data() + second + 24,
+                                   bytes.size() - 8 - second - 24);
+    const uint64_t sum =
+        HashStream(0xC0DEC0DEC0DEC0DEULL).mix(payload).value();
+    for (size_t i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto rows = readRecordFile(path);
+    ASSERT_EQ(rows.size(), 1u);
+    expectRowsEqual(makeRow(0), rows[0]);
 }
 
 TEST(ResultSink, MakeSinkForPathWritesCsvAndRejectsRetiredFormats)
@@ -676,6 +735,91 @@ TEST(SweepCache, HitsSkipExecutionAndSpecEditsInvalidateOnlyChanges)
     EXPECT_EQ(changed_results[0].params[0].second, 0.75);
 }
 
+TEST(SweepCache, HitFillsOnlyTheOutcomeFields)
+{
+    const std::string path = tmpPath("outcome.cache");
+    std::remove(path.c_str());
+    const engine::CellResult stored = makeRow(3);
+    io::SweepCache cache(path);
+    cache.store(stored);
+
+    // The caller's resolved identity fields survive a hit untouched.
+    engine::CellResult caller = makeRow(7);
+    caller.geometry = "caller-geometry";
+    caller.params = {{"caller_param", 2.5}};
+    const engine::CellResult before = caller;
+    ASSERT_TRUE(cache.lookup(stored.seed, stored.fingerprint, &caller));
+    engine::CellResult want = before;
+    want.metrics = stored.metrics;
+    want.normalized = stored.normalized;
+    want.drift = stored.drift;
+    expectRowsEqual(want, caller);
+
+    // A miss leaves the caller's row as it was.
+    engine::CellResult missed = before;
+    EXPECT_FALSE(cache.lookup(stored.seed + 1, stored.fingerprint,
+                              &missed));
+    expectRowsEqual(before, missed);
+}
+
+TEST(SweepCache, DuplicateKeysLastRecordWinsAfterReopen)
+{
+    const std::string path = tmpPath("dupes.cache");
+    engine::CellResult first = makeRow(2);
+    engine::CellResult last = makeRow(2);
+    last.metrics.weightedSpeedup = 42.0;
+    last.normalized.maxSlowdown = 0.5;
+    last.drift.escapes = 9;
+    writeRecordFile(path, {first, makeRow(4), last});
+
+    io::SweepCache cache(path);
+    EXPECT_EQ(cache.size(), 2u);
+    engine::CellResult got = makeRow(2);
+    ASSERT_TRUE(cache.lookup(last.seed, last.fingerprint, &got));
+    expectRowsEqual(last, got);
+
+    // Storing a cached key again neither rewrites nor re-appends it.
+    const auto bytes = std::filesystem::file_size(path);
+    cache.store(first);
+    EXPECT_EQ(std::filesystem::file_size(path), bytes);
+    ASSERT_TRUE(cache.lookup(last.seed, last.fingerprint, &got));
+    expectRowsEqual(last, got);
+}
+
+TEST(SweepCache, MissUnderAnotherFingerprintCountsAsInvalidated)
+{
+    const std::string path = tmpPath("invalidated.cache");
+    std::remove(path.c_str());
+    // Enough rows to grow the index past its initial capacity, so the
+    // seed's probe run crosses rehashed slots.
+    io::SweepCache cache(path);
+    for (uint32_t i = 0; i < 100; ++i)
+        cache.store(makeRow(i));
+    ASSERT_EQ(cache.size(), 100u);
+
+    obs::setMetricsEnabled(true);
+    obs::resetMetrics();
+    engine::CellResult out;
+    const engine::CellResult row = makeRow(57);
+    // Same seed, edited inputs: a miss that is an invalidation.
+    EXPECT_FALSE(cache.lookup(row.seed, row.fingerprint ^ 1, &out));
+    // A seed never cached: a plain miss.
+    EXPECT_FALSE(cache.lookup(row.seed ^ 1, row.fingerprint, &out));
+    EXPECT_TRUE(cache.lookup(row.seed, row.fingerprint, &out));
+    const auto snap = obs::snapshot();
+    EXPECT_EQ(snap.value("cache.misses"), 2u);
+    EXPECT_EQ(snap.value("cache.invalidated"), 1u);
+    EXPECT_EQ(snap.value("cache.hits"), 1u);
+
+    // Every stored row still hits after a reopen.
+    const io::SweepCache reopened(path);
+    EXPECT_EQ(reopened.size(), 100u);
+    for (uint32_t i = 0; i < 100; ++i)
+        EXPECT_TRUE(reopened.lookup(makeRow(i).seed,
+                                    makeRow(i).fingerprint, &out))
+            << i;
+}
+
 TEST(SweepCache, RetiredFormatFileStopsTheRunAndStaysUntouched)
 {
     // A checkpoint in a retired format (v1 host-endian, v2 without
@@ -697,6 +841,162 @@ TEST(SweepCache, RetiredFormatFileStopsTheRunAndStaysUntouched)
         EXPECT_EQ(std::filesystem::file_size(path), size) << path;
         std::remove(path.c_str());
     }
+}
+
+// -----------------------------------------------------------------
+// Deterministic mutation fuzzing of the SVC4 record reader
+// -----------------------------------------------------------------
+
+/** One to three random edits of a record file whose records start at
+ *  `starts`: bit flips, truncation, a splice of its own bytes, an
+ *  edited length field, or a stray record magic. */
+std::string
+mutateRecords(const std::string &file, const std::vector<size_t> &starts,
+              Rng &rng)
+{
+    std::string m = file;
+    for (uint64_t edits = 1 + rng.below(3); edits-- > 0;) {
+        switch (rng.below(5)) {
+        case 0: // bit flips
+            for (uint64_t n = 1 + rng.below(8); n-- > 0 && !m.empty();)
+                m[rng.below(m.size())] ^=
+                    static_cast<char>(1u << rng.below(8));
+            break;
+        case 1: // truncation
+            m.resize(rng.below(m.size() + 1));
+            break;
+        case 2: { // splice: a slice of the file copied into or over it
+            if (m.empty())
+                break;
+            const std::string slice =
+                m.substr(rng.below(m.size()), 1 + rng.below(400));
+            const size_t at = rng.below(m.size() + 1);
+            if (rng.chance(0.5))
+                m.insert(at, slice);
+            else
+                m.replace(at, slice.size(), slice);
+            break;
+        }
+        case 3: { // a record's length field
+            const size_t at = starts[rng.below(starts.size())] + 4;
+            if (at + 4 > m.size())
+                break;
+            uint32_t len = 0;
+            std::memcpy(&len, m.data() + at, sizeof(len));
+            const uint32_t edited[] = {0,           len - 1,
+                                       len + 1,     len + 8,
+                                       len * 2,     0xFFFFFFFFu,
+                                       static_cast<uint32_t>(rng.next())};
+            len = edited[rng.below(std::size(edited))];
+            std::memcpy(m.data() + at, &len, sizeof(len));
+            break;
+        }
+        default: { // stray record magic
+            const size_t at = rng.below(m.size() + 1);
+            if (rng.chance(0.5))
+                m.insert(at, "SVC4");
+            else
+                m.replace(at, 4, "SVC4");
+            break;
+        }
+        }
+    }
+    return m;
+}
+
+TEST(RecordFuzz, MutantsYieldOnlyOriginalRecordsAndOutcomes)
+{
+    // A valid eight-record file, and where each record starts.
+    std::vector<engine::CellResult> originals;
+    for (uint32_t i = 0; i < 8; ++i)
+        originals.push_back(makeRow(i));
+    const std::string path = tmpPath("fuzz.svc");
+    std::vector<size_t> starts;
+    {
+        std::remove(path.c_str());
+        std::FILE *f = std::fopen(path.c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        for (const auto &r : originals) {
+            starts.push_back(static_cast<size_t>(std::ftell(f)));
+            io::appendRecord(f, r, path);
+        }
+        std::fclose(f);
+    }
+    const std::string valid = slurp(path);
+
+    // Resync and torn-tail warnings would print once per mutant.
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Error);
+    Rng rng(hashSeed({0x5EC4F022ULL}));
+    constexpr int kMutants = 5000;
+    size_t resynced = 0, torn = 0, records = 0, retired = 0, opened = 0;
+    const auto written = [&](uint64_t seed, uint64_t fingerprint) {
+        return std::find_if(originals.begin(), originals.end(),
+                            [&](const engine::CellResult &o) {
+                                return o.seed == seed &&
+                                       o.fingerprint == fingerprint;
+                            });
+    };
+    for (int n = 0; n < kMutants; ++n) {
+        SCOPED_TRACE("mutant " + std::to_string(n));
+        const std::string m = mutateRecords(valid, starts, rng);
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(m.data(), static_cast<std::streamsize>(m.size()));
+        }
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        io::RecordReadStats stats;
+        const auto rows = io::readRecords(f, &stats);
+        std::fclose(f);
+        ASSERT_LE(stats.validBytes, m.size());
+        ASSERT_LE(stats.droppedBytes, m.size());
+        std::set<std::pair<uint64_t, uint64_t>> keys;
+        for (const auto &r : rows) {
+            const auto o = written(r.seed, r.fingerprint);
+            ASSERT_NE(o, originals.end()) << "a record no one wrote";
+            expectRowsEqual(*o, r);
+            keys.insert({r.seed, r.fingerprint});
+        }
+        resynced += stats.resyncs > 0;
+        torn += stats.validBytes < m.size();
+        records += rows.size();
+
+        // A retired format's magic exits by design (the death test
+        // above covers it); the cache opens every other mutant.
+        if (m.size() >= 4 && m.compare(0, 3, "SVC") == 0 && m[3] >= '1' &&
+            m[3] <= '3') {
+            ++retired;
+            continue;
+        }
+        try {
+            const io::SweepCache cache(path);
+            ASSERT_EQ(cache.size(), keys.size());
+            for (const auto &o : originals) {
+                engine::CellResult got = o;
+                got.metrics = {};
+                got.normalized = {};
+                got.drift = {};
+                if (cache.lookup(o.seed, o.fingerprint, &got))
+                    expectRowsEqual(o, got);
+            }
+            // The torn tail is cut off; everything intact stays.
+            ASSERT_EQ(std::filesystem::file_size(path), stats.validBytes);
+            ++opened;
+        } catch (const std::runtime_error &) {
+            // A typed refusal is an allowed outcome.
+        }
+    }
+    setLogLevel(level);
+    // The mutants reached every branch: resync, torn tail, and
+    // surviving records.
+    EXPECT_GT(resynced, 0u);
+    EXPECT_GT(torn, 0u);
+    EXPECT_GT(records, 0u);
+    EXPECT_GT(opened, kMutants / 2u);
+    std::printf("%d mutants: %zu resynced, %zu torn, %zu records, "
+                "%zu opened, %zu retired-magic\n",
+                kMutants, resynced, torn, records, opened, retired);
 }
 
 TEST(AdversarialSweep, CacheResumesAndSinkStreamsDefendedCells)
