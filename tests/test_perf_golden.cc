@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
@@ -40,6 +41,7 @@
 #include "dram/subarray.h"
 #include "fault/vuln_model.h"
 #include "sim/controller.h"
+#include "sim/presets.h"
 #include "sim/system.h"
 #include "sim/workload.h"
 
@@ -307,6 +309,132 @@ TEST_F(GoldenStatsTest, StatsBitIdenticalAcrossHotPathRewrites)
             << g.defense << "/" << g.provider << " ch=" << g.channels
             << " trace=" << g.trace << "\n  " << describeStats(r);
     }
+}
+
+/** ControllerStats::tfawStalls of every kGolden cell, in kGolden
+ *  order. The fingerprints above do not mix it, so it is pinned on its
+ *  own: it counts, per pick, the closed banks that the tFAW window
+ *  alone held back, which depends on how a pick finds its candidates,
+ *  not only on what it issues. */
+const uint64_t kGoldenTfawStalls[] = {
+    // clang-format off
+    9864ULL, // para/uniform ch=1 trace=0
+    29962ULL, // para/uniform ch=1 trace=1
+    95335ULL, // para/uniform ch=1 trace=2
+    11615ULL, // para/svard ch=1 trace=0
+    31504ULL, // para/svard ch=1 trace=1
+    96851ULL, // para/svard ch=1 trace=2
+    14652ULL, // blockhammer/uniform ch=1 trace=0
+    42260ULL, // blockhammer/uniform ch=1 trace=1
+    80265ULL, // blockhammer/uniform ch=1 trace=2
+    14652ULL, // blockhammer/svard ch=1 trace=0
+    42260ULL, // blockhammer/svard ch=1 trace=1
+    80265ULL, // blockhammer/svard ch=1 trace=2
+    14652ULL, // hydra/uniform ch=1 trace=0
+    41883ULL, // hydra/uniform ch=1 trace=1
+    135399ULL, // hydra/uniform ch=1 trace=2
+    14652ULL, // hydra/svard ch=1 trace=0
+    41883ULL, // hydra/svard ch=1 trace=1
+    135399ULL, // hydra/svard ch=1 trace=2
+    14652ULL, // aqua/uniform ch=1 trace=0
+    42260ULL, // aqua/uniform ch=1 trace=1
+    137310ULL, // aqua/uniform ch=1 trace=2
+    14652ULL, // aqua/svard ch=1 trace=0
+    42260ULL, // aqua/svard ch=1 trace=1
+    137310ULL, // aqua/svard ch=1 trace=2
+    14652ULL, // rrs/uniform ch=1 trace=0
+    42260ULL, // rrs/uniform ch=1 trace=1
+    132428ULL, // rrs/uniform ch=1 trace=2
+    14652ULL, // rrs/svard ch=1 trace=0
+    42260ULL, // rrs/svard ch=1 trace=1
+    132428ULL, // rrs/svard ch=1 trace=2
+    14652ULL, // graphene/uniform ch=1 trace=0
+    42260ULL, // graphene/uniform ch=1 trace=1
+    136491ULL, // graphene/uniform ch=1 trace=2
+    14652ULL, // graphene/svard ch=1 trace=0
+    42260ULL, // graphene/svard ch=1 trace=1
+    136491ULL, // graphene/svard ch=1 trace=2
+    15609ULL, // hydra/svard ch=1 trace=3
+    4597ULL, // hydra/svard ch=2 trace=0
+    // clang-format on
+};
+
+/** One Hydra cell per geometry preset: core 0 runs the RRS hammer
+ *  built for the preset, the rest the Fig. 13 benign mix. */
+struct PresetTfaw
+{
+    const char *preset;
+    uint64_t tfawStalls;
+};
+
+const PresetTfaw kPresetTfawStalls[] = {
+    // clang-format off
+    {"ddr4-table4", 135399ULL},
+    {"ddr5-4800-32bank", 39770ULL},
+    {"hbm2-pc-16ch", 9ULL},
+    // clang-format on
+};
+
+sim::RunResult
+runPresetCell(const std::string &preset)
+{
+    const sim::SimConfig cfg = sim::presets::get(preset);
+    const auto &suite = sim::benchmarkSuite();
+    std::vector<std::vector<sim::TraceEntry>> traces;
+    traces.push_back(sim::adversarialRrsTrace(kReqs, kSeed, 1000, cfg));
+    const sim::WorkloadMix benign = sim::adversarialBenignMix(cfg.cores);
+    for (uint32_t c = 1; c < cfg.cores; ++c)
+        traces.push_back(sim::generateTrace(
+            suite[benign.benchIdx[c - 1]], kReqs, kSeed,
+            sim::coreTraceOffset(kSeed, c)));
+    sim::System sys(cfg, std::move(traces), kReqs, "hydra",
+                    std::make_shared<core::UniformThreshold>(
+                        kThreshold, cfg.rowsPerBank),
+                    kSeed);
+    return sys.run();
+}
+
+TEST_F(GoldenStatsTest, TfawStallsPinned)
+{
+    const bool dump = std::getenv("SVARD_DUMP_GOLDEN") != nullptr;
+    static_assert(std::size(kGoldenTfawStalls) == std::size(kGolden));
+    for (size_t i = 0; i < std::size(kGolden); ++i) {
+        const GoldenCell &g = kGolden[i];
+        const uint64_t n =
+            runCell(g.defense, g.provider, g.channels, g.trace)
+                .controller.tfawStalls;
+        if (dump)
+            std::printf("    %lluULL, // %s/%s ch=%u trace=%u\n",
+                        static_cast<unsigned long long>(n), g.defense,
+                        g.provider, g.channels, g.trace);
+        else
+            EXPECT_EQ(n, kGoldenTfawStalls[i])
+                << g.defense << "/" << g.provider << " ch=" << g.channels
+                << " trace=" << g.trace;
+    }
+    size_t presets = 0;
+    for (const std::string &preset : sim::presets::names()) {
+        const uint64_t n = runPresetCell(preset).controller.tfawStalls;
+        if (dump) {
+            std::printf("    {\"%s\", %lluULL},\n", preset.c_str(),
+                        static_cast<unsigned long long>(n));
+            continue;
+        }
+        const PresetTfaw *pin = nullptr;
+        for (const PresetTfaw &p : kPresetTfawStalls)
+            if (preset == p.preset)
+                pin = &p;
+        if (!pin) {
+            ADD_FAILURE() << preset << " has no pinned tfawStalls";
+            continue;
+        }
+        ++presets;
+        EXPECT_EQ(n, pin->tfawStalls) << preset;
+    }
+    if (dump)
+        GTEST_SKIP() << "golden dump mode";
+    EXPECT_EQ(presets, std::size(kPresetTfawStalls))
+        << "stale preset pins";
 }
 
 // ------------------------------------------------------------------
