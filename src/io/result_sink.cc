@@ -575,9 +575,8 @@ decodeCellResult(std::string_view payload, engine::CellResult *r)
 
 } // anonymous namespace
 
-void
-appendRecord(std::FILE *f, const engine::CellResult &r,
-             const std::string &path)
+std::string
+encodeRecord(const engine::CellResult &r)
 {
     const std::string payload = encodeCellResult(r);
     std::string frame;
@@ -587,10 +586,17 @@ appendRecord(std::FILE *f, const engine::CellResult &r,
     putU64(frame, r.fingerprint);
     frame += payload;
     putU64(frame, payloadChecksum(payload));
+    return frame;
+}
+
+void
+appendRecord(std::FILE *f, const engine::CellResult &r,
+             const std::string &path)
+{
     // One write transaction per record: a kill can truncate the tail
     // record but never interleave two records, and the retry's
     // truncate-back keeps failed attempts out of the file.
-    appendWithRetry(f, path, "cache.store", frame);
+    appendWithRetry(f, path, "cache.store", encodeRecord(r));
 }
 
 void

@@ -99,6 +99,10 @@ class CsvSink : public ResultSink
 void appendRecord(std::FILE *f, const engine::CellResult &row,
                   const std::string &path);
 
+/** The framed record appendRecord writes for `row`. Decoding a record
+ *  and encoding it again gives back its bytes. */
+std::string encodeRecord(const engine::CellResult &row);
+
 /** What readRecords saw besides the records themselves. */
 struct RecordReadStats
 {

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "io/result_sink.h"
+#include "io/retry.h"
 #include "obs/metrics.h"
 
 namespace svard::io {
@@ -50,21 +51,29 @@ SweepCache::SweepCache(const std::string &path)
         // Mid-file damage was skipped by resync; the cells in the
         // dropped region recompute (their lookups miss). Loud, not
         // fatal: the intact majority of the checkpoint still counts.
-        if (stats.resyncs > 0)
+        // The file is rewritten without the damage, so the warning
+        // fires once, not on every later open.
+        bool rewritten = false;
+        if (stats.resyncs > 0) {
             warn("sweep cache \"" + path_ + "\": skipped " +
                  std::to_string(stats.droppedBytes) +
                  " corrupt bytes mid-file (" +
                  std::to_string(stats.resyncs) +
                  " resync" + (stats.resyncs == 1 ? "" : "s") +
                  "); dropped cells will recompute");
+            rewritten = rewriteIntact();
+        }
         // Repair a torn tail (a kill mid-append) before appending:
         // records written after in-file garbage would be invisible to
-        // the next load, which stops at the first corrupt byte.
+        // the next load, which stops at the first corrupt byte. A
+        // rewritten file already ends at its last intact record.
         if (!ec && on_disk > stats.validBytes) {
             warn("sweep cache \"" + path_ + "\": dropping " +
                  std::to_string(on_disk - stats.validBytes) +
                  " bytes of torn tail record");
-            std::filesystem::resize_file(path_, stats.validBytes, ec);
+            if (!rewritten)
+                std::filesystem::resize_file(path_, stats.validBytes,
+                                             ec);
             if (ec)
                 throw std::runtime_error(
                     "cannot repair sweep cache \"" + path_ +
@@ -76,6 +85,43 @@ SweepCache::SweepCache(const std::string &path)
     if (!file_)
         throw std::runtime_error("cannot open sweep cache \"" + path_ +
                                  "\" for append");
+}
+
+bool
+SweepCache::rewriteIntact() const
+{
+    // Every intact record, in file order, so the last record of a key
+    // still wins; decoding and encoding again keeps each record's
+    // bytes. Published like the run manifest: written whole to a
+    // sibling tmp file, then renamed over the checkpoint, so a kill
+    // in between leaves the damaged but loadable original.
+    std::string intact;
+    if (std::FILE *f = std::fopen(path_.c_str(), "rb")) {
+        forEachRecord(f, nullptr, [&intact](const engine::CellResult &r) {
+            intact += encodeRecord(r);
+        });
+        std::fclose(f);
+    }
+    const std::string tmp = path_ + ".tmp";
+    bool ok = false;
+    if (std::FILE *f = std::fopen(tmp.c_str(), "wb")) {
+        try {
+            appendWithRetry(f, tmp, "cache.rewrite", intact);
+            ok = !fsyncPerStore_ || ::fsync(::fileno(f)) == 0;
+        } catch (const std::runtime_error &) {
+            // Retries exhausted: warned about below, original kept.
+        }
+        ok = std::fclose(f) == 0 && ok;
+    }
+    // svard-lint: allow(raw-io-fault-points) atomic publish of the bytes the cache.rewrite point guards
+    if (!ok || std::rename(tmp.c_str(), path_.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        warn("sweep cache \"" + path_ +
+             "\": cannot rewrite it without the corrupt bytes; the "
+             "next open skips them again");
+        return false;
+    }
+    return true;
 }
 
 SweepCache::~SweepCache()

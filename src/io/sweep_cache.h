@@ -26,10 +26,12 @@
  * anywhere in the file: a truncated or corrupt tail record (what a
  * kill mid-append leaves behind) is dropped; corruption mid-file
  * resyncs onto the next record magic, keeping the intact tail and
- * warning with the dropped byte count. With duplicate keys, the last
- * record in the file wins. store() is thread-safe; lookup() is const
- * and safe to call concurrently with other lookups (the engine probes
- * before sharding).
+ * warning with the dropped byte count; the file is then rewritten
+ * with only its intact records (tmp file + rename), so a later open
+ * finds nothing to skip. With duplicate keys, the last record in the
+ * file wins. store() is thread-safe; lookup() is const and safe to
+ * call concurrently with other lookups (the engine probes before
+ * sharding).
  *
  * Durability: store() flushes per record (a crash cannot lose a
  * checkpointed cell to stdio buffering). A nonzero SVARD_CACHE_FSYNC
@@ -148,6 +150,11 @@ class SweepCache
         std::vector<Slot> slots_;
         size_t size_ = 0;
     };
+
+    /** Replace the file with its intact records, in file order;
+     *  false (with a warning) if that failed and the file is as it
+     *  was. */
+    bool rewriteIntact() const;
 
     std::string path_;
     /** Append handle (opened in the ctor, written under mu_). */

@@ -1,6 +1,9 @@
 #include "sim/controller.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 
@@ -8,6 +11,33 @@ namespace svard::sim {
 
 namespace {
 constexpr dram::Tick kInf = std::numeric_limits<dram::Tick>::max() / 4;
+
+constexpr uint64_t
+bankBit(uint32_t b)
+{
+    return uint64_t{1} << b;
+}
+
+/** The lowest set bank of a non-empty mask. */
+uint32_t
+lowestBank(uint64_t m)
+{
+    return static_cast<uint32_t>(std::countr_zero(m));
+}
+
+/** Refuses a channel the bank masks cannot hold; runs before any
+ *  controller state is built. */
+const SimConfig &
+checkedBanks(const SimConfig &cfg)
+{
+    if (cfg.totalBanks() > kMaxChannelBanks)
+        throw std::invalid_argument(
+            "MemController: " + std::to_string(cfg.totalBanks()) +
+            " banks per channel (ranks x bank groups x banks per "
+            "group) exceed the limit of " +
+            std::to_string(kMaxChannelBanks));
+    return cfg;
+}
 } // anonymous namespace
 
 BankQueue::BankQueue(size_t capacity, uint32_t num_banks)
@@ -15,13 +45,13 @@ BankQueue::BankQueue(size_t capacity, uint32_t num_banks)
 {
     for (size_t s = capacity; s-- > 0;)
         freeSlots.push_back(static_cast<uint32_t>(s));
-    active.reserve(num_banks);
     parked.reserve(capacity);
 }
 
 void
-BankQueue::offer(PerBank &pb, uint32_t s, int64_t key)
+BankQueue::offer(uint32_t b, uint32_t s, int64_t key)
 {
+    PerBank &pb = banks[b];
     const Slot &x = slots[s];
     const bool hit = key >= 0 && x.req.addr.row == key;
     uint32_t &c = hit ? pb.hit : pb.other;
@@ -30,6 +60,7 @@ BankQueue::offer(PerBank &pb, uint32_t s, int64_t key)
         c = s;
         c_seq = x.seq;
     }
+    (hit ? hitMask : otherMask) |= bankBit(b);
 }
 
 void
@@ -39,8 +70,13 @@ BankQueue::link(uint32_t s, int64_t key)
     const uint32_t b = x.req.flatBank;
     PerBank &pb = banks[b];
     if (pb.head == kNil) {
-        pb.activePos = static_cast<uint32_t>(active.size());
-        active.push_back(b);
+        // An empty bank has no candidates: the newcomer is one.
+        listed |= bankBit(b);
+        x.prev = x.next = kNil;
+        pb.head = pb.tail = s;
+        pb.hit = pb.other = kNil;
+        offer(b, s, key);
+        return;
     }
     // New requests append; a released one walks back past the younger.
     uint32_t after = pb.tail;
@@ -50,59 +86,60 @@ BankQueue::link(uint32_t s, int64_t key)
     x.next = after == kNil ? pb.head : slots[after].next;
     (after == kNil ? pb.head : slots[after].next) = s;
     (x.next == kNil ? pb.tail : slots[x.next].prev) = s;
-    // Candidates cached for this bank state only gain an older one;
-    // stale ones must not revive if the bank returns to their key.
-    if (pb.key == key)
-        offer(pb, s, key);
-    else
-        pb.key = kStale;
+    // Fresh candidates only gain an older one; stale ones are rebuilt
+    // by the next pick anyway.
+    if (!(stale & bankBit(b)))
+        offer(b, s, key);
 }
 
 void
 BankQueue::unlink(uint32_t s)
 {
     const Slot &x = slots[s];
-    PerBank &pb = banks[x.req.flatBank];
+    const uint32_t b = x.req.flatBank;
+    PerBank &pb = banks[b];
     (x.prev == kNil ? pb.head : slots[x.prev].next) = x.next;
     (x.next == kNil ? pb.tail : slots[x.next].prev) = x.prev;
-    pb.key = kStale; // a candidate left
-    if (pb.head == kNil) {
-        const uint32_t last = active.back();
-        active[pb.activePos] = last;
-        banks[last].activePos = pb.activePos;
-        active.pop_back();
+    if (pb.head != kNil) {
+        stale |= bankBit(b); // a candidate left
+        return;
     }
+    listed &= ~bankBit(b);
+    stale &= ~bankBit(b);
+    hitMask &= ~bankBit(b);
+    otherMask &= ~bankBit(b);
+    pb.hit = pb.other = kNil;
 }
 
 void
-BankQueue::rescan(PerBank &pb, int64_t key)
+BankQueue::rescan(uint32_t b, int64_t key)
 {
-    pb.key = key;
+    PerBank &pb = banks[b];
     pb.hit = pb.other = kNil;
+    hitMask &= ~bankBit(b);
+    otherMask &= ~bankBit(b);
     for (uint32_t s = pb.head;
          s != kNil && (pb.hit == kNil || pb.other == kNil);
          s = slots[s].next)
-        offer(pb, s, key);
+        offer(b, s, key);
 }
 
 MemController::MemController(const SimConfig &cfg,
                              defense::Defense *defense,
                              Completion on_complete)
-    : cfg_(cfg), mapper_(cfg), defense_(defense),
+    : cfg_(checkedBanks(cfg)), mapper_(cfg), defense_(defense),
       onComplete_(std::move(on_complete)), banks_(cfg.totalBanks()),
       ranks_(cfg.ranks), readQ_(cfg.readQueue, cfg.totalBanks()),
-      writeQ_(cfg.writeQueue, cfg.totalBanks()),
-      pendingPerBank_(cfg.totalBanks(), 0),
-      pendingPos_(cfg.totalBanks(), 0)
+      writeQ_(cfg.writeQueue, cfg.totalBanks())
 {
-    pendingBanks_.reserve(cfg.totalBanks());
     for (uint32_t b = 0; b < banks_.size(); ++b) {
         banks_[b].rank = b / cfg.banksPerRank();
-        banks_[b].group = b % cfg.banksPerRank() / cfg.banksPerGroup;
+        banks_[b].group = b / cfg.banksPerGroup;
     }
+    groupLastAct_.fill(-1'000'000);
     for (uint32_t r = 0; r < cfg_.ranks; ++r) {
         ranks_[r].refreshDue = cfg_.timing.tREFI;
-        ranks_[r].lastActBg.assign(cfg_.bankGroups, -1'000'000);
+        updateRankActReady(r);
     }
     // Largest per-ACT burst: a defense may emit a handful of refresh,
     // migration, and metadata actions for one activation; reserve so
@@ -127,14 +164,41 @@ MemController::enqueue(const MemRequest &req)
     if (x.req.notBefore > now_)
         q.parked.push_back(s);
     else
-        q.link(s, banks_[b].key());
-    if (pendingPerBank_[b]++ == 0) {
-        pendingPos_[b] = static_cast<uint32_t>(pendingBanks_.size());
-        pendingBanks_.push_back(b);
-    }
+        q.link(s, bankKey(b));
+    ++pendingPerBank_[b];
+    pendingMask_ |= bankBit(b);
     quietValid_ = false; // new work may be issuable immediately
     quietUntil_ = 0;     // stale jump target must not be revalidated
     return true;
+}
+
+void
+MemController::updateRankActReady(uint32_t r)
+{
+    const Rank &rank = ranks_[r];
+    const auto &t = cfg_.timing;
+    const dram::Tick rrd_s = rank.lastAct + t.tRRD_S;
+    const bool full = rank.actCount == 4;
+    const dram::Tick faw = rank.oldestAct() + t.tFAW;
+    for (uint32_t g = r * cfg_.bankGroups; g < (r + 1) * cfg_.bankGroups;
+         ++g) {
+        dram::Tick e = std::max(rrd_s, groupLastAct_[g] + t.tRRD_L);
+        if (full)
+            e = std::max(e, faw);
+        groupActReady_[g] = e;
+        // The tFAW window is binding exactly when it sets this time.
+        tfawGroups_ &= ~bankBit(g);
+        tfawGroups_ |= uint64_t{full && e == faw} << g;
+    }
+}
+
+void
+MemController::closeBank(uint32_t flat_bank)
+{
+    openMask_ &= ~bankBit(flat_bank);
+    banks_[flat_bank].hitStreak = 0;
+    readQ_.invalidate(flat_bank);
+    writeQ_.invalidate(flat_bank);
 }
 
 void
@@ -142,14 +206,17 @@ MemController::doActivate(uint32_t flat_bank, uint32_t row)
 {
     Bank &bank = banks_[flat_bank];
     Rank &rank = ranks_[bank.rank];
-    bank.open = true;
+    openMask_ |= bankBit(flat_bank);
     bank.row = row;
     bank.hitStreak = 0;
-    bank.readyColumn = now_ + cfg_.timing.tRCD;
-    bank.readyPre = now_ + cfg_.timing.tRAS;
+    readQ_.invalidate(flat_bank);
+    writeQ_.invalidate(flat_bank);
+    readyColumn_[flat_bank] = now_ + cfg_.timing.tRCD;
+    readyPre_[flat_bank] = now_ + cfg_.timing.tRAS;
     rank.lastAct = now_;
-    rank.lastActBg[bank.group] = now_;
+    groupLastAct_[bank.group] = now_;
     rank.pushAct(now_);
+    updateRankActReady(bank.rank);
     ++stats_.activations;
     observe(DramCommand::Kind::Act, flat_bank, row, 0);
 }
@@ -157,10 +224,9 @@ MemController::doActivate(uint32_t flat_bank, uint32_t row)
 void
 MemController::doPrecharge(uint32_t flat_bank)
 {
-    Bank &bank = banks_[flat_bank];
-    bank.open = false;
-    bank.hitStreak = 0;
-    bank.readyAct = std::max(bank.readyAct, now_ + cfg_.timing.tRP);
+    closeBank(flat_bank);
+    readyAct_[flat_bank] =
+        std::max(readyAct_[flat_bank], now_ + cfg_.timing.tRP);
     observe(DramCommand::Kind::Pre, flat_bank, 0, 0);
 }
 
@@ -180,18 +246,16 @@ MemController::applyActions(const defense::ActionBuffer &acts,
         // space; the shared helper asserts that instead of folding
         // mismatches away with a modulo.
         const uint32_t b = defense::resolveActionBank(a.bank, banks_.size());
-        Bank &bank = banks_[b];
         // Row-content moves go through the memory controller, so they
         // occupy the shared channel data bus as well as the bank.
         auto occupy = [&](dram::Tick bank_dur, dram::Tick bus_dur) {
-            dram::Tick base = std::max(now_, bank.readyAct);
-            if (bank.open) {
-                base = std::max(now_, bank.readyPre) + t.tRP;
-                bank.open = false;
-                bank.hitStreak = 0;
+            dram::Tick base = std::max(now_, readyAct_[b]);
+            if (isOpen(b)) {
+                base = std::max(now_, readyPre_[b]) + t.tRP;
+                closeBank(b);
             }
-            bank.readyAct = std::max(bank.readyAct, base + bank_dur);
-            observe(DramCommand::Kind::Occupy, b, 0, bank.readyAct);
+            readyAct_[b] = std::max(readyAct_[b], base + bank_dur);
+            observe(DramCommand::Kind::Occupy, b, 0, readyAct_[b]);
             if (bus_dur > 0)
                 busReady_ = std::max(busReady_, now_) + bus_dur;
         };
@@ -249,17 +313,16 @@ MemController::refreshIfDue()
         if (now_ < rank.refreshDue)
             continue;
         const uint32_t banks_per_rank = cfg_.banksPerRank();
-        for (uint32_t b = 0; b < banks_per_rank; ++b) {
-            Bank &bank = banks_[r * banks_per_rank + b];
-            dram::Tick base = std::max(now_, bank.readyAct);
-            if (bank.open) {
-                base = std::max(now_, bank.readyPre) + cfg_.timing.tRP;
-                bank.open = false;
-                bank.hitStreak = 0;
+        for (uint32_t b = r * banks_per_rank;
+             b < (r + 1) * banks_per_rank; ++b) {
+            dram::Tick base = std::max(now_, readyAct_[b]);
+            if (isOpen(b)) {
+                base = std::max(now_, readyPre_[b]) + cfg_.timing.tRP;
+                closeBank(b);
             }
-            bank.readyAct = std::max(bank.readyAct,
-                                     base + cfg_.timing.tRFC +
-                                         recal_extra);
+            readyAct_[b] = std::max(readyAct_[b], base +
+                                                      cfg_.timing.tRFC +
+                                                      recal_extra);
         }
         observe(DramCommand::Kind::Ref, r, 0, rank.refreshDue);
         rank.refreshDue += cfg_.timing.tREFI;
@@ -304,17 +367,12 @@ MemController::tryIssue()
 
     const dram::Tick now = now_;
     // Earliest time any request of q could become serviceable with
-    // state unchanged (meaningful only when the pick fails: then every
-    // candidate took a blocked path and contributed). On equal times
-    // a non-bus blocker wins, since it is a wakeup candidate itself.
-    dram::Tick until = kInf;
-    bool by_bus = false;
-    auto blocked_at = [&](dram::Tick e, bool from_bus) {
-        if (e < until || (e == until && by_bus)) {
-            until = e;
-            by_bus = from_bus;
-        }
-    };
+    // state unchanged, as 2 * time + (the bus-lookahead term alone
+    // set it): the minimum is the earliest time, and on equal times a
+    // non-bus blocker wins, since it is a wakeup candidate itself.
+    // Meaningful only when the pick fails: then every candidate was
+    // blocked and contributed.
+    dram::Tick blocked = 2 * kInf;
 
     // Throttled requests whose release time has come rejoin their
     // bank lists; the rest only bound the blocked time.
@@ -322,99 +380,108 @@ MemController::tryIssue()
         const uint32_t s = q.parked[i];
         const MemRequest &r = q.slots[s].req;
         if (r.notBefore > now) {
-            blocked_at(r.notBefore, false);
+            blocked = std::min(blocked, 2 * r.notBefore);
             ++i;
             continue;
         }
         q.parked[i] = q.parked.back();
         q.parked.pop_back();
-        q.link(s, banks_[r.flatBank].key());
+        q.link(s, bankKey(r.flatBank));
     }
+    for (uint64_t m = q.stale; m; m &= m - 1) {
+        const uint32_t b = lowestBank(m);
+        q.rescan(b, bankKey(b));
+    }
+    q.stale = 0;
 
-    // One pass over the banks with work. All requests of one class
-    // (open-row hit / other) in a bank are serviceable at the same
-    // time, so the oldest stands for the class. FR: the oldest hit
-    // under the column cap wins; else FCFS: the oldest serviceable
-    // request (capped hit, conflict, closed bank). A column may issue
-    // while the bus frees within tCL.
+    // All requests of one class (open-row hit / other) in a bank are
+    // serviceable at the same time, so the oldest stands for the
+    // class. Each candidate bank is tested without branching and
+    // lands in a legal mask; only the legal banks are compared by
+    // age. A column may issue while the bus frees within tCL.
     const dram::Tick bus_at = busReady_ - t.tCL;
+    uint64_t hit_ok = 0, other_ok = 0;
+    for (uint64_t m = q.hitMask; m; m &= m - 1) {
+        const uint32_t b = lowestBank(m);
+        const dram::Tick col = std::max(readyColumn_[b], bus_at);
+        hit_ok |= uint64_t{col <= now} << b;
+        blocked = std::min(blocked,
+                           2 * col + (bus_at > readyColumn_[b]));
+    }
+    // Conflicts: the open row closes once tRAS allows.
+    for (uint64_t m = q.otherMask & openMask_; m; m &= m - 1) {
+        const uint32_t b = lowestBank(m);
+        other_ok |= uint64_t{readyPre_[b] <= now} << b;
+        blocked = std::min(blocked, 2 * readyPre_[b]);
+    }
+    // Closed banks: the bank and its rank's ACT window must allow.
+    uint64_t tfaw_stalls = 0;
+    for (uint64_t m = q.otherMask & ~openMask_; m; m &= m - 1) {
+        const uint32_t b = lowestBank(m);
+        const uint32_t g = banks_[b].group;
+        const dram::Tick rank_at = groupActReady_[g];
+        const dram::Tick ready = std::max(readyAct_[b], rank_at);
+        other_ok |= uint64_t{ready <= now} << b;
+        blocked = std::min(blocked, 2 * ready);
+        // The bank itself is ready but the rank's four-activate
+        // window is the binding constraint: a true tFAW stall.
+        tfaw_stalls += (readyAct_[b] <= now) & (rank_at > now) &
+                       ((tfawGroups_ >> g) & 1);
+    }
+    stats_.tfawStalls += tfaw_stalls;
+    blockedUntil_ = blocked >> 1;
+    blockedByBus_ = blocked & 1;
+
+    // FR: the oldest hit under the column cap wins; else FCFS: the
+    // oldest serviceable request (capped hit, conflict, closed bank).
     const uint32_t cap = cfg_.columnCap;
     uint32_t hit = kNil, fcfs = kNil;
     uint64_t hit_seq = UINT64_MAX, fcfs_seq = UINT64_MAX;
-    uint64_t tfaw_stalls = 0;
-    for (uint32_t b : q.active) {
-        const Bank &bank = banks_[b];
-        BankQueue::PerBank &pb = q.banks[b];
-        if (pb.key != bank.key())
-            q.rescan(pb, bank.key());
-        if (pb.hit != kNil) {
-            const dram::Tick col = std::max(bank.readyColumn, bus_at);
-            if (col > now) {
-                blocked_at(col, bus_at > bank.readyColumn);
-            } else if (bank.hitStreak < cap) {
-                if (pb.hitSeq < hit_seq) {
-                    hit = pb.hit;
-                    hit_seq = pb.hitSeq;
-                }
-            } else if (pb.hitSeq < fcfs_seq) {
-                fcfs = pb.hit; // capped hit: plain FCFS column
-                fcfs_seq = pb.hitSeq;
+    for (uint64_t m = hit_ok; m; m &= m - 1) {
+        const uint32_t b = lowestBank(m);
+        const BankQueue::PerBank &pb = q.banks[b];
+        if (banks_[b].hitStreak < cap) {
+            if (pb.hitSeq < hit_seq) {
+                hit = pb.hit;
+                hit_seq = pb.hitSeq;
             }
-        }
-        if (pb.other == kNil)
-            continue;
-        dram::Tick ready = bank.open ? bank.readyPre : bank.readyAct;
-        if (!bank.open) {
-            const Rank &rank = ranks_[bank.rank];
-            const dram::Tick rank_at = rankActReady(rank, bank.group);
-            // The bank itself is ready but the rank's four-activate
-            // window is the binding constraint: a true tFAW stall.
-            if (bank.readyAct <= now && rank_at > now &&
-                rank.actCount == 4 &&
-                rank_at == rank.oldestAct() + t.tFAW)
-                ++tfaw_stalls;
-            ready = std::max(ready, rank_at);
-        }
-        if (ready > now) {
-            blocked_at(ready, false);
-        } else if (pb.otherSeq < fcfs_seq) {
-            fcfs = pb.other;
-            fcfs_seq = pb.otherSeq;
+        } else if (pb.hitSeq < fcfs_seq) {
+            fcfs = pb.hit; // capped hit: plain FCFS column
+            fcfs_seq = pb.hitSeq;
         }
     }
-    stats_.tfawStalls += tfaw_stalls;
-    blockedUntil_ = until;
-    blockedByBus_ = by_bus;
-    if (hit == kNil && fcfs == kNil)
-        return false;
+    if (hit == kNil) {
+        for (uint64_t m = other_ok; m; m &= m - 1) {
+            const BankQueue::PerBank &pb = q.banks[lowestBank(m)];
+            if (pb.otherSeq < fcfs_seq) {
+                fcfs = pb.other;
+                fcfs_seq = pb.otherSeq;
+            }
+        }
+        if (fcfs == kNil)
+            return false;
+    }
 
     auto issue_column = [&](uint32_t s) {
         const MemRequest r = q.slots[s].req;
-        Bank &bank = banks_[r.flatBank];
+        const uint32_t b = r.flatBank;
         const dram::Tick cas = r.write ? t.tCWL : t.tCL;
         const dram::Tick data = std::max(now_ + cas, busReady_);
         busReady_ = data + t.tBL;
-        bank.readyColumn = std::max(bank.readyColumn, now_ + t.tCCD_L);
-        ++bank.hitStreak;
+        readyColumn_[b] = std::max(readyColumn_[b], now_ + t.tCCD_L);
+        ++banks_[b].hitStreak;
         observe(r.write ? DramCommand::Kind::Wr : DramCommand::Kind::Rd,
-                r.flatBank, r.addr.row, data);
+                b, r.addr.row, data);
         if (r.write) {
-            bank.readyPre = std::max(bank.readyPre,
-                                     data + t.tBL + t.tWR);
+            readyPre_[b] = std::max(readyPre_[b], data + t.tBL + t.tWR);
             ++stats_.writes;
         } else {
             ++stats_.reads;
             if (onComplete_)
                 onComplete_(r, data + t.tBL);
         }
-        if (--pendingPerBank_[r.flatBank] == 0) {
-            // Swap-erase from the compact list (order is irrelevant:
-            // nextWakeup computes an order-independent minimum).
-            const uint32_t last = pendingBanks_.back();
-            pendingBanks_[pendingPos_[r.flatBank]] = last;
-            pendingPos_[last] = pendingPos_[r.flatBank];
-            pendingBanks_.pop_back();
-        }
+        if (--pendingPerBank_[b] == 0)
+            pendingMask_ &= ~bankBit(b);
         q.unlink(s);
         q.freeSlots.push_back(s);
         --q.size;
@@ -428,22 +495,22 @@ MemController::tryIssue()
     }
 
     MemRequest &r = q.slots[fcfs].req;
-    Bank &bank = banks_[r.flatBank];
-    if (bank.open && bank.row == r.addr.row) {
+    const uint32_t b = r.flatBank;
+    if (isOpen(b) && banks_[b].row == r.addr.row) {
         issue_column(fcfs);
         return true;
     }
-    if (bank.open) {
+    if (isOpen(b)) {
         // Row conflict: close the row once tRAS allows.
         ++stats_.rowConflicts;
-        doPrecharge(r.flatBank);
+        doPrecharge(b);
         return true;
     }
     // Bank closed: activate (defense may throttle instead).
     dram::Tick throttle = 0;
     if (defense_ && !r.defenseCleared) {
         actionBuf_.clear();
-        defense_->onActivate(r.flatBank, r.addr.row, now_, actionBuf_);
+        defense_->onActivate(b, r.addr.row, now_, actionBuf_);
         applyActions(actionBuf_, &throttle);
         if (throttle > 0) {
             r.notBefore = now_ + throttle;
@@ -452,7 +519,7 @@ MemController::tryIssue()
             return true; // state changed; pick again
         }
         r.defenseCleared = true;
-        if (bank.readyAct > now_) {
+        if (readyAct_[b] > now_) {
             // Preventive actions (victim refresh, migration, counter
             // transfer) occupy this bank first; the admitted
             // activation waits behind them and is not re-submitted
@@ -460,28 +527,33 @@ MemController::tryIssue()
             return true;
         }
     }
-    doActivate(r.flatBank, r.addr.row);
+    doActivate(b, r.addr.row);
     return true;
 }
 
 dram::Tick
 MemController::nextWakeup(dram::Tick from) const
 {
-    dram::Tick next = kInf;
-    auto consider = [&](dram::Tick t) {
-        if (t > now_ && t >= from && t < next)
-            next = t;
-    };
+    // The earliest candidate time after now_ and at or after `from`.
+    const dram::Tick lo = std::max(now_ + 1, from);
+    auto due = [lo](dram::Tick t) { return t >= lo ? t : kInf; };
     // Bank and rank readiness only gates banks with queued work. The
     // rank term is the exact per-bank ACT-legality time, shared with
-    // the pick so the two can never disagree.
-    for (uint32_t b : pendingBanks_) {
-        const Bank &bank = banks_[b];
-        consider(bank.readyAct);
-        consider(bank.readyColumn);
-        consider(bank.readyPre);
-        consider(rankActReady(ranks_[bank.rank], bank.group));
+    // the pick so the two can never disagree. One running minimum
+    // per array keeps the three chains independent.
+    dram::Tick act = kInf, col = kInf, pre = kInf;
+    uint64_t groups = 0;
+    for (uint64_t m = pendingMask_; m; m &= m - 1) {
+        const uint32_t b = lowestBank(m);
+        act = std::min(act, due(readyAct_[b]));
+        col = std::min(col, due(readyColumn_[b]));
+        pre = std::min(pre, due(readyPre_[b]));
+        groups |= bankBit(banks_[b].group);
     }
+    dram::Tick next = std::min({act, col, pre});
+    auto consider = [&](dram::Tick t) { next = std::min(next, due(t)); };
+    for (uint64_t m = groups; m; m &= m - 1)
+        consider(groupActReady_[lowestBank(m)]);
     // Throttle release times exist only while a defense is actively
     // throttling, and only parked requests carry future ones.
     for (const BankQueue *q : {&readQ_, &writeQ_})

@@ -9,13 +9,24 @@
  * Not modelled, though the timing table carries them: tRTP, tWTR_S/L,
  * tCCD_S, and tCCD_L between banks of one bank group.
  *
- * The inner loop is allocation-free and event-driven: a pick visits
- * the banks with work in a bank-indexed queue, not every request;
- * defense actions land in a reusable ActionBuffer, the tFAW history is
- * a 4-slot ring, and a cached min-wakeup ("quiet until") skips picks
- * that provably fail — with bit-identical scheduling decisions
- * (asserted by tests/test_perf_golden.cc and the command-stream
- * digests of tests/test_timing_rules.cc).
+ * The inner loop is allocation-free and event-driven. A channel has at
+ * most kMaxChannelBanks (64) flat banks, so per-bank sets are 64-bit
+ * masks: each queue keeps the banks holding a row-hit candidate and
+ * the banks holding another candidate, the controller the open banks
+ * and the banks with queued work. A pick walks the set bits of those
+ * masks and tests each candidate branch-free against the bank's ready
+ * times (flat arrays) and its rank's ACT window (one value per rank
+ * and bank group, recomputed only at an ACT); only the banks that can
+ * issue now are compared by age. A
+ * failed pick gets its blocked-until bound from minima over the same
+ * walk. Defense actions land in a reusable ActionBuffer, the tFAW
+ * history is a 4-slot ring, and a cached min-wakeup ("quiet until")
+ * skips picks that provably fail. That layer stays: the picks it
+ * skips are observable (tfawStalls counts per pick, and the drain
+ * hysteresis ticks per iteration), so which picks run is part of the
+ * behaviour. Scheduling decisions are bit-identical (asserted by
+ * tests/test_perf_golden.cc and the command-stream digests of
+ * tests/test_timing_rules.cc).
  */
 #ifndef SVARD_SIM_CONTROLLER_H
 #define SVARD_SIM_CONTROLLER_H
@@ -71,24 +82,32 @@ class CommandObserver
     virtual void onCommand(const DramCommand &cmd) = 0;
 };
 
+/** Most flat banks one channel may have: per-bank sets are 64-bit
+ *  masks. Every preset fits (ddr5-4800-32bank has 2 x 32). */
+inline constexpr uint32_t kMaxChannelBanks = 64;
+
 /**
  * One request queue (reads or writes), indexed by bank for FR-FCFS.
  * Requests live in a fixed slot pool, stamped with a queue-wide
  * arrival sequence number and linked into one arrival-ordered list
- * per bank; `active` holds the banks whose list is non-empty. Each
- * bank caches the only two requests the scheduler can pick from it:
- * the oldest to the open row (`hit`) and the oldest other one
- * (`other`), keyed on the bank's (open, row) state. A throttled
- * request waits in `parked`, off its bank list, and is linked back at
- * its arrival position once released. Never allocates after
- * construction: the per-activation hot path depends on that.
+ * per bank. Each bank caches the only two requests the scheduler can
+ * pick from it: the oldest to the open row (`hit`) and the oldest
+ * other one (`other`), for the bank's current (open, row) state.
+ * `hitMask`/`otherMask` hold the banks that have such a candidate;
+ * a bank in `stale` (a candidate left, or the controller changed the
+ * bank's state) has its candidates and mask bits recomputed by
+ * rescan() before the next pick of this queue. `stale` only holds
+ * banks in `listed` (non-empty list); an empty bank has no
+ * candidates. A throttled request waits in `parked`, off its bank
+ * list, and is linked back at its arrival position once released.
+ * Never allocates after construction: the per-activation hot path
+ * depends on that.
  */
 struct BankQueue
 {
     static constexpr uint32_t kNil = UINT32_MAX;
     /** Candidate key of a closed bank; an open bank's key is its row. */
     static constexpr int64_t kClosed = -1;
-    static constexpr int64_t kStale = -2; ///< candidates need a rescan
 
     struct Slot
     {
@@ -100,10 +119,8 @@ struct BankQueue
     struct PerBank
     {
         uint32_t head = kNil, tail = kNil;
-        uint32_t activePos = 0; ///< index in `active` while listed
         uint32_t hit = kNil, other = kNil; ///< candidate slots
         uint64_t hitSeq = 0, otherSeq = 0;
-        int64_t key = kStale;   ///< bank state the candidates are for
     };
 
     BankQueue(size_t capacity, uint32_t num_banks);
@@ -113,16 +130,26 @@ struct BankQueue
     void link(uint32_t s, int64_t key);
     /** Unlink slot `s` (a candidate) from its bank list. */
     void unlink(uint32_t s);
-    /** Recompute a bank's candidates for bank state `key`. */
-    void rescan(PerBank &pb, int64_t key);
-    /** Take `s` as a candidate of bank state `key` if it is older. */
-    void offer(PerBank &pb, uint32_t s, int64_t key);
+    /** Recompute bank `b`'s candidates for bank state `key`. */
+    void rescan(uint32_t b, int64_t key);
+    /** Take `s` as a candidate of bank `b` in state `key` if older. */
+    void offer(uint32_t b, uint32_t s, int64_t key);
+
+    /** The controller changed bank `b`'s (open, row) state. */
+    void
+    invalidate(uint32_t b)
+    {
+        stale |= listed & (uint64_t{1} << b);
+    }
 
     std::vector<Slot> slots;
     std::vector<uint32_t> freeSlots;
     std::vector<PerBank> banks;
-    std::vector<uint32_t> active;
     std::vector<uint32_t> parked;
+    uint64_t listed = 0;    ///< banks with a non-empty list
+    uint64_t hitMask = 0;   ///< banks with a hit candidate
+    uint64_t otherMask = 0; ///< banks with an other candidate
+    uint64_t stale = 0;     ///< banks whose candidates need a rescan
     uint64_t nextSeq = 0;
     size_t size = 0;
 };
@@ -178,6 +205,8 @@ class MemController
     using Completion =
         std::function<void(const MemRequest &, dram::Tick)>;
 
+    /** @throws std::invalid_argument if `cfg` has more than
+     *  kMaxChannelBanks banks per channel. */
     MemController(const SimConfig &cfg, defense::Defense *defense,
                   Completion on_complete);
 
@@ -216,18 +245,14 @@ class MemController
     void setObserver(CommandObserver *obs) { observer_ = obs; }
 
   private:
+    /** Per-bank state kept beside the ready-time arrays and the open
+     *  mask. */
     struct Bank
     {
-        bool open = false;
-        uint32_t row = 0;
+        uint32_t row = 0;       ///< open row (while open)
         uint32_t hitStreak = 0;
-        uint32_t rank = 0;          ///< fixed at construction
-        uint32_t group = 0;         ///< bank group within the rank
-        dram::Tick readyAct = 0;    ///< earliest next ACT
-        dram::Tick readyColumn = 0; ///< earliest next RD/WR
-        dram::Tick readyPre = 0;    ///< earliest next PRE
-
-        int64_t key() const { return open ? row : BankQueue::kClosed; }
+        uint32_t rank = 0;      ///< fixed at construction
+        uint32_t group = 0;     ///< flat (rank, bank group) index
     };
 
     struct Rank
@@ -237,10 +262,6 @@ class MemController
         uint32_t actHead = 0;  ///< oldest entry once the ring is full
         uint32_t actCount = 0;
         dram::Tick lastAct = -1'000'000; ///< tRRD_S reference
-        /** Last ACT time per bank group (tRRD_L reference; sized to
-         *  cfg.bankGroups, so DDR5's 8 groups and HBM2's 4 are both
-         *  exact instead of assuming the DDR4 Table 4 shape). */
-        std::vector<dram::Tick> lastActBg;
         dram::Tick refreshDue = 0;
 
         dram::Tick oldestAct() const { return actRing[actHead]; }
@@ -279,6 +300,22 @@ class MemController
 
     void doPrecharge(uint32_t flat_bank);
 
+    /** Mark a bank closed: clears its streak and tells both queues
+     *  their candidates for it are stale. */
+    void closeBank(uint32_t flat_bank);
+
+    bool
+    isOpen(uint32_t b) const
+    {
+        return (openMask_ >> b) & 1;
+    }
+
+    int64_t
+    bankKey(uint32_t b) const
+    {
+        return isOpen(b) ? banks_[b].row : BankQueue::kClosed;
+    }
+
     /** Execute defense actions produced by an ACT. */
     void applyActions(const defense::ActionBuffer &acts,
                       dram::Tick *throttle_out);
@@ -292,18 +329,12 @@ class MemController
             observer_->onCommand({k, b, row, now_, aux});
     }
 
-    /** Earliest next ACT a rank's tRRD/tFAW state allows for a bank
-     *  of bank group `bg` (the scheduler's single source of truth:
-     *  the pick and nextWakeup both derive from it). */
-    dram::Tick
-    rankActReady(const Rank &rank, uint32_t bg) const
-    {
-        dram::Tick e = rank.lastAct + cfg_.timing.tRRD_S;
-        e = std::max(e, rank.lastActBg[bg] + cfg_.timing.tRRD_L);
-        if (rank.actCount == 4)
-            e = std::max(e, rank.oldestAct() + cfg_.timing.tFAW);
-        return e;
-    }
+    /** Recompute groupActReady_ and tfawGroups_ for rank `r` (its
+     *  tRRD/tFAW state changes only at an ACT). The earliest next ACT
+     *  of a bank in (rank, bank group) g is groupActReady_[g]: the
+     *  scheduler's single source of truth, read by the pick and by
+     *  nextWakeup. */
+    void updateRankActReady(uint32_t r);
 
     const SimConfig &cfg_;
     MopMapper mapper_;
@@ -320,6 +351,19 @@ class MemController
     dram::Tick maintenanceDue_ = 0;
     std::vector<Bank> banks_;
     std::vector<Rank> ranks_;
+    /** Per flat bank: earliest next ACT, RD/WR and PRE. */
+    std::array<dram::Tick, kMaxChannelBanks> readyAct_{};
+    std::array<dram::Tick, kMaxChannelBanks> readyColumn_{};
+    std::array<dram::Tick, kMaxChannelBanks> readyPre_{};
+    uint64_t openMask_ = 0; ///< banks with an open row
+    /** Per (rank, bank group): earliest next ACT the rank's tRRD_S,
+     *  tRRD_L and tFAW state allows; bit g of tfawGroups_ is set when
+     *  the tFAW term alone sets that time. */
+    std::array<dram::Tick, kMaxChannelBanks> groupActReady_{};
+    uint64_t tfawGroups_ = 0;
+    /** Last ACT time per (rank, bank group): the tRRD_L reference,
+     *  exact for DDR5's 8 groups and HBM2's 4 alike. */
+    std::array<dram::Tick, kMaxChannelBanks> groupLastAct_{};
     BankQueue readQ_;
     BankQueue writeQ_;
     bool draining_ = false;
@@ -328,12 +372,10 @@ class MemController
      *  the defense hook performs no per-activation heap allocation. */
     defense::ActionBuffer actionBuf_;
 
-    /** Queued requests (both queues) per flat bank, plus a compact
-     *  unordered list of the banks with work — the index that lets
-     *  nextWakeup visit only the (few) banks that can matter. */
-    std::vector<uint32_t> pendingPerBank_;
-    std::vector<uint32_t> pendingBanks_;
-    std::vector<uint32_t> pendingPos_; ///< bank -> index in pendingBanks_
+    /** Queued requests (both queues, parked included) per flat bank,
+     *  and the mask of banks with any: nextWakeup visits only those. */
+    std::array<uint32_t, kMaxChannelBanks> pendingPerBank_{};
+    uint64_t pendingMask_ = 0;
 
     /** Cached min-wakeup: while valid and now_ < quietUntil_ (and
      *  before quietBusFlip_, see below), no request can make

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <exception>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +20,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/rng.h"
 #include "core/recal.h"
 #include "engine/drift_eval.h"
 #include "engine/runner.h"
@@ -119,6 +122,123 @@ TEST(RecalGrammar, DueSemantics)
     EXPECT_TRUE(reactive.due(5, 3));
     EXPECT_FALSE(core::RecalPolicy::parse("margin:0.1").due(4, 100));
     EXPECT_FALSE(core::RecalPolicy{}.due(4, 100));
+}
+
+// -----------------------------------------------------------------
+// Deterministic mutation fuzzing of both grammars
+// -----------------------------------------------------------------
+
+/** One to three random edits of a grammar string: a character
+ *  inserted, replaced or deleted (drawn from the grammar's own
+ *  alphabet plus bytes it never uses), a slice duplicated or cut,
+ *  or a number swapped for an extreme one. */
+std::string
+mutateGrammar(const std::string &text, Rng &rng)
+{
+    static const std::string alphabet =
+        "0123456789:+.-eE xnagitrmlpcdo\t\x01\x7f\xff";
+    static const char *const numbers[] = {
+        "0",    "-1",  "1e400", "1e-400",     "nan", "inf", "0x10",
+        "1e6",  "1e7", "100",   "100.000001", "0.9", "-0",  "+5",
+        "1e12", " 7",  "99999999999999999999"};
+    std::string m = text;
+    for (uint64_t edits = 1 + rng.below(3); edits-- > 0;) {
+        const size_t at = rng.below(m.size() + 1);
+        switch (rng.below(6)) {
+        case 0:
+            m.insert(at, 1, alphabet[rng.below(alphabet.size())]);
+            break;
+        case 1:
+            if (at < m.size())
+                m[at] = alphabet[rng.below(alphabet.size())];
+            break;
+        case 2:
+            m.erase(at, 1 + rng.below(4));
+            break;
+        case 3:
+            m.insert(at, m.substr(rng.below(m.size() + 1),
+                                  1 + rng.below(8)));
+            break;
+        case 4:
+            m.resize(at);
+            break;
+        default: { // the number after a ':' (or at the end)
+            const size_t colon = m.find(':', at);
+            const size_t from = colon == std::string::npos ? m.size()
+                                                           : colon + 1;
+            const size_t to = m.find_first_of(":+", from);
+            m.replace(from,
+                      (to == std::string::npos ? m.size() : to) - from,
+                      numbers[rng.below(std::size(numbers))]);
+            break;
+        }
+        }
+    }
+    return m;
+}
+
+/** Feeds `mutants` mutants of `seeds` to a parser that returns the
+ *  parsed value's canonical name. Every mutant must either parse
+ *  with a canonical name that re-parses to itself, or throw
+ *  std::invalid_argument; both outcomes must occur. */
+void
+fuzzGrammar(const char *grammar, const std::vector<std::string> &seeds,
+            const std::function<std::string(const std::string &)> &name_of,
+            uint64_t seed, int mutants)
+{
+    Rng rng(hashSeed({seed}));
+    int parsed = 0, rejected = 0;
+    for (int n = 0; n < mutants; ++n) {
+        const std::string m =
+            mutateGrammar(seeds[rng.below(seeds.size())], rng);
+        try {
+            const std::string canonical = name_of(m);
+            ++parsed;
+            std::string again;
+            try {
+                again = name_of(canonical);
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << grammar << " \"" << m
+                              << "\" parsed, but its name \""
+                              << canonical << "\" throws: " << e.what();
+                continue;
+            }
+            EXPECT_EQ(again, canonical)
+                << grammar << " \"" << m << "\" does not round-trip";
+        } catch (const std::invalid_argument &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << grammar << " \"" << m << "\" threw "
+                          << e.what() << ", not std::invalid_argument";
+        }
+    }
+    EXPECT_GT(parsed, mutants / 20) << grammar;
+    EXPECT_GT(rejected, mutants / 20) << grammar;
+    std::printf("%s: %d mutants, %d parsed, %d rejected\n", grammar,
+                mutants, parsed, rejected);
+}
+
+TEST(GrammarFuzz, DriftModelMutantsParseAndRoundTripOrAreRejected)
+{
+    fuzzGrammar("drift model",
+                {"none", "aging", "aging:16", "thermal", "thermal:5",
+                 "thermal:7.5:12", "aging:8+thermal:3:4",
+                 "thermal:0.25+aging"},
+                [](const std::string &text) {
+                    return fault::DriftModelSpec::parse(text).name();
+                },
+                0xD21F7ULL, 20000);
+}
+
+TEST(GrammarFuzz, RecalPolicyMutantsParseAndRoundTripOrAreRejected)
+{
+    fuzzGrammar("recal policy",
+                {"none", "periodic:8", "periodic:1", "reactive:3",
+                 "reactive:1000", "margin:0.1", "margin:0.25"},
+                [](const std::string &text) {
+                    return core::RecalPolicy::parse(text).name();
+                },
+                0x2ECA1ULL, 20000);
 }
 
 // -----------------------------------------------------------------

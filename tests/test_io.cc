@@ -28,6 +28,7 @@
 #include "defense/blockhammer.h"
 #include "defense/registry.h"
 #include "engine/runner.h"
+#include "fault_inject/fault_inject.h"
 #include "io/async_sink.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
@@ -786,6 +787,98 @@ TEST(SweepCache, DuplicateKeysLastRecordWinsAfterReopen)
     expectRowsEqual(last, got);
 }
 
+TEST(SweepCache, MidFileDamageIsRewrittenAwayOnFirstOpen)
+{
+    const std::string path = tmpPath("healed.cache");
+    engine::CellResult last = makeRow(1);
+    last.metrics.weightedSpeedup = 7.0;
+    const std::vector<engine::CellResult> rows = {
+        makeRow(0), makeRow(1), makeRow(2), makeRow(3), last};
+    writeRecordFile(path, rows);
+    // Flip one payload byte of the third record.
+    std::string bytes = slurp(path);
+    const size_t third =
+        io::encodeRecord(rows[0]).size() + io::encodeRecord(rows[1]).size();
+    bytes[third + 40] ^= 1;
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    auto lookups = [&](const io::SweepCache &cache) {
+        std::vector<std::pair<bool, double>> got;
+        for (const auto &r : rows) {
+            engine::CellResult out = r;
+            const bool hit = cache.lookup(r.seed, r.fingerprint, &out);
+            got.push_back({hit, out.metrics.weightedSpeedup});
+        }
+        return got;
+    };
+    ::testing::internal::CaptureStderr();
+    const auto first = lookups(io::SweepCache(path));
+    const std::string warned = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(warned.find("corrupt bytes mid-file (1 resync)"),
+              std::string::npos)
+        << warned;
+    EXPECT_FALSE(first[2].first) << "the damaged record was restored";
+    EXPECT_TRUE(first[1].first);
+    EXPECT_EQ(first[1].second, 7.0) << "the last record no longer wins";
+
+    // The file now holds the intact records' own bytes, in order.
+    EXPECT_EQ(slurp(path), io::encodeRecord(rows[0]) +
+                               io::encodeRecord(rows[1]) +
+                               io::encodeRecord(rows[3]) +
+                               io::encodeRecord(last));
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    io::RecordReadStats stats;
+    EXPECT_EQ(io::readRecords(f, &stats).size(), 4u);
+    std::fclose(f);
+    EXPECT_EQ(stats.resyncs, 0u);
+    EXPECT_EQ(stats.droppedBytes, 0u);
+    EXPECT_EQ(stats.validBytes, std::filesystem::file_size(path));
+
+    // A second open skips nothing, warns nothing, finds the same.
+    ::testing::internal::CaptureStderr();
+    const auto second = lookups(io::SweepCache(path));
+    const std::string quiet = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(quiet.find("corrupt"), std::string::npos) << quiet;
+    EXPECT_EQ(second, first);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    std::remove(path.c_str());
+}
+
+TEST(SweepCache, FailedRewriteLeavesTheDamagedFileAsItWas)
+{
+    const std::string path = tmpPath("unhealed.cache");
+    writeRecordFile(path, {makeRow(0), makeRow(1), makeRow(2)});
+    std::string bytes = slurp(path);
+    bytes[io::encodeRecord(makeRow(0)).size() + 40] ^= 1;
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    faults::configure("cache.rewrite:eio@1+");
+    ::testing::internal::CaptureStderr();
+    size_t cached = 0;
+    {
+        const io::SweepCache cache(path);
+        cached = cache.size();
+    }
+    const std::string warned = ::testing::internal::GetCapturedStderr();
+    faults::reset();
+    EXPECT_EQ(cached, 2u);
+    EXPECT_NE(warned.find("cannot rewrite"), std::string::npos) << warned;
+    EXPECT_EQ(slurp(path), bytes);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+    // Without the fault the next open heals it.
+    { const io::SweepCache cache(path); }
+    EXPECT_EQ(slurp(path), io::encodeRecord(makeRow(0)) +
+                               io::encodeRecord(makeRow(2)));
+    std::remove(path.c_str());
+}
+
 TEST(SweepCache, MissUnderAnotherFingerprintCountsAsInvalidated)
 {
     const std::string path = tmpPath("invalidated.cache");
@@ -980,8 +1073,24 @@ TEST(RecordFuzz, MutantsYieldOnlyOriginalRecordsAndOutcomes)
                 if (cache.lookup(o.seed, o.fingerprint, &got))
                     expectRowsEqual(o, got);
             }
-            // The torn tail is cut off; everything intact stays.
-            ASSERT_EQ(std::filesystem::file_size(path), stats.validBytes);
+            // The torn tail is cut off and mid-file damage rewritten
+            // away: the file holds exactly the intact records, in
+            // order, and reads back without skipping a byte.
+            if (stats.resyncs == 0) {
+                ASSERT_EQ(std::filesystem::file_size(path),
+                          stats.validBytes);
+            }
+            std::FILE *g = std::fopen(path.c_str(), "rb");
+            ASSERT_NE(g, nullptr);
+            io::RecordReadStats again;
+            const auto healed = io::readRecords(g, &again);
+            std::fclose(g);
+            ASSERT_EQ(again.resyncs, 0u);
+            ASSERT_EQ(again.droppedBytes, 0u);
+            ASSERT_EQ(std::filesystem::file_size(path), again.validBytes);
+            ASSERT_EQ(healed.size(), rows.size());
+            for (size_t i = 0; i < rows.size(); ++i)
+                expectRowsEqual(rows[i], healed[i]);
             ++opened;
         } catch (const std::runtime_error &) {
             // A typed refusal is an allowed outcome.

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "engine/runner.h"
 #include "obs/metrics.h"
 #include "sim/addrmap.h"
+#include "sim/controller.h"
 #include "sim/system.h"
 
 namespace svard::sim {
@@ -255,6 +258,25 @@ TEST(System, ControllerStatsAreTheFieldWiseSumOfChannels)
     EXPECT_GT(res.perChannel[0].reads, 0u);
     EXPECT_GT(res.perChannel[1].reads, 0u);
     EXPECT_GT(agg.tfawStalls, 0u);
+}
+
+TEST(MemController, RefusesMoreBanksPerChannelThanItsMasksHold)
+{
+    SimConfig cfg;
+    cfg.ranks = 4; // 4 x 4 x 4 = 64: the largest channel it accepts
+    ASSERT_EQ(cfg.totalBanks(), kMaxChannelBanks);
+    EXPECT_NO_THROW(MemController(cfg, nullptr, nullptr));
+    cfg.ranks = 5;
+    ASSERT_GT(cfg.totalBanks(), kMaxChannelBanks);
+    try {
+        MemController mc(cfg, nullptr, nullptr);
+        FAIL() << "a channel of " << cfg.totalBanks()
+               << " banks was accepted";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("80 banks"), std::string::npos) << what;
+        EXPECT_NE(what.find("limit of 64"), std::string::npos) << what;
+    }
 }
 
 // -----------------------------------------------------------------
