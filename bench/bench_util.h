@@ -281,6 +281,16 @@ parseSweepIo(int argc, char **argv)
         SVARD_FATAL("--out and --cache must name different files "
                     "(\"" + out.outPath + "\"): the sink would "
                     "truncate the checkpoint it is resuming from");
+    // writeManifest writes `<manifest>.tmp`, then renames it over the
+    // manifest path: either step would replace the CSV or the
+    // checkpoint if it named one.
+    for (const std::string *other : {&out.outPath, &out.cachePath})
+        for (const std::string &mine :
+             {out.manifestPath, out.manifestPath + ".tmp"})
+            if (!other->empty() && samePath(mine, *other))
+                SVARD_FATAL("--manifest=\"" + out.manifestPath +
+                            "\" would replace \"" + *other +
+                            "\" (--out or --cache) when it is written");
     if (out.resume) {
         if (out.cachePath.empty())
             SVARD_FATAL("--resume requires --cache=PATH "

@@ -57,29 +57,11 @@ TestSession::initRow(uint32_t bank, uint32_t row, uint8_t fill)
 }
 
 void
-TestSession::hammerDoubleSided(uint32_t bank, uint32_t aggr_low,
-                               uint32_t aggr_high, uint64_t count,
-                               dram::Tick t_agg_on)
-{
-    // Alg. 1 hammer_doublesided: one "hammer" is one activation of
-    // each aggressor, each held open for t_agg_on. Uses the device's
-    // bulk path; equivalent to the alternating per-command loop.
-    const dram::Tick t_on = std::max(t_agg_on, timing_.tRAS);
-    device_.hammer(bank, aggr_high, count, t_on, now_);
-    device_.hammer(bank, aggr_low, count, t_on, now_);
-    now_ += 2 * static_cast<dram::Tick>(count) * (t_on + timing_.tRP);
-    if (refreshWindowExceeded() && !overrunLatched_) {
-        overrunLatched_ = true;
-        ++overruns_;
-    }
-}
-
-void
 TestSession::hammerSingleSided(uint32_t bank, uint32_t aggr,
                                uint64_t count, dram::Tick t_agg_on)
 {
     const dram::Tick t_on = std::max(t_agg_on, timing_.tRAS);
-    device_.hammer(bank, aggr, count, t_on, now_);
+    device_.hammer(bank, aggr, count, t_on);
     now_ += static_cast<dram::Tick>(count) * (t_on + timing_.tRP);
     if (refreshWindowExceeded() && !overrunLatched_) {
         overrunLatched_ = true;
@@ -102,17 +84,6 @@ TestSession::readAndCompare(uint32_t bank, uint32_t row, uint8_t expected)
 
 BerMeasurement
 TestSession::measureBer(uint32_t bank, uint32_t victim,
-                        uint32_t aggr_low, uint32_t aggr_high,
-                        fault::DataPattern dp, uint64_t hammer_count,
-                        dram::Tick t_agg_on)
-{
-    return measureBer(bank, victim,
-                      std::vector<uint32_t>{aggr_low, aggr_high}, dp,
-                      hammer_count, t_agg_on);
-}
-
-BerMeasurement
-TestSession::measureBer(uint32_t bank, uint32_t victim,
                         const std::vector<uint32_t> &aggressors,
                         fault::DataPattern dp, uint64_t hammer_count,
                         dram::Tick t_agg_on)
@@ -122,16 +93,8 @@ TestSession::measureBer(uint32_t bank, uint32_t victim,
     initRow(bank, victim, fault::victimFill(dp));
     for (uint32_t a : aggressors)
         initRow(bank, a, fault::aggressorFill(dp));
-    const dram::Tick t_on = std::max(t_agg_on, timing_.tRAS);
-    for (uint32_t a : aggressors) {
-        device_.hammer(bank, a, hammer_count, t_on, now_);
-        now_ += static_cast<dram::Tick>(hammer_count) *
-                (t_on + timing_.tRP);
-    }
-    if (refreshWindowExceeded() && !overrunLatched_) {
-        overrunLatched_ = true;
-        ++overruns_;
-    }
+    for (uint32_t a : aggressors)
+        hammerSingleSided(bank, a, hammer_count, t_agg_on);
     return readAndCompare(bank, victim, fault::victimFill(dp));
 }
 

@@ -15,7 +15,6 @@
 #define SVARD_BENDER_TEST_SESSION_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dram/device.h"
@@ -83,16 +82,8 @@ class TestSession
     /** ACT + full-row WR of a repeating fill byte + PRE. */
     void initRow(uint32_t bank, uint32_t row, uint8_t fill);
 
-    /**
-     * Double-sided hammer (Alg. 1 hammer_doublesided): `count`
-     * alternating activation pairs of the two aggressor rows, each
-     * kept open for t_agg_on.
-     */
-    void hammerDoubleSided(uint32_t bank, uint32_t aggr_low,
-                           uint32_t aggr_high, uint64_t count,
-                           dram::Tick t_agg_on);
-
-    /** Single-sided hammer: `count` activations of one aggressor row. */
+    /** Single-sided hammer: `count` activations of one aggressor row,
+     *  each kept open for max(t_agg_on, tRAS). */
     void hammerSingleSided(uint32_t bank, uint32_t aggr, uint64_t count,
                            dram::Tick t_agg_on);
 
@@ -101,21 +92,12 @@ class TestSession
                                   uint8_t expected);
 
     /**
-     * Alg. 1 measure_BER: initialize victim and both aggressors with
-     * the pattern's fills (Table 2), hammer double-sided, read the
-     * victim back and compare. Aggressor rows are the physical
-     * neighbors of the victim expressed as logical addresses (the
-     * caller typically obtains them via aggressorRowsOf()).
-     */
-    BerMeasurement measureBer(uint32_t bank, uint32_t victim,
-                              uint32_t aggr_low, uint32_t aggr_high,
-                              fault::DataPattern dp, uint64_t hammer_count,
-                              dram::Tick t_agg_on);
-
-    /**
-     * measure_BER for an arbitrary aggressor set: subarray-edge victims
-     * have a single aggressor (hammered single-sided at the same
-     * per-aggressor activation count), interior victims two.
+     * Alg. 1 measure_BER: initialize the victim and its aggressors
+     * with the pattern's fills (Table 2), hammer each aggressor
+     * `hammer_count` times, read the victim back and compare.
+     * Aggressor rows are the physical neighbors of the victim as
+     * logical addresses (aggressorRowsOf()): two for interior
+     * victims (double-sided), one at a subarray edge.
      */
     BerMeasurement measureBer(uint32_t bank, uint32_t victim,
                               const std::vector<uint32_t> &aggressors,

@@ -43,66 +43,6 @@ probeRow(bender::TestSession &session, uint32_t bank, uint32_t phys,
 
 } // anonymous namespace
 
-dram::RowMapping::Scheme
-identifyRowMapping(bender::TestSession &session, const RevEngOptions &opt)
-{
-    auto &dev = session.device();
-    const uint32_t rows = dev.spec().rowsPerBank;
-    constexpr int kWindow = 8;
-
-    const dram::RowMapping::Scheme schemes[] = {
-        dram::RowMapping::Scheme::Identity,
-        dram::RowMapping::Scheme::MirrorPairs,
-        dram::RowMapping::Scheme::BitSwap,
-    };
-    double score[3] = {0.0, 0.0, 0.0};
-
-    for (uint32_t l = kWindow;
-         l + kWindow < rows && l < rows;
-         l += opt.mappingSamples) {
-        // Initialize the window around the hammered logical row.
-        for (int d = -kWindow; d <= kWindow; ++d) {
-            const uint32_t w = l + d;
-            session.initRow(opt.bank, w, d == 0 ? kAggrFill
-                                                : kVictimFill);
-        }
-        session.hammerSingleSided(opt.bank, l, opt.hammerCount,
-                                  opt.tAggOn);
-        std::set<uint32_t> observed;
-        for (int d = -kWindow; d <= kWindow; ++d) {
-            if (d == 0)
-                continue;
-            const uint32_t w = l + d;
-            if (session.readAndCompare(opt.bank, w, kVictimFill)
-                    .flippedBits > 0)
-                observed.insert(w);
-        }
-        for (int s = 0; s < 3; ++s) {
-            const dram::RowMapping cand(schemes[s], rows);
-            const uint32_t p = cand.toPhysical(l);
-            std::set<uint32_t> predicted;
-            if (p > 0)
-                predicted.insert(cand.toLogical(p - 1));
-            if (p + 1 < rows)
-                predicted.insert(cand.toLogical(p + 1));
-            // Jaccard similarity of predicted vs. observed victims.
-            size_t inter = 0;
-            for (uint32_t v : predicted)
-                inter += observed.count(v);
-            const size_t uni =
-                predicted.size() + observed.size() - inter;
-            if (uni > 0)
-                score[s] += static_cast<double>(inter) /
-                            static_cast<double>(uni);
-        }
-    }
-    int best = 0;
-    for (int s = 1; s < 3; ++s)
-        if (score[s] > score[best])
-            best = s;
-    return schemes[best];
-}
-
 SubarrayRevEng
 reverseEngineerSubarrays(bender::TestSession &session,
                          const RevEngOptions &opt, uint32_t k_sweep_max)

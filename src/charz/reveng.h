@@ -3,15 +3,12 @@
  * Reverse engineering of DRAM-internal organization from the memory
  * interface, as the paper's methodology requires (Sec. 4.2, 5.4.1):
  *
- *  1. Row mapping: which logical rows are physically adjacent. Found
- *     by hammering a row single-sided and scanning a window of logical
- *     rows for bitflips, then scoring candidate mapping schemes.
- *  2. Subarray boundaries (Key Insight 1): a row at a subarray edge
+ *  1. Subarray boundaries (Key Insight 1): a row at a subarray edge
  *     disturbs rows on only one side. Candidates are validated with
  *     intra-subarray RowClone (Key Insight 2): a *successful* clone
  *     proves two rows share a subarray and invalidates a boundary
  *     between them.
- *  3. k-means + silhouette sweep (Fig. 8): rows are clustered into k
+ *  2. k-means + silhouette sweep (Fig. 8): rows are clustered into k
  *     groups from their position and cumulative-boundary features; the
  *     silhouette-maximizing k estimates the subarray count.
  */
@@ -22,7 +19,6 @@
 #include <vector>
 
 #include "bender/test_session.h"
-#include "dram/rowmap.h"
 
 namespace svard::charz {
 
@@ -40,9 +36,6 @@ struct RevEngOptions
     /** Physical row range to probe (subarray reveng); 0,0 = full bank. */
     uint32_t firstRow = 0;
     uint32_t lastRow = 0;
-
-    /** Probe every Nth row when scanning for the mapping scheme. */
-    uint32_t mappingSamples = 64;
 };
 
 /** One point of the Fig. 8 silhouette curve. */
@@ -68,14 +61,6 @@ struct SubarrayRevEng
     /** k at the silhouette global maximum = estimated subarray count. */
     uint32_t bestK = 0;
 };
-
-/**
- * Identify the module's logical->physical row mapping scheme by
- * single-sided hammering sampled rows and checking which logical rows
- * flip under each candidate scheme. Returns the best-fitting scheme.
- */
-dram::RowMapping::Scheme identifyRowMapping(bender::TestSession &session,
-                                            const RevEngOptions &opt);
 
 /**
  * Run the full subarray reverse-engineering pipeline of Sec. 5.4.1

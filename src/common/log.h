@@ -5,12 +5,13 @@
  * panic(): an internal invariant was violated (a bug in this library);
  * aborts so a debugger/core dump can capture state.
  * fatal(): the caller supplied an impossible configuration; exits(1).
- * warn()/inform()/debugLog(): non-fatal status lines, all on stderr so
+ * warn()/inform(): non-fatal status lines, all on stderr so
  * machine-read CSV/JSON on stdout is never corrupted by diagnostics.
  *
  * Severity filtering: SVARD_LOG_LEVEL=error|warn|info|debug (or 0-3)
- * suppresses lines below the chosen level; default is info, so
- * debugLog() is silent unless asked for. panic/fatal always print.
+ * suppresses lines below the chosen level; default is info. No
+ * message is debug-only, so debug prints what info does.
+ * panic/fatal always print.
  */
 #ifndef SVARD_COMMON_LOG_H
 #define SVARD_COMMON_LOG_H
@@ -27,7 +28,7 @@ enum class LogLevel : int
     Error = 0, ///< only panic/fatal (which are unconditional anyway)
     Warn = 1,  ///< + warn()
     Info = 2,  ///< + inform()  [default]
-    Debug = 3, ///< + debugLog()
+    Debug = 3, ///< same output as Info
 };
 
 /** Parse a SVARD_LOG_LEVEL value; unknown strings fall back to Info. */
@@ -102,14 +103,6 @@ inform(const std::string &msg)
 {
     if (logLevel() >= LogLevel::Info)
         std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-/** Verbose diagnostics; silent unless SVARD_LOG_LEVEL=debug. */
-inline void
-debugLog(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Debug)
-        std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 } // namespace svard

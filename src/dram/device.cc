@@ -104,8 +104,7 @@ DramDevice::refreshRow(uint32_t bank, uint32_t row, Tick /* now */)
 }
 
 void
-DramDevice::hammer(uint32_t bank, uint32_t row, uint64_t count,
-                   Tick t_on, Tick /* now */)
+DramDevice::hammer(uint32_t bank, uint32_t row, uint64_t count, Tick t_on)
 {
     SVARD_ASSERT(bank < spec_.banks, "bank out of range");
     SVARD_ASSERT(!bankState_[bank].open, "hammer needs a precharged bank");

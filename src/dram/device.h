@@ -91,8 +91,7 @@ class DramDevice
      * instead of O(count) — this is what makes full Alg. 1 sweeps
      * tractable. The bank must be precharged.
      */
-    void hammer(uint32_t bank, uint32_t row, uint64_t count, Tick t_on,
-                Tick now);
+    void hammer(uint32_t bank, uint32_t row, uint64_t count, Tick t_on);
 
     // ------------------------------------------------------------
     // Data access (used while the row is open)

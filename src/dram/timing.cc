@@ -19,17 +19,6 @@ commandName(Command cmd)
     return "?";
 }
 
-const char *
-standardName(Standard std)
-{
-    switch (std) {
-      case Standard::DDR4: return "DDR4";
-      case Standard::DDR5: return "DDR5";
-      case Standard::HBM2: return "HBM2";
-    }
-    return "?";
-}
-
 namespace {
 
 [[noreturn]] void

@@ -23,9 +23,6 @@ enum class Standard : uint8_t
     HBM2,
 };
 
-/** Display name of a standard ("DDR4", "DDR5", "HBM2"). */
-const char *standardName(Standard std);
-
 /**
  * DRAM timing constraints, all in picoseconds. Cycle-denominated JEDEC
  * values are pre-multiplied by tCK so consumers never deal in cycles.

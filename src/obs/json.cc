@@ -51,28 +51,17 @@ formatNumber(double v)
     return buf;
 }
 
-bool
-Value::toU64(uint64_t *out) const
+uint64_t
+Value::asU64() const
 {
     // strtoull alone would wrap "-1" and stop at "2.5"'s dot; only an
     // all-digit token that does not overflow is an integer here.
     if (type_ != Type::Number || raw_.empty() ||
         raw_.find_first_not_of("0123456789") != std::string::npos)
-        return false;
+        return 0;
     errno = 0;
     const uint64_t v = std::strtoull(raw_.c_str(), nullptr, 10);
-    if (errno == ERANGE)
-        return false;
-    *out = v;
-    return true;
-}
-
-uint64_t
-Value::asU64() const
-{
-    uint64_t v = 0;
-    toU64(&v);
-    return v;
+    return errno == ERANGE ? 0 : v;
 }
 
 const Value *

@@ -1,11 +1,11 @@
 /**
  * @file
  * Minimal JSON support for the observability layer: string escaping for
- * the writers (trace, manifest, metrics snapshot) and a
- * small DOM parser used by tests and tools to validate those artifacts
- * round-trip. Deliberately tiny — no external dependency, no streaming,
- * no SAX — because every producer in this repo emits well-formed
- * documents a few MB at most.
+ * the writers (trace, manifest, metrics snapshot) and a small DOM
+ * parser that serves svard_bench's trace fold and the tests that
+ * check those artifacts. Deliberately tiny — no external dependency,
+ * no streaming, no SAX — because every producer in this repo emits
+ * well-formed documents a few MB at most.
  */
 #ifndef SVARD_OBS_JSON_H
 #define SVARD_OBS_JSON_H
@@ -26,7 +26,7 @@ std::string formatNumber(double v);
 
 /**
  * Parsed JSON value. Numbers are kept as doubles (plus the raw text so
- * 64-bit integers such as fingerprints survive exactly via toU64()).
+ * 64-bit integers such as fingerprints survive exactly via asU64()).
  */
 class Value
 {
@@ -46,11 +46,9 @@ class Value
 
     bool asBool() const { return boolean_; }
     double asNumber() const { return number_; }
-    /** Exact integer re-parse of the raw token: true, with *out set,
-     *  iff this is a number written as plain base-10 digits (no sign,
-     *  fraction or exponent) within uint64_t. */
-    bool toU64(uint64_t *out) const;
-    /** toU64(), or 0 for any other value. */
+    /** Exact integer re-parse of the raw token when this is a number
+     *  written as plain base-10 digits (no sign, fraction or
+     *  exponent) within uint64_t; 0 for any other value. */
     uint64_t asU64() const;
     const std::string &asString() const { return string_; }
 

@@ -3,9 +3,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <utility>
 
 #include "common/log.h"
 #include "fault_inject/fault_inject.h"
@@ -18,32 +15,6 @@ std::string
 quoted(const std::string &s)
 {
     return "\"" + json::escape(s) + "\"";
-}
-
-/** Integer field `key` into *out (0 when absent). False, with *err
- *  naming the key, when it is present but not a plain base-10 integer
- *  in [0, max]: a bad count must not load as a wrapped or truncated
- *  one. */
-bool
-u64Field(const json::Value &v, const char *key, uint64_t *out,
-         std::string *err, uint64_t max = UINT64_MAX)
-{
-    *out = 0;
-    const json::Value *f = v.find(key);
-    if (!f || (f->toU64(out) && *out <= max))
-        return true;
-    if (err)
-        *err = std::string("manifest field \"") + key +
-               "\" is not an integer in [0, " + std::to_string(max) +
-               "]";
-    return false;
-}
-
-std::string
-strField(const json::Value &v, const char *key)
-{
-    const json::Value *f = v.find(key);
-    return f ? f->asString() : std::string();
 }
 
 } // namespace
@@ -154,63 +125,6 @@ writeManifest(const std::string &path, const RunManifest &m,
         std::remove(tmp.c_str());
         return false;
     }
-    return true;
-}
-
-bool
-readManifest(const std::string &path, RunManifest *out, std::string *err)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-        if (err)
-            *err = "cannot read " + path;
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    json::Value doc;
-    if (!json::Value::parse(buf.str(), &doc, err))
-        return false;
-    if (strField(doc, "schema") != kManifestSchema) {
-        if (err)
-            *err = "unexpected manifest schema '" +
-                   strField(doc, "schema") + "'";
-        return false;
-    }
-    out->kind = strField(doc, "kind");
-    out->geometries.clear();
-    if (const json::Value *g = doc.find("geometries"))
-        for (const json::Value &item : g->items())
-            out->geometries.push_back(item.asString());
-    const std::pair<const char *, uint64_t *> counts[] = {
-        {"spec_fingerprint", &out->specFingerprint},
-        {"base_seed", &out->baseSeed},
-        {"requests_per_core", &out->requestsPerCore},
-        {"cells_total", &out->cellsTotal},
-        {"cells_executed", &out->cellsExecuted},
-        {"cells_cached", &out->cellsCached},
-        {"baselines_executed", &out->baselinesExecuted},
-        {"baselines_cached", &out->baselinesCached},
-        {"escapes", &out->escapes},
-        {"recalibrations", &out->recalibrations},
-    };
-    for (const auto &[key, dst] : counts)
-        if (!u64Field(doc, key, dst, err))
-            return false;
-    uint64_t threads = 0;
-    if (!u64Field(doc, "threads", &threads, err, UINT32_MAX))
-        return false;
-    out->threads = static_cast<uint32_t>(threads);
-    out->buildFlags = strField(doc, "build_flags");
-    if (const json::Value *w = doc.find("wall_s"))
-        out->wallSeconds = w->asNumber();
-    out->cachePath = strField(doc, "cache_path");
-    if (const json::Value *i = doc.find("interrupted"))
-        out->interrupted = i->asBool();
-    out->driftPolicies.clear();
-    if (const json::Value *d = doc.find("drift_policies"))
-        for (const json::Value &item : d->items())
-            out->driftPolicies.push_back(item.asString());
     return true;
 }
 

@@ -9,9 +9,7 @@
  * is an orphan; with it, any later tool (or a human three months out)
  * can tell exactly which code and configuration produced the bytes.
  *
- * Schema: "svard-manifest-v1". The reader ignores keys it does not
- * know, so manifests from older builds (with "simd_impl",
- * "sink_queue_high_water" or a per-process worker array) still load.
+ * Schema: "svard-manifest-v1".
  */
 #ifndef SVARD_OBS_MANIFEST_H
 #define SVARD_OBS_MANIFEST_H
@@ -57,7 +55,7 @@ std::string buildFlagsString();
 
 /**
  * Write `m` plus the metrics snapshot to `path` as pretty-printed
- * JSON. The write is atomic (tmp file + rename): a kill mid-write
+ * JSON. The write is atomic (`path`.tmp + rename): a kill mid-write
  * leaves the previous manifest (or none), never a torn JSON next to
  * a valid result file. Returns false (after warning) if the file
  * cannot be written — manifests are bookkeeping and must never kill
@@ -65,16 +63,6 @@ std::string buildFlagsString();
  */
 bool writeManifest(const std::string &path, const RunManifest &m,
                    const Snapshot &metrics);
-
-/**
- * Parse a manifest written by writeManifest (schema-checked). The
- * metrics snapshot is not reconstructed — tests inspect it through the
- * JSON DOM directly. Returns false on parse/schema mismatch, and when
- * an integer field is not a plain base-10 integer within its type
- * (*err names the key).
- */
-bool readManifest(const std::string &path, RunManifest *out,
-                  std::string *err = nullptr);
 
 } // namespace svard::obs
 

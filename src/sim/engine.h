@@ -40,8 +40,8 @@ class SimEngine
               const defense::DefenseParams &params = {});
 
     /**
-     * Use a single caller-owned defense (legacy path, tests and the
-     * security harness). Requires a 1-channel configuration unless
+     * Use a single caller-owned defense (System's single-defense
+     * construction). Requires a 1-channel configuration unless
      * `defense` is null; the defense's bank folding is configured to
      * the engine's geometry.
      */

@@ -124,7 +124,7 @@ RunResult
 System::run()
 {
     const MopMapper &mapper = engine_->mapper();
-    const dram::Tick hard_stop = 30000 * dram::kPsPerMs; // 30 s walltime
+    const dram::Tick hard_stop = 30000 * dram::kPsPerMs; // 30 s simulated
     // primaryDone is monotonic, so finished cores are checked once
     // and dropped instead of being re-polled every loop iteration.
     std::vector<char> done(cores_.size(), 0);

@@ -40,7 +40,8 @@ class System
 {
   public:
     /**
-     * Legacy single-defense construction (tests, harness-style use).
+     * Single-defense construction: ablation_bins, svard_bench's
+     * recording defense and tests pass one caller-owned defense.
      * @param traces one trace per core
      * @param primary measured requests per core (trace repeats after)
      * @param defense optional defense under test (not owned); its

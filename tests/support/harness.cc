@@ -1,4 +1,4 @@
-#include "defense/harness.h"
+#include "support/harness.h"
 
 #include <vector>
 

@@ -7,10 +7,11 @@
  * throttle stalls, aggressor migration/swap remaps). The harness
  * reports whether any bitflip was induced — the paper's security
  * claim (Sec. 6.3) is that Svärd preserves "zero bitflips" while
- * reducing how often the defense acts.
+ * reducing how often the defense acts. Only tests run it, so it lives
+ * in the test support library, not in src/.
  */
-#ifndef SVARD_DEFENSE_HARNESS_H
-#define SVARD_DEFENSE_HARNESS_H
+#ifndef SVARD_TESTS_SUPPORT_HARNESS_H
+#define SVARD_TESTS_SUPPORT_HARNESS_H
 
 #include <cstdint>
 #include <unordered_map>
@@ -54,4 +55,4 @@ AttackResult runDoubleSidedAttack(dram::DramDevice &device,
 
 } // namespace svard::defense
 
-#endif // SVARD_DEFENSE_HARNESS_H
+#endif // SVARD_TESTS_SUPPORT_HARNESS_H

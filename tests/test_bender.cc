@@ -71,7 +71,7 @@ TEST_F(BenderTest, MeasureBerBelowThresholdIsZero)
 {
     const uint32_t victim = victimWithTwoAggressors();
     const auto aggr = session_.aggressorRowsOf(victim);
-    const auto m = session_.measureBer(0, victim, aggr[0], aggr[1],
+    const auto m = session_.measureBer(0, victim, aggr,
                                        fault::DataPattern::RowStripe,
                                        1024, 36 * kPsPerNs);
     EXPECT_EQ(m.flippedBits, 0u);  // S0 min HC_first is 32K
@@ -82,7 +82,7 @@ TEST_F(BenderTest, MeasureBerAt128KFlipsBits)
 {
     const uint32_t victim = victimWithTwoAggressors();
     const auto aggr = session_.aggressorRowsOf(victim);
-    const auto m = session_.measureBer(0, victim, aggr[0], aggr[1],
+    const auto m = session_.measureBer(0, victim, aggr,
                                        fault::DataPattern::RowStripe,
                                        128 * 1024, 36 * kPsPerNs);
     EXPECT_GT(m.flippedBits, 0u);
@@ -95,10 +95,10 @@ TEST_F(BenderTest, RowPressLowersEffectiveThreshold)
     // At tAggOn = 2us, far fewer hammers suffice (Fig. 7).
     const uint32_t victim = victimWithTwoAggressors();
     const auto aggr = session_.aggressorRowsOf(victim);
-    const auto fast = session_.measureBer(0, victim, aggr[0], aggr[1],
+    const auto fast = session_.measureBer(0, victim, aggr,
                                           fault::DataPattern::RowStripe,
                                           8 * 1024, 36 * kPsPerNs);
-    const auto press = session_.measureBer(0, victim, aggr[0], aggr[1],
+    const auto press = session_.measureBer(0, victim, aggr,
                                            fault::DataPattern::RowStripe,
                                            8 * 1024, 2 * kPsPerUs);
     EXPECT_EQ(fast.flippedBits, 0u);
@@ -118,9 +118,8 @@ TEST_F(BenderTest, WorstCasePatternDominatesMostRows)
         ++rows_checked;
         uint64_t best_flips = 0;
         for (auto dp : fault::allDataPatterns) {
-            const auto m = session_.measureBer(0, victim, aggr[0],
-                                               aggr[1], dp, 128 * 1024,
-                                               36 * kPsPerNs);
+            const auto m = session_.measureBer(0, victim, aggr, dp,
+                                               128 * 1024, 36 * kPsPerNs);
             best_flips = std::max(best_flips, m.flippedBits);
         }
         // Re-measure with RS and RSI; one of the stripes should be at
@@ -128,9 +127,8 @@ TEST_F(BenderTest, WorstCasePatternDominatesMostRows)
         uint64_t stripe_best = 0;
         for (auto dp : {fault::DataPattern::RowStripe,
                         fault::DataPattern::RowStripeInv}) {
-            const auto m = session_.measureBer(0, victim, aggr[0],
-                                               aggr[1], dp, 128 * 1024,
-                                               36 * kPsPerNs);
+            const auto m = session_.measureBer(0, victim, aggr, dp,
+                                               128 * 1024, 36 * kPsPerNs);
             stripe_best = std::max(stripe_best, m.flippedBits);
         }
         if (stripe_best * 10 >= best_flips * 8)
@@ -144,8 +142,8 @@ TEST_F(BenderTest, HammerTimeFitsRefreshWindowAtMinOnTime)
     const uint32_t victim = victimWithTwoAggressors();
     const auto aggr = session_.aggressorRowsOf(victim);
     session_.resetClock();
-    session_.hammerDoubleSided(0, aggr[0], aggr[1], 128 * 1024,
-                               36 * kPsPerNs);
+    for (uint32_t a : aggr)
+        session_.hammerSingleSided(0, a, 128 * 1024, 36 * kPsPerNs);
     EXPECT_FALSE(session_.refreshWindowExceeded());
     EXPECT_EQ(session_.overruns(), 0u);
 }
@@ -155,8 +153,8 @@ TEST_F(BenderTest, LongPressOverrunsRefreshWindowAndIsCounted)
     const uint32_t victim = victimWithTwoAggressors();
     const auto aggr = session_.aggressorRowsOf(victim);
     session_.resetClock();
-    session_.hammerDoubleSided(0, aggr[0], aggr[1], 128 * 1024,
-                               2 * kPsPerUs);
+    for (uint32_t a : aggr)
+        session_.hammerSingleSided(0, a, 128 * 1024, 2 * kPsPerUs);
     EXPECT_TRUE(session_.refreshWindowExceeded());
     EXPECT_EQ(session_.overruns(), 1u);
 }

@@ -210,20 +210,6 @@ TEST(Characterizer, RowResultsAreHistoryIndependent)
     }
 }
 
-TEST(RevEng, IdentifiesRowMappingScheme)
-{
-    for (const char *label : {"H0", "M0", "S0"}) {
-        Rig rig(label);
-        bender::TestSession session(rig.device);
-        RevEngOptions opt;
-        opt.mappingSamples = 2048;
-        const auto scheme = identifyRowMapping(session, opt);
-        EXPECT_EQ(static_cast<int>(scheme),
-                  rig.spec.rowMappingScheme)
-            << label;
-    }
-}
-
 TEST(RevEng, FindsSubarrayBoundariesInProbedRange)
 {
     Rig rig("S0");

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <utility>
 #include <stdexcept>
 #include <string>
@@ -19,6 +22,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "support/mutate.h"
 
 namespace svard {
 namespace {
@@ -204,6 +208,74 @@ TEST(Table, EnvIntFallback)
         }
     }
     ::unsetenv(var);
+}
+
+/** The independent oracle for envInt: the value of `s` when it is
+ *  one whole base-10 integer (optional sign, digits only) in int64_t. */
+std::optional<int64_t>
+wholeInt(const std::string &s)
+{
+    // from_chars takes a '-' but not a '+', so strip one '+' and
+    // refuse a second sign after it.
+    const size_t skip = !s.empty() && s[0] == '+' ? 1 : 0;
+    if (skip == 1 && (s.size() == 1 || s[1] == '-'))
+        return std::nullopt;
+    int64_t v = 0;
+    const char *end = s.data() + s.size();
+    const auto [p, ec] = std::from_chars(s.data() + skip, end, v);
+    if (ec != std::errc() || p != end)
+        return std::nullopt;
+    return v;
+}
+
+TEST(EnvIntFuzz, MutantsReadAsStrtollOrAreRejected)
+{
+    // Each mutant of a valid knob value either reads as the integer
+    // strtoll gives for it, and the oracle agrees it is one, or throws
+    // std::invalid_argument naming the knob. Nothing else may happen.
+    const char *var = "SVARD_TEST_ENV_FUZZ";
+    const std::vector<std::string> seeds = {
+        "0", "1", "-42", "+7", "500", "1500", "9223372036854775807",
+        "-9223372036854775808"};
+    const std::vector<std::string> tokens = {
+        "9223372036854775808", "-9223372036854775809",
+        "99999999999999999999", "0x10", "1e3", "2.5", "00", "-0", "+",
+        "-", " ", "\t", "abc", "18446744073709551615"};
+    const std::string alphabet = "0123456789+- xXeE.\t\n\x01\x7f\xff";
+    constexpr int kMutants = 100000;
+    Rng rng(hashSeed({0xE4F1ULL}));
+    int parsed = 0, rejected = 0;
+    for (int n = 0; n < kMutants; ++n) {
+        const std::string m = fuzz::mutate(seeds[rng.below(seeds.size())],
+                                           rng, alphabet, tokens);
+        ::setenv(var, m.c_str(), 1);
+        if (m.empty()) { // unset or empty: the fallback
+            EXPECT_EQ(envInt(var, 5), 5);
+            continue;
+        }
+        const std::optional<int64_t> want = wholeInt(m);
+        try {
+            const int64_t got = envInt(var, 5);
+            ++parsed;
+            EXPECT_EQ(got, std::strtoll(m.c_str(), nullptr, 10))
+                << "\"" << m << "\"";
+            EXPECT_TRUE(want && *want == got)
+                << "\"" << m << "\" read as " << got;
+        } catch (const std::invalid_argument &e) {
+            ++rejected;
+            EXPECT_FALSE(want) << "\"" << m << "\" rejected";
+            EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+                << e.what();
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "\"" << m << "\" threw " << e.what()
+                          << ", not std::invalid_argument";
+        }
+    }
+    ::unsetenv(var);
+    EXPECT_GT(parsed, kMutants / 20);
+    EXPECT_GT(rejected, kMutants / 20);
+    std::printf("envInt: %d mutants, %d parsed, %d rejected\n",
+                kMutants, parsed, rejected);
 }
 
 // -----------------------------------------------------------------

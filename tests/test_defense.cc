@@ -13,13 +13,13 @@
 #include "defense/aqua.h"
 #include "defense/blockhammer.h"
 #include "defense/graphene.h"
-#include "defense/harness.h"
 #include "defense/hydra.h"
 #include "defense/para.h"
 #include "defense/registry.h"
 #include "defense/rrs.h"
 #include "fault/vuln_model.h"
 #include "sim/presets.h"
+#include "support/harness.h"
 
 namespace svard::defense {
 namespace {

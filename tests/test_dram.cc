@@ -382,7 +382,7 @@ TEST_F(DeviceTest, HammerAccumulatesOnNeighbors)
     ASSERT_EQ(neigh.size(), 2u);
     const uint32_t aggr = device_.mapping().toLogical(neigh[0]);
 
-    device_.hammer(0, aggr, 1000, 36 * kPsPerNs, 0);
+    device_.hammer(0, aggr, 1000, 36 * kPsPerNs);
     // Each ACT at minimum on-time contributes ~0.5 effective hammers.
     const double pending = device_.pendingHammers(0, victim);
     EXPECT_GT(pending, 300.0);
@@ -395,7 +395,7 @@ TEST_F(DeviceTest, ActivationOfVictimResetsAccumulation)
     const uint32_t phys = device_.mapping().toPhysical(victim);
     const uint32_t aggr = device_.mapping().toLogical(
         subarrays_->disturbedNeighbors(phys)[0]);
-    device_.hammer(0, aggr, 1000, 36 * kPsPerNs, 0);
+    device_.hammer(0, aggr, 1000, 36 * kPsPerNs);
     EXPECT_GT(device_.pendingHammers(0, victim), 0.0);
     device_.activate(0, victim, 0);
     device_.precharge(0, 50000);
@@ -419,7 +419,7 @@ TEST_F(DeviceTest, BelowThresholdNoBitflips)
     // S0's minimum HC_first is 32K hammers; 1K hammers is safely below.
     for (uint32_t n : neigh)
         device_.hammer(0, device_.mapping().toLogical(n), 1024,
-                       36 * kPsPerNs, 0);
+                       36 * kPsPerNs);
     EXPECT_EQ(device_.countMismatchedBits(0, victim, 0x00), 0u);
 }
 
@@ -441,7 +441,7 @@ TEST_F(DeviceTest, MassiveHammeringFlipsBits)
     // 512K activations per aggressor = 512K hammers >> any S0 HC_first.
     for (uint32_t n : neigh)
         device_.hammer(0, device_.mapping().toLogical(n), 512 * 1024,
-                       36 * kPsPerNs, 0);
+                       36 * kPsPerNs);
     EXPECT_GT(device_.countMismatchedBits(0, victim, 0x00), 0u);
     EXPECT_GT(device_.stats().bitflipsInjected, 0u);
 }
@@ -453,7 +453,7 @@ TEST_F(DeviceTest, DisturbanceDisableSuppressesFlips)
     const uint32_t phys = device_.mapping().toPhysical(victim);
     for (uint32_t n : subarrays_->disturbedNeighbors(phys))
         device_.hammer(0, device_.mapping().toLogical(n), 512 * 1024,
-                       36 * kPsPerNs, 0);
+                       36 * kPsPerNs);
     EXPECT_EQ(device_.countMismatchedBits(0, victim, 0x00), 0u);
 }
 
@@ -463,7 +463,7 @@ TEST_F(DeviceTest, RefreshWipesSubThresholdDisturbance)
     const uint32_t phys = device_.mapping().toPhysical(victim);
     const uint32_t aggr = device_.mapping().toLogical(
         subarrays_->disturbedNeighbors(phys)[0]);
-    device_.hammer(0, aggr, 1000, 36 * kPsPerNs, 0);
+    device_.hammer(0, aggr, 1000, 36 * kPsPerNs);
     device_.refreshAllRows(0);
     EXPECT_DOUBLE_EQ(device_.pendingHammers(0, victim), 0.0);
     EXPECT_EQ(device_.countMismatchedBits(0, victim, 0x00), 0u);
@@ -475,10 +475,10 @@ TEST_F(DeviceTest, RowPressLongerOnTimeDisturbsMore)
     const uint32_t phys = device_.mapping().toPhysical(victim);
     const uint32_t aggr = device_.mapping().toLogical(
         subarrays_->disturbedNeighbors(phys)[0]);
-    device_.hammer(0, aggr, 1000, 36 * kPsPerNs, 0);
+    device_.hammer(0, aggr, 1000, 36 * kPsPerNs);
     const double short_on = device_.pendingHammers(0, victim);
     device_.refreshAllRows(0);
-    device_.hammer(0, aggr, 1000, 2 * kPsPerUs, 0);
+    device_.hammer(0, aggr, 1000, 2 * kPsPerUs);
     const double long_on = device_.pendingHammers(0, victim);
     EXPECT_GT(long_on, 3.0 * short_on);
 }
@@ -515,7 +515,7 @@ TEST_F(DeviceTest, StatsCountCommands)
 {
     device_.activate(0, 10, 0);
     device_.precharge(0, 50000);
-    device_.hammer(0, 10, 100, 36 * kPsPerNs, 0);
+    device_.hammer(0, 10, 100, 36 * kPsPerNs);
     EXPECT_EQ(device_.stats().activates, 101u);
     EXPECT_EQ(device_.stats().precharges, 101u);
 }
@@ -567,7 +567,7 @@ TEST(Disturbance, FlipPlacementPinnedAcrossImplementations)
         for (uint32_t a : aggrs)
             session.initRow(c.bank, a, c.aggrFill);
         for (uint32_t a : aggrs)
-            dev.hammer(c.bank, a, c.hammers, dev.timing().tRAS, 0);
+            dev.hammer(c.bank, a, c.hammers, dev.timing().tRAS);
 
         const auto bytes = dev.readRow(c.bank, c.victim);
         HashStream digest;

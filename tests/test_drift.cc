@@ -28,7 +28,7 @@
 #include "fault_inject/fault_inject.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
-#include "obs/manifest.h"
+#include "obs/json.h"
 #include "sim/workload.h"
 
 namespace svard {
@@ -542,17 +542,19 @@ TEST(DriftSweep, ThreadCountAndCacheResumeAreByteIdentical)
     }
 
     // Satellite: the run manifest records the drift axis and totals.
-    obs::RunManifest m;
+    obs::json::Value m;
     std::string err;
-    ASSERT_TRUE(obs::readManifest(manifest, &m, &err)) << err;
-    ASSERT_EQ(m.driftPolicies.size(), 3u);
-    EXPECT_EQ(m.driftPolicies[0], "none");
-    EXPECT_EQ(m.driftPolicies[1], "aging:8/none/e8/g0.02");
-    EXPECT_EQ(m.driftPolicies[2], "aging:8/periodic:4/e8/g0.02");
-    EXPECT_EQ(m.escapes, escapes);
-    EXPECT_EQ(m.recalibrations, recals);
-    EXPECT_GT(m.escapes, 0u);
-    EXPECT_GT(m.recalibrations, 0u);
+    ASSERT_TRUE(obs::json::Value::parse(slurp(manifest), &m, &err))
+        << err;
+    const auto &policies = m.find("drift_policies")->items();
+    ASSERT_EQ(policies.size(), 3u);
+    EXPECT_EQ(policies[0].asString(), "none");
+    EXPECT_EQ(policies[1].asString(), "aging:8/none/e8/g0.02");
+    EXPECT_EQ(policies[2].asString(), "aging:8/periodic:4/e8/g0.02");
+    EXPECT_EQ(m.find("escapes")->asU64(), escapes);
+    EXPECT_EQ(m.find("recalibrations")->asU64(), recals);
+    EXPECT_GT(escapes, 0u);
+    EXPECT_GT(recals, 0u);
 }
 
 /** Run the drift-axis sweep into `cache_path` under `fault`, dying at

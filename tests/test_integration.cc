@@ -11,9 +11,9 @@
 #include <memory>
 
 #include "charz/characterizer.h"
-#include "defense/harness.h"
 #include "defense/registry.h"
 #include "fault/vuln_model.h"
+#include "support/harness.h"
 
 namespace svard {
 namespace {

