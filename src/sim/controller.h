@@ -239,7 +239,6 @@ class MemController
 
     dram::Tick now() const { return now_; }
     const ControllerStats &stats() const { return stats_; }
-    const MopMapper &mapper() const { return mapper_; }
 
     /** Report every issued command to `obs` (null: none). */
     void setObserver(CommandObserver *obs) { observer_ = obs; }

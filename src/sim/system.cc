@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 
 namespace svard::sim {
@@ -18,7 +19,8 @@ constexpr dram::Tick kQuantum = 500 * dram::kPsPerNs;
  * nothing back, so results are identical with metrics on or off.
  */
 void
-foldRunMetrics(const SimEngine &eng, const RunResult &res)
+foldRunMetrics(const std::vector<defense::Defense *> &defenses,
+               const RunResult &res)
 {
     if (!obs::metricsEnabled())
         return;
@@ -57,7 +59,8 @@ foldRunMetrics(const SimEngine &eng, const RunResult &res)
     obs::add(refr, c.refreshes);
     obs::add(tfaw, c.tfawStalls);
 
-    if (!eng.hasDefense())
+    if (std::none_of(defenses.begin(), defenses.end(),
+                     [](const defense::Defense *d) { return d != nullptr; }))
         return;
     const defense::DefenseStats &d = res.defense;
     obs::add(defActs, d.activationsObserved);
@@ -67,8 +70,8 @@ foldRunMetrics(const SimEngine &eng, const RunResult &res)
     obs::add(defSwaps, d.swaps);
     obs::add(defMeta, d.metadataAccesses);
     uint64_t entries = 0, rehashes = 0;
-    for (uint32_t ch = 0; ch < eng.channels(); ++ch) {
-        if (const defense::Defense *def = eng.defenseOf(ch)) {
+    for (const defense::Defense *def : defenses) {
+        if (def) {
             uint64_t e = 0, r = 0;
             def->tableStats(&e, &r);
             entries += e;
@@ -83,19 +86,15 @@ foldRunMetrics(const SimEngine &eng, const RunResult &res)
 System::System(const SimConfig &cfg,
                std::vector<std::vector<TraceEntry>> traces,
                size_t primary, defense::Defense *defense)
-    : cfg_(cfg)
+    : cfg_(cfg), mapper_(cfg)
 {
-    SVARD_ASSERT(!traces.empty(), "system needs traces");
-    for (uint32_t c = 0; c < traces.size(); ++c)
-        cores_.push_back(std::make_unique<CoreModel>(
-            cfg_, c, std::move(traces[c]), primary));
-    releaseDirty_.assign(cores_.size(), 1);
-
-    engine_ = std::make_unique<SimEngine>(
-        cfg_, defense, [this](const MemRequest &req, dram::Tick when) {
-            cores_[req.core]->onReadComplete(req.token, when);
-            releaseDirty_[req.core] = 1;
-        });
+    SVARD_ASSERT(defense == nullptr || cfg_.channels == 1,
+                 "a shared external defense is single-channel only; "
+                 "use the registry constructor for multi-channel runs");
+    if (defense)
+        defense->setBanksPerRank(cfg_.banksPerRank());
+    defenses_.assign(cfg_.channels, defense);
+    build(std::move(traces), primary);
 }
 
 System::System(const SimConfig &cfg,
@@ -103,27 +102,55 @@ System::System(const SimConfig &cfg,
                size_t primary, const std::string &defense_name,
                std::shared_ptr<const core::ThresholdProvider> provider,
                uint64_t seed, const defense::DefenseParams &params)
-    : cfg_(cfg)
+    : cfg_(cfg), mapper_(cfg)
+{
+    for (uint32_t c = 0; c < cfg_.channels; ++c) {
+        // Channel 0 keeps the caller's seed, so a 1-channel run
+        // seeds its defense with `seed` itself.
+        const uint64_t chan_seed =
+            c == 0 ? seed : hashSeed({seed, c, 0xC4A77E1ULL});
+        ownedDefenses_.push_back(defense::makeDefenseByName(
+            defense_name,
+            defense::DefenseContext(cfg_, provider, chan_seed,
+                                    params)));
+        defenses_.push_back(ownedDefenses_.back().get());
+    }
+    build(std::move(traces), primary);
+}
+
+void
+System::build(std::vector<std::vector<TraceEntry>> traces,
+              size_t primary)
 {
     SVARD_ASSERT(!traces.empty(), "system needs traces");
+    SVARD_ASSERT(cfg_.channels >= 1, "need at least one channel");
     for (uint32_t c = 0; c < traces.size(); ++c)
         cores_.push_back(std::make_unique<CoreModel>(
             cfg_, c, std::move(traces[c]), primary));
     releaseDirty_.assign(cores_.size(), 1);
 
-    engine_ = std::make_unique<SimEngine>(
-        cfg_, defense_name, std::move(provider), seed,
+    const MemController::Completion on_complete =
         [this](const MemRequest &req, dram::Tick when) {
             cores_[req.core]->onReadComplete(req.token, when);
             releaseDirty_[req.core] = 1;
-        },
-        params);
+        };
+    for (defense::Defense *d : defenses_)
+        controllers_.push_back(
+            std::make_unique<MemController>(cfg_, d, on_complete));
+}
+
+dram::Tick
+System::clock() const
+{
+    dram::Tick t = controllers_[0]->now();
+    for (const auto &mc : controllers_)
+        t = std::min(t, mc->now());
+    return t;
 }
 
 RunResult
 System::run()
 {
-    const MopMapper &mapper = engine_->mapper();
     const dram::Tick hard_stop = 30000 * dram::kPsPerMs; // 30 s simulated
     // primaryDone is monotonic, so finished cores are checked once
     // and dropped instead of being re-polled every loop iteration.
@@ -148,8 +175,8 @@ System::run()
     // blocked cores are skipped without re-polling them.
     std::vector<dram::Tick> next_rel(cores_.size(), 0);
 
-    while (!all_done() && engine_->now() < hard_stop) {
-        const dram::Tick now = engine_->now();
+    while (!all_done() && clock() < hard_stop) {
+        const dram::Tick now = clock();
         bool released = false;
         for (size_t c = 0; c < cores_.size(); ++c) {
             if (!releaseDirty_[c] && next_rel[c] > now)
@@ -160,8 +187,9 @@ System::run()
                 // per-channel, and enqueue is irreversible for the
                 // core's state.
                 const dram::Address addr =
-                    mapper.map(core.peek().address);
-                if (engine_->queueFull(addr.channel)) {
+                    mapper_.map(core.peek().address);
+                MemController &mc = *controllers_[addr.channel];
+                if (mc.readQueueFull() || mc.writeQueueFull()) {
                     core.stallUntil(now + 20 * dram::kPsPerNs);
                     break;
                 }
@@ -173,7 +201,7 @@ System::run()
                 req.addr = addr;
                 req.arrive = now;
                 req.token = token;
-                const bool ok = engine_->enqueue(req);
+                const bool ok = mc.enqueue(req);
                 SVARD_ASSERT(ok, "enqueue failed after capacity check");
                 released = true;
             }
@@ -189,11 +217,14 @@ System::run()
         dram::Tick until = std::min(next_core, now + kQuantum);
         if (until <= now)
             until = now + kQuantum;
-        engine_->run(until);
-        if (engine_->now() <= now) {
+        // All channels advance in lockstep to the same target tick.
+        for (auto &mc : controllers_)
+            mc->run(until);
+        if (clock() <= now) {
             // Defensive: guarantee forward progress.
-            engine_->run(now + cfg_.timing.tCK);
-            if (engine_->now() <= now)
+            for (auto &mc : controllers_)
+                mc->run(now + cfg_.timing.tCK);
+            if (clock() <= now)
                 break;
         }
     }
@@ -201,13 +232,26 @@ System::run()
     RunResult out;
     for (const auto &core : cores_)
         out.ipc.push_back(core->ipc());
-    out.controller = engine_->stats();
-    for (uint32_t c = 0; c < engine_->channels(); ++c)
-        out.perChannel.push_back(engine_->channel(c).stats());
-    if (engine_->hasDefense())
-        out.defense = engine_->defenseStats();
-    out.endTime = engine_->now();
-    foldRunMetrics(*engine_, out);
+    for (const auto &mc : controllers_) {
+        out.perChannel.push_back(mc->stats());
+        out.controller += mc->stats();
+    }
+    // Each non-null defense is its channel's own instance: the
+    // caller-owned constructor allows one only on a single channel.
+    for (const defense::Defense *d : defenses_) {
+        if (!d)
+            continue;
+        const defense::DefenseStats &s = d->stats();
+        out.defense.activationsObserved += s.activationsObserved;
+        out.defense.preventiveRefreshes += s.preventiveRefreshes;
+        out.defense.throttleEvents += s.throttleEvents;
+        out.defense.throttleDelayTotal += s.throttleDelayTotal;
+        out.defense.migrations += s.migrations;
+        out.defense.swaps += s.swaps;
+        out.defense.metadataAccesses += s.metadataAccesses;
+    }
+    out.endTime = clock();
+    foldRunMetrics(defenses_, out);
     return out;
 }
 

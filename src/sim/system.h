@@ -1,12 +1,15 @@
 /**
  * @file
- * Multi-core system glue: cores release trace requests into the
- * (possibly multi-channel) memory engine, completions feed back into
- * the cores' windows, and the run ends when every core finishes its
- * measured request count. Also hosts what every mix run shares:
- * mixTraces() seeds one trace per core, aloneIpc() is a benchmark's
- * single-core no-defense baseline, and computeMixMetrics() scores a
- * run against those baselines. Grids of runs go through
+ * Multi-core system glue: cores release trace requests through the
+ * channel-interleaving MopMapper into one MemController per channel,
+ * each channel with its own defense instance (read-disturbance state
+ * is per-channel in real controllers). All channels advance in
+ * lockstep, completions feed back into the cores' windows, and the
+ * run ends when every core finishes its measured request count.
+ * Also hosts what every mix run shares: mixTraces() seeds one trace
+ * per core, aloneIpc() is a benchmark's single-core no-defense
+ * baseline, and computeMixMetrics() scores a run against those
+ * baselines. Grids of runs go through
  * engine::ExperimentRunner, which shards cells of {module x defense x
  * provider x workload} across a thread pool.
  */
@@ -19,8 +22,8 @@
 #include <vector>
 
 #include "defense/registry.h"
+#include "sim/controller.h"
 #include "sim/core_model.h"
-#include "sim/engine.h"
 #include "sim/workload.h"
 
 namespace svard::sim {
@@ -35,7 +38,7 @@ struct RunResult
     dram::Tick endTime = 0;
 };
 
-/** Cores + memory-engine co-simulation. */
+/** Cores + per-channel memory controllers co-simulation. */
 class System
 {
   public:
@@ -54,8 +57,9 @@ class System
 
     /**
      * Registry construction: one defense instance per channel, built
-     * from `defense_name` over `provider` with per-channel seeds.
-     * `params` is forwarded into every channel's DefenseContext.
+     * from `defense_name` over `provider` with per-channel seeds, so
+     * counters and RNG streams do not alias across channels. `params`
+     * is forwarded into every channel's DefenseContext.
      */
     System(const SimConfig &cfg,
            std::vector<std::vector<TraceEntry>> traces, size_t primary,
@@ -66,20 +70,28 @@ class System
     /** Run to completion of all cores' measured phases. */
     RunResult run();
 
-    const SimEngine &engine() const { return *engine_; }
-
     /** Report channel `c`'s issued DRAM commands to `obs` (not
      *  owned; observation only, the run is unchanged). */
     void
     setCommandObserver(uint32_t c, CommandObserver *obs)
     {
-        engine_->setObserver(c, obs);
+        controllers_.at(c)->setObserver(obs);
     }
 
   private:
+    /** Cores and one controller per channel over defenses_. */
+    void build(std::vector<std::vector<TraceEntry>> traces,
+               size_t primary);
+    /** Slowest channel's clock, so the loop never skips time a
+     *  channel has not simulated. */
+    dram::Tick clock() const;
+
     const SimConfig &cfg_;
+    MopMapper mapper_;
     std::vector<std::unique_ptr<CoreModel>> cores_;
-    std::unique_ptr<SimEngine> engine_;
+    std::vector<std::unique_ptr<defense::Defense>> ownedDefenses_;
+    std::vector<defense::Defense *> defenses_; ///< per channel, may be null
+    std::vector<std::unique_ptr<MemController>> controllers_;
     /** Set by the completion callback: core c's release gate may have
      *  opened, so its cached next-release time must be recomputed. */
     std::vector<char> releaseDirty_;

@@ -30,6 +30,7 @@
 #include "io/sweep_cache.h"
 #include "obs/json.h"
 #include "sim/workload.h"
+#include "support/mutate.h"
 
 namespace svard {
 namespace {
@@ -128,52 +129,27 @@ TEST(RecalGrammar, DueSemantics)
 // Deterministic mutation fuzzing of both grammars
 // -----------------------------------------------------------------
 
-/** One to three random edits of a grammar string: a character
- *  inserted, replaced or deleted (drawn from the grammar's own
- *  alphabet plus bytes it never uses), a slice duplicated or cut,
- *  or a number swapped for an extreme one. */
+/** A grammar-string mutant: half the time fuzz::mutate's generic
+ *  edits (bytes from the grammar's own alphabet plus bytes it never
+ *  uses, extreme numbers as splice tokens), otherwise the number
+ *  after a ':' (or at the end) swapped for an extreme one. */
 std::string
 mutateGrammar(const std::string &text, Rng &rng)
 {
     static const std::string alphabet =
         "0123456789:+.-eE xnagitrmlpcdo\t\x01\x7f\xff";
-    static const char *const numbers[] = {
+    static const std::vector<std::string> numbers = {
         "0",    "-1",  "1e400", "1e-400",     "nan", "inf", "0x10",
         "1e6",  "1e7", "100",   "100.000001", "0.9", "-0",  "+5",
         "1e12", " 7",  "99999999999999999999"};
+    if (rng.below(2) == 0)
+        return fuzz::mutate(text, rng, alphabet, numbers);
     std::string m = text;
-    for (uint64_t edits = 1 + rng.below(3); edits-- > 0;) {
-        const size_t at = rng.below(m.size() + 1);
-        switch (rng.below(6)) {
-        case 0:
-            m.insert(at, 1, alphabet[rng.below(alphabet.size())]);
-            break;
-        case 1:
-            if (at < m.size())
-                m[at] = alphabet[rng.below(alphabet.size())];
-            break;
-        case 2:
-            m.erase(at, 1 + rng.below(4));
-            break;
-        case 3:
-            m.insert(at, m.substr(rng.below(m.size() + 1),
-                                  1 + rng.below(8)));
-            break;
-        case 4:
-            m.resize(at);
-            break;
-        default: { // the number after a ':' (or at the end)
-            const size_t colon = m.find(':', at);
-            const size_t from = colon == std::string::npos ? m.size()
-                                                           : colon + 1;
-            const size_t to = m.find_first_of(":+", from);
-            m.replace(from,
-                      (to == std::string::npos ? m.size() : to) - from,
-                      numbers[rng.below(std::size(numbers))]);
-            break;
-        }
-        }
-    }
+    const size_t colon = m.find(':', rng.below(m.size() + 1));
+    const size_t from = colon == std::string::npos ? m.size() : colon + 1;
+    const size_t to = m.find_first_of(":+", from);
+    m.replace(from, (to == std::string::npos ? m.size() : to) - from,
+              numbers[rng.below(numbers.size())]);
     return m;
 }
 

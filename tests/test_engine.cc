@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the orchestration layer introduced with the experiment
- * engine: channel-interleaved address mapping, the multi-channel
- * SimEngine (per-channel controllers + aggregated stats), and the
- * sharded ExperimentRunner's determinism guarantee — identical
- * per-cell results for any thread count.
+ * Tests for the orchestration layer: channel-interleaved address
+ * mapping and the sharded experiment executor (ExperimentRunner and
+ * the adversarial sweep) — its determinism guarantee of identical
+ * per-cell results for any thread count, its up-front spec checks,
+ * and kill/resume from a checkpoint. Multi-channel System runs are
+ * tested in test_sim.cc.
  */
 #include <gtest/gtest.h>
 
@@ -20,8 +21,7 @@
 #include "fault_inject/fault_inject.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
-#include "sim/engine.h"
-#include "sim/system.h"
+#include "sim/addrmap.h"
 
 namespace svard {
 namespace {
@@ -75,149 +75,6 @@ TEST(ChannelMap, SingleChannelMappingUnchangedFromSeed)
     EXPECT_EQ(a1.row, a0.row + 1);
     EXPECT_EQ(a0.channel, 0u);
     EXPECT_EQ(a1.channel, 0u);
-}
-
-// -----------------------------------------------------------------
-// Multi-channel SimEngine
-// -----------------------------------------------------------------
-
-/** Deterministic request stream mapped through a config's mapper. */
-std::vector<sim::MemRequest>
-requestStream(const sim::SimConfig &cfg, size_t n, uint64_t seed)
-{
-    sim::MopMapper mapper(cfg);
-    Rng rng(seed);
-    std::vector<sim::MemRequest> reqs;
-    for (size_t i = 0; i < n; ++i) {
-        sim::MemRequest r;
-        r.write = i % 5 == 0;
-        r.addr = mapper.map(rng.next() & ((1ULL << 34) - 1));
-        r.token = i;
-        reqs.push_back(r);
-    }
-    return reqs;
-}
-
-TEST(SimEngine, TwoChannelsMatchTwoIndependentOneChannelRuns)
-{
-    sim::SimConfig cfg;
-    cfg.channels = 2;
-    const auto reqs = requestStream(cfg, 3000, 5);
-
-    // Engine path: route through the 2-channel SimEngine.
-    uint64_t engine_completed = 0;
-    sim::SimEngine eng(cfg, nullptr,
-                       [&](const sim::MemRequest &, dram::Tick) {
-                           ++engine_completed;
-                       });
-    // Reference path: two bare controllers driven on the identical
-    // lockstep schedule (a 2-channel engine must behave exactly like
-    // two independent 1-channel controllers).
-    uint64_t ref_completed = 0;
-    sim::MemController ref0(cfg, nullptr,
-                            [&](const sim::MemRequest &, dram::Tick) {
-                                ++ref_completed;
-                            });
-    sim::MemController ref1(cfg, nullptr,
-                            [&](const sim::MemRequest &, dram::Tick) {
-                                ++ref_completed;
-                            });
-
-    const dram::Tick step = 10 * dram::kPsPerUs;
-    dram::Tick t = 0;
-    size_t i = 0;
-    while (i < reqs.size() || !eng.idle() || !ref0.idle() ||
-           !ref1.idle()) {
-        // Batches small enough to never overflow a 64-entry queue.
-        for (size_t b = 0; b < 24 && i < reqs.size(); ++b, ++i) {
-            ASSERT_TRUE(eng.enqueue(reqs[i]));
-            sim::MemController &ref =
-                reqs[i].addr.channel == 0 ? ref0 : ref1;
-            ASSERT_TRUE(ref.enqueue(reqs[i]));
-        }
-        t += step;
-        eng.run(t);
-        ref0.run(t);
-        ref1.run(t);
-    }
-
-    const sim::ControllerStats agg = eng.stats();
-    const sim::ControllerStats &s0 = ref0.stats();
-    const sim::ControllerStats &s1 = ref1.stats();
-    EXPECT_EQ(agg.reads, s0.reads + s1.reads);
-    EXPECT_EQ(agg.writes, s0.writes + s1.writes);
-    EXPECT_EQ(agg.activations, s0.activations + s1.activations);
-    EXPECT_EQ(agg.rowHits, s0.rowHits + s1.rowHits);
-    EXPECT_EQ(agg.rowConflicts, s0.rowConflicts + s1.rowConflicts);
-    EXPECT_EQ(agg.refreshes, s0.refreshes + s1.refreshes);
-    EXPECT_EQ(engine_completed, ref_completed);
-    // Per-channel stats are the aggregate's exact decomposition.
-    EXPECT_EQ(eng.channel(0).stats().reads, s0.reads);
-    EXPECT_EQ(eng.channel(1).stats().reads, s1.reads);
-    // All reads were actually serviced.
-    uint64_t expected_reads = 0;
-    for (const auto &r : reqs)
-        expected_reads += r.write ? 0 : 1;
-    EXPECT_EQ(agg.reads, expected_reads);
-}
-
-TEST(SimEngine, PerChannelDefensesAreIndependentInstances)
-{
-    sim::SimConfig cfg;
-    cfg.channels = 2;
-    auto provider = std::make_shared<core::UniformThreshold>(
-        1024.0, cfg.rowsPerBank);
-    sim::SimEngine eng(cfg, "para", provider, 9, nullptr);
-    ASSERT_TRUE(eng.hasDefense());
-    ASSERT_NE(eng.defenseOf(0), nullptr);
-    ASSERT_NE(eng.defenseOf(1), nullptr);
-    EXPECT_NE(eng.defenseOf(0), eng.defenseOf(1));
-    // Geometry was threaded through the registry context.
-    EXPECT_EQ(eng.defenseOf(0)->banksPerRank(), cfg.banksPerRank());
-}
-
-TEST(System, TwoChannelRunCompletesWithConsistentAggregates)
-{
-    sim::SimConfig cfg1;
-    sim::SimConfig cfg2;
-    cfg2.channels = 2;
-
-    auto traces_for = [&](uint64_t seed) {
-        std::vector<std::vector<sim::TraceEntry>> traces;
-        for (uint32_t c = 0; c < 4; ++c)
-            traces.push_back(sim::generateTrace(
-                sim::benchmarkByName("ptrchase-hi"), 2500, seed,
-                sim::coreTraceOffset(seed, c)));
-        return traces;
-    };
-
-    sim::System sys2(cfg2, traces_for(7), 2500, nullptr);
-    const auto res2 = sys2.run();
-    sim::System sys1(cfg1, traces_for(7), 2500, nullptr);
-    const auto res1 = sys1.run();
-
-    // Same workload, same demand traffic up to the post-measurement
-    // tail (cores replay their trace until the slowest finishes, so
-    // totals are timing-dependent by a few percent).
-    EXPECT_NEAR(static_cast<double>(res2.controller.reads),
-                static_cast<double>(res1.controller.reads),
-                0.05 * static_cast<double>(res1.controller.reads));
-    EXPECT_NEAR(static_cast<double>(res2.controller.writes),
-                static_cast<double>(res1.controller.writes),
-                0.05 * static_cast<double>(res1.controller.writes));
-    // Both channels carried traffic and sum to the aggregate.
-    ASSERT_EQ(res2.perChannel.size(), 2u);
-    EXPECT_GT(res2.perChannel[0].reads, 0u);
-    EXPECT_GT(res2.perChannel[1].reads, 0u);
-    EXPECT_EQ(res2.perChannel[0].reads + res2.perChannel[1].reads,
-              res2.controller.reads);
-    // Doubling the channels cannot slow a bandwidth-hungry mix down.
-    double ipc1 = 0, ipc2 = 0;
-    for (size_t c = 0; c < res1.ipc.size(); ++c) {
-        ipc1 += res1.ipc[c];
-        ipc2 += res2.ipc[c];
-    }
-    EXPECT_GE(ipc2, ipc1 * 0.98);
 }
 
 // -----------------------------------------------------------------

@@ -227,14 +227,20 @@ TEST(System, RefreshesHappen)
 
 TEST(System, ControllerStatsAreTheFieldWiseSumOfChannels)
 {
+    auto traces = [] {
+        std::vector<std::vector<TraceEntry>> t;
+        for (uint32_t c = 0; c < 4; ++c)
+            t.push_back(generateTrace(benchmarkByName("ptrchase-hi"),
+                                      2500, 7, coreTraceOffset(7, c)));
+        return t;
+    };
+    const SimConfig cfg1 = smallConfig();
     SimConfig cfg = smallConfig();
     cfg.channels = 2;
-    std::vector<std::vector<TraceEntry>> traces;
-    for (uint32_t c = 0; c < 4; ++c)
-        traces.push_back(generateTrace(benchmarkByName("ptrchase-hi"),
-                                       2500, 7, coreTraceOffset(7, c)));
-    System sys(cfg, std::move(traces), 2500, nullptr);
+    System sys(cfg, traces(), 2500, nullptr);
     const auto res = sys.run();
+    System sys1(cfg1, traces(), 2500, nullptr);
+    const auto res1 = sys1.run();
     ASSERT_EQ(res.perChannel.size(), 2u);
 
     ControllerStats sum;
@@ -258,6 +264,24 @@ TEST(System, ControllerStatsAreTheFieldWiseSumOfChannels)
     EXPECT_GT(res.perChannel[0].reads, 0u);
     EXPECT_GT(res.perChannel[1].reads, 0u);
     EXPECT_GT(agg.tfawStalls, 0u);
+
+    // Same workload, same demand traffic as one channel up to the
+    // post-measurement tail (cores replay their trace until the
+    // slowest finishes, so totals are timing-dependent by a few
+    // percent).
+    EXPECT_NEAR(static_cast<double>(agg.reads),
+                static_cast<double>(res1.controller.reads),
+                0.05 * static_cast<double>(res1.controller.reads));
+    EXPECT_NEAR(static_cast<double>(agg.writes),
+                static_cast<double>(res1.controller.writes),
+                0.05 * static_cast<double>(res1.controller.writes));
+    // Doubling the channels cannot slow a bandwidth-hungry mix down.
+    double ipc1 = 0, ipc2 = 0;
+    for (size_t c = 0; c < res1.ipc.size(); ++c) {
+        ipc1 += res1.ipc[c];
+        ipc2 += res.ipc[c];
+    }
+    EXPECT_GE(ipc2, ipc1 * 0.98);
 }
 
 TEST(MemController, RefusesMoreBanksPerChannelThanItsMasksHold)
