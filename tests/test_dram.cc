@@ -540,11 +540,16 @@ TEST(Disturbance, FlipPlacementPinnedAcrossImplementations)
         uint64_t hammers;
         uint64_t flips;
         uint64_t digest;
+        Tick tOn = 0; ///< aggressor on-time; 0 = tRAS
     };
     // Spans three modules (Samsung/Hynix/Micron models), row-stripe /
     // checkerboard-ish fills, and flip volumes from single digits to
-    // thousands (the thousands case exercises multi-flip-per-word
-    // staging and flip/counter-flip collisions).
+    // thousands (several flips per word, and candidate draws that land
+    // on an already-flipped bit and are rejected). The last four cases
+    // pin the heaviest regime and the 63/64-flip pair around the old
+    // staged-batch switch: 256K hammers at 2 us (reverse engineering's
+    // probe, Fig. 8) hit the 12% BER cap, touching every word of the
+    // row.
     const Case cases[] = {
         {"S0", 1, 5000, 0x00, 0xFF, 150000, 53,
          0xfc0e073720018317ull},
@@ -553,6 +558,12 @@ TEST(Disturbance, FlipPlacementPinnedAcrossImplementations)
          0x63cc3707e6c85061ull},
         {"M0", 3, 4096, 0xAA, 0x55, 300000, 4299,
          0x1a784f526c30f7aeull},
+        {"S0", 1, 3001, 0x00, 0xFF, 256 * 1024, 7694,
+         0xb9d2630957f71ef3ull, 2 * kPsPerUs},
+        {"H0", 1, 2501, 0x55, 0xAA, 256 * 1024, 7706,
+         0xa40af27c1f3690bfull, 2 * kPsPerUs},
+        {"S0", 1, 5000, 0x00, 0xFF, 158000, 63, 0x955d74c343ff3e07ull},
+        {"S0", 1, 5000, 0x00, 0xFF, 159000, 64, 0x14de94f6a63661adull},
     };
     for (const Case &c : cases) {
         const auto &spec = moduleByLabel(c.label);
@@ -567,7 +578,8 @@ TEST(Disturbance, FlipPlacementPinnedAcrossImplementations)
         for (uint32_t a : aggrs)
             session.initRow(c.bank, a, c.aggrFill);
         for (uint32_t a : aggrs)
-            dev.hammer(c.bank, a, c.hammers, dev.timing().tRAS);
+            dev.hammer(c.bank, a, c.hammers,
+                       c.tOn ? c.tOn : dev.timing().tRAS);
 
         const auto bytes = dev.readRow(c.bank, c.victim);
         HashStream digest;

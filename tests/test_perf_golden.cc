@@ -375,10 +375,11 @@ const PresetTfaw kPresetTfawStalls[] = {
     // clang-format on
 };
 
+/** Core 0 runs the RRS hammer built for `cfg`'s address map, the rest
+ *  the Fig. 13 benign mix, under `defense` at the uniform threshold. */
 sim::RunResult
-runPresetCell(const std::string &preset)
+runHammerCell(const sim::SimConfig &cfg, const char *defense)
 {
-    const sim::SimConfig cfg = sim::presets::get(preset);
     const auto &suite = sim::benchmarkSuite();
     std::vector<std::vector<sim::TraceEntry>> traces;
     traces.push_back(sim::adversarialRrsTrace(kReqs, kSeed, 1000, cfg));
@@ -387,11 +388,18 @@ runPresetCell(const std::string &preset)
         traces.push_back(sim::generateTrace(
             suite[benign.benchIdx[c - 1]], kReqs, kSeed,
             sim::coreTraceOffset(kSeed, c)));
-    sim::System sys(cfg, std::move(traces), kReqs, "hydra",
+    sim::System sys(cfg, std::move(traces), kReqs, defense,
                     std::make_shared<core::UniformThreshold>(
                         kThreshold, cfg.rowsPerBank),
                     kSeed);
     return sys.run();
+}
+
+sim::RunResult
+runPresetCell(const std::string &preset)
+{
+    const sim::SimConfig cfg = sim::presets::get(preset);
+    return runHammerCell(cfg, "hydra");
 }
 
 TEST_F(GoldenStatsTest, TfawStallsPinned)
@@ -435,6 +443,66 @@ TEST_F(GoldenStatsTest, TfawStallsPinned)
         GTEST_SKIP() << "golden dump mode";
     EXPECT_EQ(presets, std::size(kPresetTfawStalls))
         << "stale preset pins";
+}
+
+/**
+ * 2-channel hammer cells. The RRS aggressors' 128 blocks alternate
+ * channels by MOP run, so the defense acts on both channels. kGolden's
+ * 2-channel cell runs a benign mix, where no defense acts, so it
+ * cannot tell per-channel defense instances from one instance shared
+ * by both controllers; these cells can: a shared instance counts one
+ * channel's activations against the other's rows (same bank and row
+ * ids) and moves the action counts.
+ */
+struct TwoChannelCell
+{
+    const char *defense;
+    uint64_t fingerprint;            ///< statsFingerprint of the run
+    uint64_t preventiveRefreshes[2]; ///< per channel
+};
+
+const TwoChannelCell kTwoChannel[] = {
+    // clang-format off
+    {"hydra", 0xc95ed83d02cd3c86ULL, {64, 64}},
+    {"graphene", 0x3e3652bbfc52c443ULL, {18, 14}},
+    // clang-format on
+};
+
+TEST_F(GoldenStatsTest, TwoChannelDefensesActPerChannel)
+{
+    const bool dump = std::getenv("SVARD_DUMP_GOLDEN") != nullptr;
+    sim::SimConfig cfg;
+    cfg.channels = 2;
+    for (const TwoChannelCell &g : kTwoChannel) {
+        const sim::RunResult r = runHammerCell(cfg, g.defense);
+        ASSERT_EQ(r.perChannel.size(), 2u);
+        if (dump) {
+            std::printf("    {\"%s\", 0x%016llxULL, {%llu, %llu}},\n",
+                        g.defense,
+                        static_cast<unsigned long long>(
+                            statsFingerprint(r)),
+                        static_cast<unsigned long long>(
+                            r.perChannel[0].preventiveRefreshes),
+                        static_cast<unsigned long long>(
+                            r.perChannel[1].preventiveRefreshes));
+            continue;
+        }
+        EXPECT_EQ(statsFingerprint(r), g.fingerprint)
+            << g.defense << "\n  " << describeStats(r);
+        for (uint32_t c = 0; c < 2; ++c) {
+            EXPECT_GT(r.perChannel[c].preventiveRefreshes, 0u)
+                << g.defense << " never acted on channel " << c;
+            EXPECT_EQ(r.perChannel[c].preventiveRefreshes,
+                      g.preventiveRefreshes[c])
+                << g.defense << " channel " << c;
+        }
+        // Each channel's instance counts only its own actions.
+        EXPECT_EQ(r.defense.preventiveRefreshes,
+                  r.controller.preventiveRefreshes)
+            << g.defense;
+    }
+    if (dump)
+        GTEST_SKIP() << "golden dump mode";
 }
 
 // ------------------------------------------------------------------
