@@ -405,27 +405,10 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
         return splitmix64(s);
     };
 
-    // Batched flip application: candidate draws stay sequential (each
-    // acceptance depends on the flips already accepted, so the RNG
-    // consumption sequence is state-dependent and must be preserved
-    // exactly), but accepted flips accumulate in a word->delta staging
-    // table instead of mutating the row store per flip. Probes during
-    // generation read the staged word (seeded from the row on first
-    // touch), and the row's delta table is written once per *touched
-    // word* at the end — one insert/erase per word instead of one per
-    // flip, which is the win when thousands of flips land in a few
-    // hundred distinct words. Below the threshold that regime never
-    // materializes — the common charz case is a handful of flips in
-    // distinct words, where staging costs more probes than it saves —
-    // so small events apply directly through flipBitIf like the
-    // original per-flip path. Final row state and the injected flip
-    // count are bit-identical either way (tests/test_dram.cc pins
-    // exact flip sets in both regimes).
-    constexpr uint64_t kBatchFlipThreshold = 64;
-    const bool batch = n_flips >= kBatchFlipThreshold;
-    if (batch)
-        flipScratch_.clear();
-    const uint64_t fill_word = rd.fillWord();
+    // Candidate draws are sequential and each acceptance depends on
+    // the bits already flipped (flipBitIf reads the current bit), so
+    // the RNG consumption, and with it the flip placement, is a pure
+    // function of the row's state and the stream.
     uint64_t applied = 0;
     for (uint64_t i = 0; i < n_flips; ++i) {
         // Flip a charged cell: stored value must match orientation.
@@ -444,34 +427,12 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
                 (orientationHash(bit) >> 11) *
                     (1.0 / 9007199254740992.0) <
                 tf;
-            if (!batch) {
-                if (rd.flipBitIf(bit, true_cell)) {
-                    ++applied;
-                    break;
-                }
-                continue;
-            }
-            const uint32_t w = bit >> 6;
-            const uint64_t mask = uint64_t(1) << (bit & 63);
-            const uint64_t *staged = flipScratch_.find(w);
-            const uint64_t delta =
-                staged != nullptr ? *staged : rd.deltaWord(w);
-            const bool cur = ((fill_word ^ delta) & mask) != 0;
-            if (cur == true_cell) {
-                // Stage on acceptance only: a rejected attempt costs
-                // one probe per table, like the per-flip path did.
-                // (Staging every *probed* word up front tripled the
-                // insert count and cost the charz pipeline ~25%.)
-                flipScratch_.refOrInsert(w) = delta ^ mask;
+            if (rd.flipBitIf(bit, true_cell)) {
                 ++applied;
                 break;
             }
         }
     }
-    if (batch)
-        flipScratch_.forEach([&](uint64_t w, uint64_t d) {
-            rd.setDeltaWord(static_cast<uint32_t>(w), d);
-        });
     if (applied > 0) {
         stats_.bitflipsInjected += applied;
         ++stats_.rowsFlipped;

@@ -4,7 +4,8 @@
  *
  * This is the library's stand-in for a real DDR4 module under test: it
  * executes DRAM commands (ACT/PRE/RD/WR/REF) with explicit timestamps,
- * tracks row contents sparsely, and injects RowHammer/RowPress bitflips
+ * keeps each touched row's content as a fill byte plus dense word
+ * deltas (RowData), and injects RowHammer/RowPress bitflips
  * according to a pluggable DisturbanceModel. The interface operates on
  * *logical* row addresses (what a memory controller sees); the device
  * applies the module's internal row scrambling and subarray structure,
@@ -207,7 +208,10 @@ class DramDevice
     /**
      * Apply any pending disturbance to a physical row's stored data
      * (called when the row's charge is restored: ACT or REF of that
-     * row) and reset its accumulator.
+     * row) and reset its accumulator. Past the row's threshold it
+     * draws a flip count from the BER model and places each flip in
+     * turn with RowData::flipBitIf, straight into the row's word
+     * array.
      */
     void realize(uint32_t bank, uint32_t phys_row);
 
@@ -243,8 +247,6 @@ class DramDevice
     FlatTable<double> pending_;
     FlatTable<ModelMemo> memo_;
     std::vector<uint64_t> refreshKeys_; ///< reused refreshAllRows buffer
-    /** Reused realize() staging: word index -> staged delta. */
-    FlatTable<uint64_t> flipScratch_{64};
     DeviceStats stats_;
 };
 

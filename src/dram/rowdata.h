@@ -1,17 +1,22 @@
 /**
  * @file
- * Sparse content store for a DRAM row. Characterization initializes
- * whole rows to repeating data-pattern bytes (Table 2) and then counts
- * bit errors, so a row is represented as a fill byte plus an exception
- * store for the places that differ (bitflips, partial writes). This
- * keeps a 128K-row x 8KB bank affordable while staying bit-exact.
+ * Content store for a DRAM row. Characterization initializes whole
+ * rows to repeating data-pattern bytes (Table 2) and then counts bit
+ * errors, so a row is a fill byte plus, once anything differs from the
+ * fill (bitflips, partial writes), one dense array of uint64
+ * XOR-deltas against the repeating fill word, ceil(rowBytes / 8) words
+ * long. A delta of zero means "equals the fill", so a bit flip is a
+ * single XOR on its word.
  *
- * Exceptions are kept at uint64 *word* granularity as XOR-deltas
- * against the repeating fill word in a FlatTable (word index ->
- * delta). A delta of zero means "equals the fill", so probes and
- * inserts share one code path and bit flips are a single XOR on the
- * delta; a word whose delta returns to zero is erased, so the table
- * holds exactly the words that differ from the fill.
+ * A row equal to its fill stores no words: the array is allocated on
+ * the first exception, and setFill() empties it (keeping its
+ * capacity). A row with any exception costs rowBytes, whatever the
+ * number of differing words. The device keeps a RowData only for the
+ * rows a run writes or reads, and a characterization workspace touches
+ * a few rows (a victim and its aggressors), so a full 128K-row bank
+ * is never materialized. Near the 12% BER cap a disturbed row has
+ * every word touched, so the dense array is also the smallest
+ * container for it.
  */
 #ifndef SVARD_DRAM_ROWDATA_H
 #define SVARD_DRAM_ROWDATA_H
@@ -21,11 +26,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_table.h"
-
 namespace svard::dram {
 
-/** Content of one DRAM row: fill byte + sparse word-level exceptions. */
+/** Content of one DRAM row: fill byte + dense word-level deltas. */
 class RowData
 {
   public:
@@ -51,88 +54,54 @@ class RowData
     uint8_t
     readByte(uint32_t index) const
     {
-        const uint64_t *d = deltas_.find(index >> 3);
-        if (d == nullptr)
+        if (deltas_.empty())
             return fill_;
-        return fill_ ^ static_cast<uint8_t>(*d >> ((index & 7) * 8));
+        return fill_ ^ static_cast<uint8_t>(deltas_[index >> 3] >>
+                                            ((index & 7) * 8));
     }
 
     void
     writeByte(uint32_t index, uint8_t value)
     {
+        if (deltas_.empty() && value == fill_)
+            return;
         const int shift = static_cast<int>(index & 7) * 8;
         const uint64_t byte_mask = 0xFFull << shift;
         const uint64_t delta_byte =
             static_cast<uint64_t>(uint8_t(value ^ fill_)) << shift;
-        uint64_t &d = deltas_.refOrInsert(index >> 3);
+        uint64_t &d = deltaRef(index >> 3);
         d = (d & ~byte_mask) | delta_byte;
-        if (d == 0)
-            deltas_.erase(index >> 3);
     }
 
     bool
     bitAt(uint32_t bit_index) const
     {
-        const uint64_t *d = deltas_.find(bit_index >> 6);
-        const uint64_t word =
-            fillWord() ^ (d == nullptr ? uint64_t(0) : *d);
-        return (word >> (bit_index & 63)) & 1;
+        const uint64_t delta =
+            deltas_.empty() ? 0 : deltas_[bit_index >> 6];
+        return ((fillWord() ^ delta) >> (bit_index & 63)) & 1;
     }
 
     void
     flipBit(uint32_t bit_index)
     {
-        uint64_t &d = deltas_.refOrInsert(bit_index >> 6);
-        d ^= uint64_t(1) << (bit_index & 63);
-        if (d == 0)
-            deltas_.erase(bit_index >> 6);
+        deltaRef(bit_index >> 6) ^= uint64_t(1) << (bit_index & 63);
     }
 
     /**
      * Flip the bit only if it currently stores `expected`; returns
-     * whether it flipped. One table probe instead of the bitAt +
+     * whether it flipped. One word read instead of the bitAt +
      * flipBit pair the fault-injection loop would otherwise do.
      */
     bool
     flipBitIf(uint32_t bit_index, bool expected)
     {
         const uint64_t mask = uint64_t(1) << (bit_index & 63);
-        uint64_t *d = deltas_.find(bit_index >> 6);
-        const uint64_t delta = d == nullptr ? 0 : *d;
-        const bool bit = ((fillWord() ^ delta) & mask) != 0;
-        if (bit != expected)
+        const uint64_t delta =
+            deltas_.empty() ? 0 : deltas_[bit_index >> 6];
+        if ((((fillWord() ^ delta) & mask) != 0) != expected)
             return false;
-        if (d == nullptr) {
-            deltas_.refOrInsert(bit_index >> 6) = mask;
-        } else {
-            *d ^= mask;
-            if (*d == 0)
-                deltas_.erase(bit_index >> 6);
-        }
+        deltaRef(bit_index >> 6) ^= mask;
         return true;
-    }
-
-    /**
-     * XOR-delta of 64-bit word `w` against the repeating fill word
-     * (0 when the word equals the fill). Word-granular staging access
-     * for DramDevice::realize()'s batched flip application.
-     */
-    uint64_t
-    deltaWord(uint32_t w) const
-    {
-        const uint64_t *d = deltas_.find(w);
-        return d == nullptr ? 0 : *d;
-    }
-
-    /** Overwrite word `w`'s delta outright (a zero delta erases). */
-    void
-    setDeltaWord(uint32_t w, uint64_t d)
-    {
-        if (d == 0) {
-            deltas_.erase(w);
-            return;
-        }
-        deltas_.refOrInsert(w) = d;
     }
 
     /** The fill byte repeated across a 64-bit word. */
@@ -142,24 +111,22 @@ class RowData
     uint64_t
     mismatchedBits(uint8_t expected_fill) const
     {
-        // Every word mismatches in popcount(base ^ delta) bits, where
-        // base = fill ^ expected repeated and delta is zero outside the
-        // exception store. Count the row as if it had no exceptions,
-        // then swap each live delta's base term for its real one. The
-        // partial last word of a non-multiple-of-8 row is masked to
-        // length (`tail` is 0 when the row ends on a word boundary).
-        const uint64_t base =
-            fillWord() ^ repeatByte(expected_fill);
+        // Word w mismatches in popcount(base ^ delta[w]) bits, where
+        // base = fill ^ expected repeated. A row with no deltas is
+        // popcount(base) per word. The partial last word of a
+        // non-multiple-of-8 row is masked to length (`tail` is 0 when
+        // the row ends on a word boundary).
+        const uint64_t base = fillWord() ^ repeatByte(expected_fill);
         const uint32_t full_words = bytes_ / 8;
         const uint64_t tail = (uint64_t(1) << ((bytes_ & 7) * 8)) - 1;
-        uint64_t count =
-            uint64_t(std::popcount(base)) * full_words +
-            std::popcount(base & tail);
-        deltas_.forEach([&](uint64_t w, uint64_t d) {
-            const uint64_t m = w < full_words ? ~uint64_t(0) : tail;
-            count += std::popcount((base ^ d) & m);
-            count -= std::popcount(base & m);
-        });
+        if (deltas_.empty())
+            return uint64_t(std::popcount(base)) * full_words +
+                   std::popcount(base & tail);
+        uint64_t count = 0;
+        for (uint32_t w = 0; w < full_words; ++w)
+            count += std::popcount(base ^ deltas_[w]);
+        if (tail != 0)
+            count += std::popcount((base ^ deltas_[full_words]) & tail);
         return count;
     }
 
@@ -168,11 +135,10 @@ class RowData
     exceptionCount() const
     {
         size_t bytes = 0;
-        deltas_.forEach([&](uint64_t, uint64_t d) {
+        for (uint64_t d : deltas_)
             for (int b = 0; b < 8; ++b)
                 if ((d >> (b * 8)) & 0xFF)
                     ++bytes;
-        });
         return bytes;
     }
 
@@ -181,11 +147,10 @@ class RowData
     toBytes() const
     {
         std::vector<uint8_t> out(bytes_, fill_);
-        deltas_.forEach([&](uint64_t w, uint64_t d) {
-            const uint64_t base = w * 8;
-            for (uint32_t b = 0; b < 8 && base + b < bytes_; ++b)
-                out[base + b] ^= static_cast<uint8_t>(d >> (b * 8));
-        });
+        if (!deltas_.empty())
+            for (uint32_t i = 0; i < bytes_; ++i)
+                out[i] ^= static_cast<uint8_t>(deltas_[i >> 3] >>
+                                               ((i & 7) * 8));
         return out;
     }
 
@@ -207,9 +172,19 @@ class RowData
         return uint64_t(b) * 0x0101010101010101ULL;
     }
 
+    /** Word `w`'s delta, allocating the zeroed array on first use. */
+    uint64_t &
+    deltaRef(uint32_t w)
+    {
+        if (deltas_.empty())
+            deltas_.resize((bytes_ + 7) / 8);
+        return deltas_[w];
+    }
+
     uint32_t bytes_ = 0;
     uint8_t fill_ = 0;
-    FlatTable<uint64_t> deltas_{16};
+    /** Empty, or one XOR-delta per word of the row. */
+    std::vector<uint64_t> deltas_;
 };
 
 } // namespace svard::dram
