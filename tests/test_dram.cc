@@ -545,11 +545,12 @@ TEST(Disturbance, FlipPlacementPinnedAcrossImplementations)
     // Spans three modules (Samsung/Hynix/Micron models), row-stripe /
     // checkerboard-ish fills, and flip volumes from single digits to
     // thousands (several flips per word, and candidate draws that land
-    // on an already-flipped bit and are rejected). The last four cases
-    // pin the heaviest regime and the 63/64-flip pair around the old
-    // staged-batch switch: 256K hammers at 2 us (reverse engineering's
-    // probe, Fig. 8) hit the 12% BER cap, touching every word of the
-    // row.
+    // on an already-flipped bit and are rejected). The two 2 us cases
+    // are reverse engineering's probe (Fig. 8): 256K hammers hit the
+    // 12% BER cap and touch every word of the row. The 63- and
+    // 64-flip cases straddle the flip count at which realize() used
+    // to switch to a staged batch path, so the placement is pinned on
+    // both sides of it.
     const Case cases[] = {
         {"S0", 1, 5000, 0x00, 0xFF, 150000, 53,
          0xfc0e073720018317ull},

@@ -395,13 +395,6 @@ runHammerCell(const sim::SimConfig &cfg, const char *defense)
     return sys.run();
 }
 
-sim::RunResult
-runPresetCell(const std::string &preset)
-{
-    const sim::SimConfig cfg = sim::presets::get(preset);
-    return runHammerCell(cfg, "hydra");
-}
-
 TEST_F(GoldenStatsTest, TfawStallsPinned)
 {
     const bool dump = std::getenv("SVARD_DUMP_GOLDEN") != nullptr;
@@ -422,7 +415,8 @@ TEST_F(GoldenStatsTest, TfawStallsPinned)
     }
     size_t presets = 0;
     for (const std::string &preset : sim::presets::names()) {
-        const uint64_t n = runPresetCell(preset).controller.tfawStalls;
+        const uint64_t n = runHammerCell(sim::presets::get(preset), "hydra")
+                               .controller.tfawStalls;
         if (dump) {
             std::printf("    {\"%s\", %lluULL},\n", preset.c_str(),
                         static_cast<unsigned long long>(n));
