@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the DRAM substrate: timing presets, the module
- * database (Table 5), subarray maps, row scrambling, sparse row data,
+ * database (Table 5), subarray maps, row scrambling, row data,
  * and the behavioral device's disturbance mechanics.
  */
 #include <gtest/gtest.h>
@@ -523,10 +523,12 @@ TEST_F(DeviceTest, StatsCountCommands)
 /**
  * Flip-placement determinism regression: realize() must inject the
  * EXACT same bit flips for a given (module, seed, pattern, hammer
- * count) forever. The pinned digests were captured from the
- * pre-batching per-flip implementation, so they also prove the
- * batched word-staging path (and the hoisted orientation hash) is
- * bit-identical to it — not merely self-consistent.
+ * count, on-time) forever. The first four digests were captured from
+ * a per-flip implementation over a sparse word table, the last four
+ * from its successor, which staged events of 64 or more flips in a
+ * scratch table, so they prove the dense row store's in-place flips
+ * (and the hoisted orientation hash) bit-identical to both, not
+ * merely self-consistent.
  */
 TEST(Disturbance, FlipPlacementPinnedAcrossImplementations)
 {
