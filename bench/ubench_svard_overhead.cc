@@ -87,8 +87,7 @@ void
 BM_RegistryConstruct(benchmark::State &state)
 {
     auto svard = std::make_shared<core::Svard>(profileS3());
-    const auto names =
-        defense::DefenseRegistry::instance().names();
+    const auto names = defense::defenseNames();
     size_t i = 0;
     for (auto _ : state) {
         const defense::DefenseContext ctx(svard, 7, 16);

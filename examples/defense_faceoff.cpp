@@ -21,11 +21,10 @@ main(int argc, char **argv)
     const double threshold = argc > 1 ? std::atof(argv[1]) : 128.0;
     const size_t requests = argc > 2 ? std::atol(argv[2]) : 6000;
 
-    // Every defense the registry knows, after the "none" baseline
-    // (extensions registered at startup show up here automatically).
+    // Every defense defenseNames() lists, after the "none" baseline.
     engine::SweepSpec spec;
     spec.defenses = {"none"};
-    for (const auto &name : defense::DefenseRegistry::instance().names())
+    for (const auto &name : defense::defenseNames())
         if (name != "none")
             spec.defenses.push_back(name);
     spec.thresholds = {threshold};

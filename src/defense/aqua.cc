@@ -1,25 +1,15 @@
 #include "defense/aqua.h"
 
+#include <algorithm>
+
 namespace svard::defense {
-
-Aqua::Aqua(std::shared_ptr<const core::ThresholdProvider> thr)
-    : Aqua(std::move(thr), Params{})
-{}
-
-Aqua::Aqua(std::shared_ptr<const core::ThresholdProvider> thr,
-           Params params)
-    : Defense(std::move(thr)), params_(params)
-{}
 
 void
 Aqua::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
                  std::vector<PreventiveAction> &out)
 {
     ++stats_.activationsObserved;
-    const double budget = aggressorBudget(bank, row);
-    uint32_t &count = counts_.refOrInsert(key(bank, row));
-    if (static_cast<double>(++count) <
-        params_.migrateFraction * budget)
+    if (!countReaches(bank, row, kMigrateFraction))
         return;
 
     // Quarantine: the aggressor's content moves to the reserved
@@ -27,7 +17,7 @@ Aqua::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
     // which its old neighbors stop being disturbed by it.
     const uint32_t rows = threshold_->rowsPerBank();
     const uint32_t q_rows = std::max<uint32_t>(
-        1, static_cast<uint32_t>(params_.quarantineFraction * rows));
+        1, static_cast<uint32_t>(kQuarantineFraction * rows));
     if (bank >= nextQuarantine_.size())
         nextQuarantine_.resize(bank + 1, 0);
     uint32_t &cursor = nextQuarantine_[bank];
@@ -36,13 +26,6 @@ Aqua::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
     out.push_back({PreventiveAction::Kind::MigrateRow, bank, row, dest,
                    0});
     ++stats_.migrations;
-    count = 0;
-}
-
-void
-Aqua::onEpochEnd(dram::Tick /* now */)
-{
-    counts_.clear();
 }
 
 } // namespace svard::defense

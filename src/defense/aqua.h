@@ -11,51 +11,26 @@
 
 #include <vector>
 
-#include "common/flat_table.h"
 #include "defense/defense.h"
 
 namespace svard::defense {
 
-class Aqua : public Defense
+class Aqua : public RowCountDefense
 {
   public:
-    struct Params
-    {
-        /** Fraction of the threshold that triggers quarantine. */
-        double migrateFraction = 0.5;
-        /** Quarantine region size as a fraction of the bank's rows. */
-        double quarantineFraction = 0.01;
-        dram::Tick refreshWindow = 64LL * 1000 * 1000 * 1000;
-    };
+    /** Fraction of the threshold that triggers quarantine. */
+    static constexpr double kMigrateFraction = 0.5;
+    /** Quarantine region size as a fraction of the bank's rows. */
+    static constexpr double kQuarantineFraction = 0.01;
 
-    explicit Aqua(std::shared_ptr<const core::ThresholdProvider> thr);
-    Aqua(std::shared_ptr<const core::ThresholdProvider> thr,
-         Params params);
+    using RowCountDefense::RowCountDefense;
 
     const char *name() const override { return "AQUA"; }
 
     void onActivate(uint32_t bank, uint32_t row, dram::Tick now,
                     std::vector<PreventiveAction> &out) override;
 
-    void onEpochEnd(dram::Tick now) override;
-
-    void
-    tableStats(uint64_t *entries, uint64_t *rehashes) const override
-    {
-        *entries = counts_.size();
-        *rehashes = counts_.rehashes();
-    }
-
   private:
-    uint64_t
-    key(uint32_t bank, uint32_t row) const
-    {
-        return (static_cast<uint64_t>(bank) << 32) | row;
-    }
-
-    Params params_;
-    /** Per-(bank,row) ACT counts; generation-cleared at epoch end. */
-    FlatTable<uint32_t> counts_;
     std::vector<uint32_t> nextQuarantine_; ///< per bank, grown on demand
 };
 

@@ -42,22 +42,6 @@ CountingBloomFilter::estimateAt(const size_t *idx) const
     return est;
 }
 
-uint32_t
-CountingBloomFilter::insert(uint64_t key)
-{
-    size_t idx[kMaxHashes];
-    indicesOf(key, idx);
-    return insertAt(idx);
-}
-
-uint32_t
-CountingBloomFilter::estimate(uint64_t key) const
-{
-    size_t idx[kMaxHashes];
-    indicesOf(key, idx);
-    return estimateAt(idx);
-}
-
 void
 CountingBloomFilter::clear()
 {
@@ -92,7 +76,7 @@ BlockHammer::onActivate(uint32_t bank, uint32_t row, dram::Tick now,
         nextAllowed_.clear();
     }
 
-    const uint64_t k = key(bank, row);
+    const uint64_t k = rowKey(bank, row);
     const double budget = aggressorBudget(bank, row);
     const double blacklist_at = params_.blacklistFraction * budget;
     // One index computation serves both the estimate and the later
@@ -125,7 +109,9 @@ BlockHammer::onActivate(uint32_t bank, uint32_t row, dram::Tick now,
         nextAllowed_.refOrInsert(k) = now + min_interval;
     }
     cbf_[active_].insertAt(idx_active);
-    cbf_[active_ ^ 1].insert(k);
+    size_t idx_draining[CountingBloomFilter::kMaxHashes];
+    cbf_[active_ ^ 1].indicesOf(k, idx_draining);
+    cbf_[active_ ^ 1].insertAt(idx_draining);
 }
 
 void
@@ -141,7 +127,9 @@ bool
 BlockHammer::isBlacklisted(uint32_t bank, uint32_t row) const
 {
     const double budget = aggressorBudget(bank, row);
-    return cbf_[active_].estimate(key(bank, row)) >=
+    size_t idx[CountingBloomFilter::kMaxHashes];
+    cbf_[active_].indicesOf(rowKey(bank, row), idx);
+    return cbf_[active_].estimateAt(idx) >=
            params_.blacklistFraction * budget;
 }
 

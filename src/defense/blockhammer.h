@@ -28,24 +28,18 @@ class CountingBloomFilter
 
     CountingBloomFilter(size_t counters, int hashes, uint64_t seed);
 
-    /** Increment; returns the new (min-) estimate for the key. */
-    uint32_t insert(uint64_t key);
-
-    /** Min-counter estimate (never undercounts a key's true count). */
-    uint32_t estimate(uint64_t key) const;
-
     /**
      * All k counter indices of `key`: hashSeed({seed, h, key}) % m for
-     * h in [0, k). `out` must hold kMaxHashes entries. Lets a caller
-     * that both estimates and inserts the same key reuse one index
-     * computation.
+     * h in [0, k). `out` must hold kMaxHashes entries. A caller that
+     * both estimates and inserts the same key computes them once.
      */
     void indicesOf(uint64_t key, size_t *out) const;
 
-    /** insert() with indices already computed by indicesOf(key). */
+    /** Increment the key at `idx`; returns its new (min-) estimate. */
     uint32_t insertAt(const size_t *idx);
 
-    /** estimate() with indices already computed by indicesOf(key). */
+    /** Min-counter estimate of the key at `idx` (never undercounts
+     *  the key's true count). */
     uint32_t estimateAt(const size_t *idx) const;
 
     void clear();
@@ -91,12 +85,6 @@ class BlockHammer : public Defense
     bool isBlacklisted(uint32_t bank, uint32_t row) const;
 
   private:
-    uint64_t
-    key(uint32_t bank, uint32_t row) const
-    {
-        return (static_cast<uint64_t>(bank) << 32) | row;
-    }
-
     Params params_;
     // Time-interleaved filter pair: one active, one draining, swapped
     // every half refresh window so stale counts expire.

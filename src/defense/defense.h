@@ -13,6 +13,10 @@
  * threshold to enforce. The provider is the Svärd integration point
  * (paper Fig. 11): UniformThreshold reproduces the defense's baseline
  * configuration; core::Svard supplies per-row thresholds.
+ *
+ * Graphene, AQUA and RRS share one mechanism, RowCountDefense: count a
+ * row's ACTs in the refresh window and act once the count reaches a
+ * fixed fraction of the row's budget. They differ only in the action.
  */
 #ifndef SVARD_DEFENSE_DEFENSE_H
 #define SVARD_DEFENSE_DEFENSE_H
@@ -21,7 +25,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/log.h"
+#include "common/flat_table.h"
 #include "core/svard.h"
 #include "dram/types.h"
 
@@ -52,23 +56,6 @@ struct PreventiveAction
  * free once the buffer has grown to the largest burst seen.
  */
 using ActionBuffer = std::vector<PreventiveAction>;
-
-/**
- * Map a defense-issued action bank onto a controller with
- * `total_banks` flat banks. Defenses observe controller flat bank
- * indices and must emit preventive actions in that same space; this
- * helper is the single agreed fold point (the controller used to
- * apply a silent `% total_banks`, which would mask a defense emitting
- * banks from the wrong space instead of failing loudly).
- */
-inline uint32_t
-resolveActionBank(uint32_t bank, size_t total_banks)
-{
-    SVARD_ASSERT(bank < total_banks,
-                 "defense action bank outside the controller's flat "
-                 "bank space");
-    return bank;
-}
 
 /** Common statistics every defense maintains. */
 struct DefenseStats
@@ -120,15 +107,10 @@ class Defense
 
     const DefenseStats &stats() const { return stats_; }
 
-    const core::ThresholdProvider &threshold() const
-    {
-        return *threshold_;
-    }
-
     /**
      * Configure how many banks one rank holds so flat controller bank
-     * indices fold onto the profile's bank space. Called by the
-     * registry / simulation engine with the geometry under test;
+     * indices fold onto the profile's bank space. Called by
+     * makeDefenseByName with the geometry under test;
      * defaults to the paper system's 16 banks per rank.
      */
     void
@@ -140,6 +122,29 @@ class Defense
     uint32_t banksPerRank() const { return banksPerRank_; }
 
   protected:
+    /** Key of a (bank,row) pair in the defenses' FlatTables. */
+    static uint64_t
+    rowKey(uint32_t bank, uint32_t row)
+    {
+        return (static_cast<uint64_t>(bank) << 32) | row;
+    }
+
+    /** Refresh the in-bank neighbors row-1 and row+1. */
+    void
+    refreshNeighbors(uint32_t bank, uint32_t row,
+                     std::vector<PreventiveAction> &out)
+    {
+        const uint32_t rows = threshold_->rowsPerBank();
+        for (int d : {-1, +1}) {
+            const int64_t victim = static_cast<int64_t>(row) + d;
+            if (victim < 0 || victim >= static_cast<int64_t>(rows))
+                continue;
+            out.push_back({PreventiveAction::Kind::RefreshRow, bank,
+                           static_cast<uint32_t>(victim), 0, 0});
+            ++stats_.preventiveRefreshes;
+        }
+    }
+
     /** Threshold lookup for a victim row (bank folded to profile). */
     double
     victimThreshold(uint32_t bank, uint32_t row) const
@@ -175,6 +180,44 @@ class Defense
     std::shared_ptr<const core::ThresholdProvider> threshold_;
     DefenseStats stats_;
     uint32_t banksPerRank_ = 16;
+};
+
+/**
+ * Defense built on exact per-(bank,row) ACT counts that reset at the
+ * end of each refresh window (Graphene, AQUA, RRS).
+ */
+class RowCountDefense : public Defense
+{
+  public:
+    using Defense::Defense;
+
+    void onEpochEnd(dram::Tick /* now */) override { counts_.clear(); }
+
+    void
+    tableStats(uint64_t *entries, uint64_t *rehashes) const override
+    {
+        *entries = counts_.size();
+        *rehashes = counts_.rehashes();
+    }
+
+  protected:
+    /**
+     * Count one ACT of (bank,row). Returns true, and restarts the
+     * count, once it reaches `fraction` of the row's aggressor budget.
+     */
+    bool
+    countReaches(uint32_t bank, uint32_t row, double fraction)
+    {
+        const double budget = aggressorBudget(bank, row);
+        uint32_t &count = counts_.refOrInsert(rowKey(bank, row));
+        if (static_cast<double>(++count) < fraction * budget)
+            return false;
+        count = 0;
+        return true;
+    }
+
+    /** Per-(bank,row) ACT counts; generation-cleared at epoch end. */
+    FlatTable<uint32_t> counts_;
 };
 
 } // namespace svard::defense

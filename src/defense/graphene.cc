@@ -2,41 +2,13 @@
 
 namespace svard::defense {
 
-Graphene::Graphene(std::shared_ptr<const core::ThresholdProvider> thr)
-    : Graphene(std::move(thr), Params{})
-{}
-
-Graphene::Graphene(std::shared_ptr<const core::ThresholdProvider> thr,
-                   Params params)
-    : Defense(std::move(thr)), params_(params)
-{}
-
 void
 Graphene::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
                      std::vector<PreventiveAction> &out)
 {
     ++stats_.activationsObserved;
-    const double budget = aggressorBudget(bank, row);
-    uint32_t &count = counts_.refOrInsert(key(bank, row));
-    if (static_cast<double>(++count) <
-        params_.refreshFraction * budget)
-        return;
-    const uint32_t rows = threshold_->rowsPerBank();
-    for (int d : {-1, +1}) {
-        const int64_t victim = static_cast<int64_t>(row) + d;
-        if (victim < 0 || victim >= static_cast<int64_t>(rows))
-            continue;
-        out.push_back({PreventiveAction::Kind::RefreshRow, bank,
-                       static_cast<uint32_t>(victim), 0, 0});
-        ++stats_.preventiveRefreshes;
-    }
-    count = 0;
-}
-
-void
-Graphene::onEpochEnd(dram::Tick /* now */)
-{
-    counts_.clear();
+    if (countReaches(bank, row, kRefreshFraction))
+        refreshNeighbors(bank, row, out);
 }
 
 } // namespace svard::defense

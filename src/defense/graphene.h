@@ -11,49 +11,22 @@
 #ifndef SVARD_DEFENSE_GRAPHENE_H
 #define SVARD_DEFENSE_GRAPHENE_H
 
-#include "common/flat_table.h"
 #include "defense/defense.h"
 
 namespace svard::defense {
 
-class Graphene : public Defense
+class Graphene : public RowCountDefense
 {
   public:
-    struct Params
-    {
-        double refreshFraction = 0.5;
-        dram::Tick refreshWindow = 64LL * 1000 * 1000 * 1000;
-    };
+    /** Fraction of the budget at which a row's neighbors refresh. */
+    static constexpr double kRefreshFraction = 0.5;
 
-    explicit Graphene(
-        std::shared_ptr<const core::ThresholdProvider> thr);
-    Graphene(std::shared_ptr<const core::ThresholdProvider> thr,
-             Params params);
+    using RowCountDefense::RowCountDefense;
 
     const char *name() const override { return "Graphene"; }
 
     void onActivate(uint32_t bank, uint32_t row, dram::Tick now,
                     std::vector<PreventiveAction> &out) override;
-
-    void onEpochEnd(dram::Tick now) override;
-
-    void
-    tableStats(uint64_t *entries, uint64_t *rehashes) const override
-    {
-        *entries = counts_.size();
-        *rehashes = counts_.rehashes();
-    }
-
-  private:
-    uint64_t
-    key(uint32_t bank, uint32_t row) const
-    {
-        return (static_cast<uint64_t>(bank) << 32) | row;
-    }
-
-    Params params_;
-    /** Per-(bank,row) ACT counts; generation-cleared at epoch end. */
-    FlatTable<uint32_t> counts_;
 };
 
 } // namespace svard::defense

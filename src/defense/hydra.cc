@@ -109,15 +109,7 @@ Hydra::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
     uint32_t &count = rct_.refOrInsert(rk);
     if (static_cast<double>(++count) >=
         params_.refreshFraction * budget) {
-        const uint32_t rows = threshold_->rowsPerBank();
-        for (int d : {-1, +1}) {
-            const int64_t victim = static_cast<int64_t>(row) + d;
-            if (victim < 0 || victim >= static_cast<int64_t>(rows))
-                continue;
-            out.push_back({PreventiveAction::Kind::RefreshRow, bank,
-                           static_cast<uint32_t>(victim), 0, 0});
-            ++stats_.preventiveRefreshes;
-        }
+        refreshNeighbors(bank, row, out);
         count = 0;
     }
 }

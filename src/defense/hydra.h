@@ -37,7 +37,6 @@ class Hydra : public Defense
         /** Fraction of threshold at which a row's neighbors refresh. */
         double refreshFraction = 0.5;
         size_t rccEntries = 4096;
-        dram::Tick refreshWindow = 64LL * 1000 * 1000 * 1000;
     };
 
     explicit Hydra(std::shared_ptr<const core::ThresholdProvider> thr);
@@ -67,13 +66,7 @@ class Hydra : public Defense
     uint64_t
     groupKey(uint32_t bank, uint32_t row) const
     {
-        return (static_cast<uint64_t>(bank) << 32) |
-               (row / params_.rowsPerGroup);
-    }
-    uint64_t
-    rowKey(uint32_t bank, uint32_t row) const
-    {
-        return (static_cast<uint64_t>(bank) << 32) | row;
+        return rowKey(bank, row / params_.rowsPerGroup);
     }
 
     /** Access the RCC; returns true on hit, emits traffic on miss. */

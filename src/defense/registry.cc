@@ -16,22 +16,95 @@ namespace svard::defense {
 
 namespace {
 
-std::string
-lowered(const std::string &name)
+template <typename D>
+std::unique_ptr<Defense>
+unseeded(const DefenseContext &ctx)
 {
-    std::string out = name;
-    std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
+    return std::make_unique<D>(ctx.provider);
+}
+
+template <typename D>
+std::unique_ptr<Defense>
+seeded(const DefenseContext &ctx)
+{
+    return std::make_unique<D>(ctx.provider, ctx.seed);
+}
+
+std::unique_ptr<Defense>
+blockHammer(const DefenseContext &ctx)
+{
+    BlockHammer::Params p;
+    p.blacklistFraction =
+        ctx.param("blacklist_fraction", p.blacklistFraction);
+    return std::make_unique<BlockHammer>(ctx.provider, p);
+}
+
+std::unique_ptr<Defense>
+none(const DefenseContext &)
+{
+    return nullptr;
+}
+
+struct Entry
+{
+    const char *name;
+    std::unique_ptr<Defense> (*make)(const DefenseContext &);
+};
+
+/** Sorted by name, so defenseNames() is sorted too. */
+constexpr Entry kDefenses[] = {
+    {"aqua", unseeded<Aqua>},
+    {"blockhammer", blockHammer},
+    {"graphene", unseeded<Graphene>},
+    {"hydra", unseeded<Hydra>},
+    {"none", none},
+    {"para", seeded<Para>},
+    {"rrs", seeded<Rrs>},
+};
+
+const Entry *
+findDefense(const std::string &name)
+{
+    std::string key = name;
+    std::transform(key.begin(), key.end(), key.begin(), [](unsigned char c) {
         return static_cast<char>(std::tolower(c));
     });
+    for (const Entry &e : kDefenses)
+        if (key == e.name)
+            return &e;
+    return nullptr;
+}
+
+} // anonymous namespace
+
+bool
+isDefenseName(const std::string &name)
+{
+    return findDefense(name) != nullptr;
+}
+
+std::vector<std::string>
+defenseNames()
+{
+    std::vector<std::string> out;
+    for (const Entry &e : kDefenses)
+        out.push_back(e.name);
     return out;
 }
 
-/** Wrap a plain constructor call into a geometry-applying factory. */
-template <typename Make>
-DefenseFactory
-geometryAware(Make make)
+std::unique_ptr<Defense>
+makeDefenseByName(const std::string &name, const DefenseContext &ctx)
 {
-    return [make](const DefenseContext &ctx) -> std::unique_ptr<Defense> {
+    const Entry *e = findDefense(name);
+    if (e == nullptr) {
+        std::string known;
+        for (const Entry &k : kDefenses)
+            known += (known.empty() ? "" : ", ") + std::string(k.name);
+        throw std::invalid_argument("unknown defense \"" + name +
+                                    "\" (known: " + known + ")");
+    }
+    std::unique_ptr<Defense> d = e->make(ctx);
+    if (d) {
         // A zero bank count means the caller never derived the
         // geometry (the old hardcoded-16 default hid exactly that
         // for every non-Table-4 system); refuse instead of folding
@@ -40,90 +113,9 @@ geometryAware(Make make)
                      "DefenseContext::banksPerRank is unset; derive "
                      "it from the SimConfig (or module spec) under "
                      "test");
-        std::unique_ptr<Defense> d = make(ctx);
-        if (d)
-            d->setBanksPerRank(ctx.banksPerRank);
-        return d;
-    };
-}
-
-} // anonymous namespace
-
-DefenseRegistry::DefenseRegistry()
-{
-    add("none", [](const DefenseContext &) { return nullptr; });
-    add("para", geometryAware([](const DefenseContext &ctx) {
-            return std::make_unique<Para>(ctx.provider, ctx.seed);
-        }));
-    add("blockhammer", geometryAware([](const DefenseContext &ctx) {
-            BlockHammer::Params p;
-            p.blacklistFraction =
-                ctx.param("blacklist_fraction", p.blacklistFraction);
-            return std::make_unique<BlockHammer>(ctx.provider, p);
-        }));
-    add("hydra", geometryAware([](const DefenseContext &ctx) {
-            return std::make_unique<Hydra>(ctx.provider);
-        }));
-    add("aqua", geometryAware([](const DefenseContext &ctx) {
-            return std::make_unique<Aqua>(ctx.provider);
-        }));
-    add("rrs", geometryAware([](const DefenseContext &ctx) {
-            return std::make_unique<Rrs>(ctx.provider, Rrs::Params{},
-                                         ctx.seed);
-        }));
-    add("graphene", geometryAware([](const DefenseContext &ctx) {
-            return std::make_unique<Graphene>(ctx.provider);
-        }));
-}
-
-DefenseRegistry &
-DefenseRegistry::instance()
-{
-    static DefenseRegistry registry;
-    return registry;
-}
-
-void
-DefenseRegistry::add(const std::string &name, DefenseFactory factory)
-{
-    SVARD_ASSERT(!name.empty(), "defense name must be non-empty");
-    factories_[lowered(name)] = std::move(factory);
-}
-
-bool
-DefenseRegistry::contains(const std::string &name) const
-{
-    return factories_.count(lowered(name)) != 0;
-}
-
-std::vector<std::string>
-DefenseRegistry::names() const
-{
-    std::vector<std::string> out;
-    for (const auto &[name, factory] : factories_)
-        out.push_back(name);
-    return out; // std::map iterates sorted
-}
-
-std::unique_ptr<Defense>
-DefenseRegistry::make(const std::string &name,
-                      const DefenseContext &ctx) const
-{
-    const auto it = factories_.find(lowered(name));
-    if (it == factories_.end()) {
-        std::string known;
-        for (const auto &n : names())
-            known += (known.empty() ? "" : ", ") + n;
-        throw std::invalid_argument("unknown defense \"" + name +
-                                    "\" (known: " + known + ")");
+        d->setBanksPerRank(ctx.banksPerRank);
     }
-    return it->second(ctx);
-}
-
-std::unique_ptr<Defense>
-makeDefenseByName(const std::string &name, const DefenseContext &ctx)
-{
-    return DefenseRegistry::instance().make(name, ctx);
+    return d;
 }
 
 } // namespace svard::defense

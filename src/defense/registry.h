@@ -1,23 +1,22 @@
 /**
  * @file
- * Name-indexed registry of read-disturbance defenses.
+ * Construction of read-disturbance defenses by name.
  *
  * Every construction site in the repo (benches, examples, tests, the
- * experiment engine) goes through this registry instead of wiring
+ * experiment engine) goes through makeDefenseByName instead of wiring
  * concrete defense classes by hand: a defense is a string name plus a
  * DefenseContext carrying the threshold provider, the deterministic
- * seed, and the DRAM geometry under test. Factories thread the
+ * seed, and the DRAM geometry under test. Construction threads the
  * geometry into Defense::setBanksPerRank so bank folding follows the
  * simulated module instead of a hardcoded constant.
  *
- * The registry is open: extensions register additional defenses at
- * startup (DefenseRegistry::instance().add(...)) and every sweep-spec
- * consumer picks them up by name with no further plumbing.
+ * The names form a closed, sorted table: "aqua", "blockhammer",
+ * "graphene", "hydra", "none", "para", "rrs". Lookups are
+ * case-insensitive ("PARA" and "para" are the same defense).
  */
 #ifndef SVARD_DEFENSE_REGISTRY_H
 #define SVARD_DEFENSE_REGISTRY_H
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,8 +35,8 @@ struct DefenseContext
 {
     /**
      * Bare construction: `banks_per_rank` MUST be set to the
-     * simulated geometry's bank count before the context reaches a
-     * factory (the registry asserts it). The old hardcoded default of
+     * simulated geometry's bank count before the context reaches
+     * makeDefenseByName (which asserts it). The old hardcoded default of
      * 16 silently mis-folded banks for every non-Table-4 geometry;
      * prefer the SimConfig overload below, which derives it.
      */
@@ -77,47 +76,17 @@ struct DefenseContext
     DefenseParams params;
 };
 
-using DefenseFactory =
-    std::function<std::unique_ptr<Defense>(const DefenseContext &)>;
+/** Whether `name` names a defense (case-insensitive). */
+bool isDefenseName(const std::string &name);
+
+/** Every defense name, sorted and lowercase ("none" included). */
+std::vector<std::string> defenseNames();
 
 /**
- * String -> factory map with the built-in defenses pre-registered:
- * "none", "para", "blockhammer", "hydra", "aqua", "rrs", "graphene".
- * Lookups are case-insensitive ("PARA" and "para" are the same
- * defense); registered names are stored lowercase.
+ * Construct a defense by name. "none" yields nullptr (baseline).
+ * @throws std::invalid_argument for unknown names, listing the known
+ *         ones.
  */
-class DefenseRegistry
-{
-  public:
-    /** The process-wide registry (built-ins registered on first use). */
-    static DefenseRegistry &instance();
-
-    /**
-     * Register a defense. Registering an existing name replaces the
-     * factory (tests override built-ins with instrumented variants).
-     */
-    void add(const std::string &name, DefenseFactory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** All registered names, sorted ("none" included). */
-    std::vector<std::string> names() const;
-
-    /**
-     * Construct a defense by name. "none" yields nullptr (baseline).
-     * @throws std::invalid_argument for unregistered names, listing
-     *         the known ones.
-     */
-    std::unique_ptr<Defense> make(const std::string &name,
-                                  const DefenseContext &ctx) const;
-
-  private:
-    DefenseRegistry(); ///< registers the built-ins
-
-    std::map<std::string, DefenseFactory> factories_;
-};
-
-/** Convenience wrapper over DefenseRegistry::instance().make(). */
 std::unique_ptr<Defense> makeDefenseByName(const std::string &name,
                                            const DefenseContext &ctx);
 

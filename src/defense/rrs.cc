@@ -2,13 +2,9 @@
 
 namespace svard::defense {
 
-Rrs::Rrs(std::shared_ptr<const core::ThresholdProvider> thr)
-    : Rrs(std::move(thr), Params{}, 1)
-{}
-
 Rrs::Rrs(std::shared_ptr<const core::ThresholdProvider> thr,
-         Params params, uint64_t seed)
-    : Defense(std::move(thr)), params_(params), rng_(seed)
+         uint64_t seed)
+    : RowCountDefense(std::move(thr)), rng_(seed)
 {}
 
 void
@@ -16,9 +12,7 @@ Rrs::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
                 std::vector<PreventiveAction> &out)
 {
     ++stats_.activationsObserved;
-    const double budget = aggressorBudget(bank, row);
-    const uint32_t count = ++counts_.refOrInsert(key(bank, row));
-    if (static_cast<double>(count) < params_.swapFraction * budget)
+    if (!countReaches(bank, row, kSwapFraction))
         return;
 
     const uint32_t rows = threshold_->rowsPerBank();
@@ -28,15 +22,8 @@ Rrs::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
     out.push_back({PreventiveAction::Kind::SwapRows, bank, row, partner,
                    0});
     ++stats_.swaps;
-    // Two separate inserts (the partner insert may move the table).
-    counts_.refOrInsert(key(bank, row)) = 0;
-    counts_.refOrInsert(key(bank, partner)) = 0;
-}
-
-void
-Rrs::onEpochEnd(dram::Tick /* now */)
-{
-    counts_.clear();
+    // The partner's content moved too: its count restarts as well.
+    counts_.refOrInsert(rowKey(bank, partner)) = 0;
 }
 
 } // namespace svard::defense

@@ -10,51 +10,27 @@
 #ifndef SVARD_DEFENSE_RRS_H
 #define SVARD_DEFENSE_RRS_H
 
-#include "common/flat_table.h"
 #include "common/rng.h"
 #include "defense/defense.h"
 
 namespace svard::defense {
 
-class Rrs : public Defense
+class Rrs : public RowCountDefense
 {
   public:
-    struct Params
-    {
-        /** Fraction of the threshold that triggers a swap. */
-        double swapFraction = 0.5;
-        dram::Tick refreshWindow = 64LL * 1000 * 1000 * 1000;
-    };
+    /** Fraction of the threshold that triggers a swap. */
+    static constexpr double kSwapFraction = 0.5;
 
-    explicit Rrs(std::shared_ptr<const core::ThresholdProvider> thr);
-    Rrs(std::shared_ptr<const core::ThresholdProvider> thr,
-        Params params, uint64_t seed = 1);
+    explicit Rrs(std::shared_ptr<const core::ThresholdProvider> thr,
+                 uint64_t seed = 1);
 
     const char *name() const override { return "RRS"; }
 
     void onActivate(uint32_t bank, uint32_t row, dram::Tick now,
                     std::vector<PreventiveAction> &out) override;
 
-    void onEpochEnd(dram::Tick now) override;
-
-    void
-    tableStats(uint64_t *entries, uint64_t *rehashes) const override
-    {
-        *entries = counts_.size();
-        *rehashes = counts_.rehashes();
-    }
-
   private:
-    uint64_t
-    key(uint32_t bank, uint32_t row) const
-    {
-        return (static_cast<uint64_t>(bank) << 32) | row;
-    }
-
-    Params params_;
     Rng rng_;
-    /** Per-(bank,row) ACT counts; generation-cleared at epoch end. */
-    FlatTable<uint32_t> counts_;
 };
 
 } // namespace svard::defense

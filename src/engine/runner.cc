@@ -391,7 +391,7 @@ ExperimentRunner::ExperimentRunner(SweepSpec spec)
     // Validate names up front: a typo must throw here on the caller's
     // thread, not inside a sharded worker.
     for (const auto &name : spec_.defenses)
-        if (!defense::DefenseRegistry::instance().contains(name))
+        if (!defense::isDefenseName(name))
             throw std::invalid_argument(
                 "unknown defense \"" + name + "\" in sweep spec");
     validateProviderLabels(spec_.providers);
@@ -796,7 +796,7 @@ runAdversarialSweep(const AdversarialSpec &adv,
 
     // Typos must throw here, not inside a sharded worker thread.
     for (const auto &c : adv.cases)
-        if (!defense::DefenseRegistry::instance().contains(c.defense))
+        if (!defense::isDefenseName(c.defense))
             throw std::invalid_argument("unknown defense \"" +
                                         c.defense +
                                         "\" in adversarial spec");

@@ -243,9 +243,12 @@ MemController::applyActions(const defense::ActionBuffer &acts,
         static_cast<dram::Tick>(cfg_.blocksPerRow()) * t.tBL;
     for (const auto &a : acts) {
         // The defense emits actions in the controller's own flat bank
-        // space; the shared helper asserts that instead of folding
-        // mismatches away with a modulo.
-        const uint32_t b = defense::resolveActionBank(a.bank, banks_.size());
+        // space: a bank outside it fails loudly instead of being
+        // folded away with a modulo.
+        const uint32_t b = a.bank;
+        SVARD_ASSERT(b < banks_.size(),
+                     "defense action bank outside the controller's "
+                     "flat bank space");
         // Row-content moves go through the memory controller, so they
         // occupy the shared channel data bus as well as the bank.
         auto occupy = [&](dram::Tick bank_dur, dram::Tick bus_dur) {

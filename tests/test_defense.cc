@@ -96,11 +96,13 @@ TEST(Para, SvardRefreshesLessThanUniform)
 TEST(CountingBloom, NeverUndercounts)
 {
     CountingBloomFilter cbf(256, 3, 42);
+    size_t idx[CountingBloomFilter::kMaxHashes];
+    cbf.indicesOf(7, idx);
     for (int i = 0; i < 50; ++i)
-        cbf.insert(7);
-    EXPECT_GE(cbf.estimate(7), 50u);
+        cbf.insertAt(idx);
+    EXPECT_GE(cbf.estimateAt(idx), 50u);
     cbf.clear();
-    EXPECT_EQ(cbf.estimate(7), 0u);
+    EXPECT_EQ(cbf.estimateAt(idx), 0u);
 }
 
 TEST(BlockHammer, ThrottlesRapidActivationsToOneRow)
@@ -239,21 +241,37 @@ TEST(Graphene, RefreshesNeighborsAtHalfBudget)
     EXPECT_EQ(refreshes, 4u); // two triggers x two neighbors
 }
 
-TEST(Defense, EpochEndResetsCounters)
+class EpochEndP : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(EpochEndP, EpochEndResetsCounters)
 {
-    Aqua aqua(uniform(1024));
+    // Budget 1024: each row-counting defense acts at 512 ACTs, so two
+    // epochs of 500 stay silent only if the epoch end clears counts.
+    auto d = makeDefenseByName(
+        GetParam(), DefenseContext(uniform(1024), 1, /*banks_per_rank=*/16));
+    ASSERT_NE(d, nullptr);
     std::vector<PreventiveAction> acts;
     for (int i = 0; i < 500; ++i) {
         acts.clear();
-        aqua.onActivate(0, 10, 0, acts);
+        d->onActivate(0, 10, 0, acts);
+        EXPECT_TRUE(acts.empty());
     }
-    aqua.onEpochEnd(0);
+    uint64_t entries = 0, rehashes = 0;
+    d->tableStats(&entries, &rehashes);
+    EXPECT_EQ(entries, 1u);
+    d->onEpochEnd(0);
+    d->tableStats(&entries, &rehashes);
+    EXPECT_EQ(entries, 0u);
     for (int i = 0; i < 500; ++i) {
         acts.clear();
-        aqua.onActivate(0, 10, 0, acts);
+        d->onActivate(0, 10, 0, acts);
         EXPECT_TRUE(acts.empty());
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Defense, EpochEndP,
+                         ::testing::Values("aqua", "graphene", "rrs"));
 
 // ---------------------------------------------------------------
 // Defense registry
@@ -261,13 +279,14 @@ TEST(Defense, EpochEndResetsCounters)
 
 TEST(Registry, EveryRegisteredNameConstructsAndObservesActivations)
 {
-    auto &reg = DefenseRegistry::instance();
-    const auto names = reg.names();
-    EXPECT_GE(names.size(), 7u); // 6 defenses + "none"
+    const auto names = defenseNames();
+    EXPECT_EQ(names,
+              (std::vector<std::string>{"aqua", "blockhammer", "graphene",
+                                        "hydra", "none", "para", "rrs"}));
     for (const auto &name : names) {
         const DefenseContext ctx(uniform(1024), 3,
                                  /*banks_per_rank=*/16);
-        auto d = reg.make(name, ctx);
+        auto d = makeDefenseByName(name, ctx);
         if (name == "none") {
             EXPECT_EQ(d, nullptr);
             continue;
@@ -281,12 +300,11 @@ TEST(Registry, EveryRegisteredNameConstructsAndObservesActivations)
 
 TEST(Registry, LookupIsCaseInsensitive)
 {
-    auto &reg = DefenseRegistry::instance();
-    EXPECT_TRUE(reg.contains("PARA"));
-    EXPECT_TRUE(reg.contains("BlockHammer"));
+    EXPECT_TRUE(isDefenseName("PARA"));
+    EXPECT_TRUE(isDefenseName("BlockHammer"));
     const DefenseContext ctx(uniform(1024), 1,
                              /*banks_per_rank=*/16);
-    auto d = reg.make("Graphene", ctx);
+    auto d = makeDefenseByName("Graphene", ctx);
     ASSERT_NE(d, nullptr);
     EXPECT_STREQ(d->name(), "Graphene");
 }
@@ -313,8 +331,7 @@ TEST(Registry, UnknownNameThrowsWithKnownNames)
 {
     const DefenseContext ctx(uniform(1024), 1,
                              /*banks_per_rank=*/16);
-    EXPECT_FALSE(
-        DefenseRegistry::instance().contains("not-a-defense"));
+    EXPECT_FALSE(isDefenseName("not-a-defense"));
     try {
         makeDefenseByName("not-a-defense", ctx);
         FAIL() << "expected std::invalid_argument";

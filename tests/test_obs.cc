@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.h"
 #include "common/parallel.h"
 #include "common/stats.h"
 #include "engine/runner.h"

@@ -350,7 +350,7 @@ TEST(TimingRules, EveryPresetDefenseAndTraceObeysTheModelledRules)
     for (const std::string &preset : sim::presets::names()) {
         const sim::SimConfig cfg = sim::presets::get(preset);
         for (const std::string &defense :
-             defense::DefenseRegistry::instance().names()) {
+             defense::defenseNames()) {
             for (uint32_t trace : {kBenign, kRrsHammer, kHydraThrash}) {
                 sim::System sys(
                     cfg, tracesFor(cfg, trace), kReqs, defense,
