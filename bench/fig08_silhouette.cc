@@ -3,9 +3,10 @@
  * Reproduces paper Fig. 8: the silhouette score of clustering DRAM
  * rows into k subarrays, swept over k, for the Mfr. S modules (as in
  * the paper's figure). The score peaks at the true subarray count and
- * decreases beyond it. Default scale probes a range of the bank
- * (SVARD_SUBARRAYS subarrays, 12 by default); SVARD_FULL=1 probes the
- * whole bank.
+ * decreases beyond it. Default scale probes the first SVARD_SUBARRAYS
+ * subarrays (12 by default) plus the first rows of the next one, so
+ * the probed range spans SVARD_SUBARRAYS + 1 subarrays; SVARD_FULL=1
+ * probes the whole bank.
  */
 #include "bench_util.h"
 #include "charz/reveng.h"
@@ -33,7 +34,9 @@ main()
             const uint32_t n = static_cast<uint32_t>(
                 envInt("SVARD_SUBARRAYS", 12));
             opt.lastRow = rig.subarrays->subarrayBase(n) + 10;
-            true_count = n;
+            // Rows 1 .. base(n) + 10 reach into subarray n, so the
+            // probe spans subarrays 0..n: n + 1 of them.
+            true_count = n + 1;
         }
         const auto res = charz::reverseEngineerSubarrays(session, opt);
         for (const auto &pt : res.silhouette)
