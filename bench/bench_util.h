@@ -213,25 +213,25 @@ samePath(const std::string &a, const std::string &b)
 /**
  * Shared streaming/caching plumbing of the sweep benches
  * (fig12/fig13): a result sink and a per-cell sweep cache resolved
- * from argv or the environment.
+ * from argv.
  *
  *   --out=PATH    stream finished cells to PATH as CSV as they
  *                 complete, wrapped in an AsyncSink so workers never
  *                 block on file I/O (.jsonl/.bin/.svc are retired
- *                 and exit via fatal:). Env: SVARD_OUT.
+ *                 and exit via fatal:).
  *   --cache=PATH  per-cell cache + checkpoint: cached cells skip
  *                 execution, finished cells append immediately, so a
- *                 killed sweep resumes from PATH. Env: SVARD_CACHE.
+ *                 killed sweep resumes from PATH.
  *   --resume      assert that a checkpoint already exists at the
  *                 cache path (guards against a typoed path silently
- *                 recomputing everything). Env: SVARD_RESUME=1.
+ *                 recomputing everything).
  *   --manifest=PATH  write a run manifest (obs/manifest.h) after the
  *                 sweep: schema, spec fingerprint, seed, threads,
  *                 build flags, wall time, cell counts, metrics
- *                 snapshot. Env: SVARD_MANIFEST. Defaults to
- *                 `<out>.manifest.json` (or `<cache>.manifest.json`
- *                 when only a cache is named) so every persisted
- *                 sweep output carries its provenance record.
+ *                 snapshot. Defaults to `<out>.manifest.json` (or
+ *                 `<cache>.manifest.json` when only a cache is
+ *                 named) so every persisted sweep output carries its
+ *                 provenance record.
  *
  * A dead cache path degrades gracefully (warn + run uncached) —
  * except under --resume, where an unusable checkpoint must die
@@ -251,10 +251,6 @@ inline SweepIo
 parseSweepIo(int argc, char **argv)
 {
     SweepIo out;
-    out.outPath = envStr("SVARD_OUT", "");
-    out.cachePath = envStr("SVARD_CACHE", "");
-    out.manifestPath = envStr("SVARD_MANIFEST", "");
-    out.resume = envInt("SVARD_RESUME", 0) != 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--out=", 0) == 0)
@@ -293,8 +289,7 @@ parseSweepIo(int argc, char **argv)
                             "\" (--out or --cache) when it is written");
     if (out.resume) {
         if (out.cachePath.empty())
-            SVARD_FATAL("--resume requires --cache=PATH "
-                        "(or SVARD_CACHE)");
+            SVARD_FATAL("--resume requires --cache=PATH");
         if (!io::SweepCache::fileExists(out.cachePath))
             SVARD_FATAL("--resume: no checkpoint at \"" +
                         out.cachePath + "\"");

@@ -11,11 +11,11 @@
  * x mix} cells across a thread pool with deterministic per-cell seeds
  * — the same results at any thread count.
  *
- * Streaming & resume: `--out=PATH` (or SVARD_OUT) streams cells to a
- * CSV sink as workers finish; `--cache=PATH` (or SVARD_CACHE)
- * checkpoints every finished cell, so a killed sweep resumed with
- * the same cache re-executes only missing cells and a repeat run
- * executes none. `--resume` asserts the checkpoint exists.
+ * Streaming & resume: `--out=PATH` streams cells to a CSV sink as
+ * workers finish; `--cache=PATH` checkpoints every finished cell, so
+ * a killed sweep resumed with the same cache re-executes only missing
+ * cells and a repeat run executes none. `--resume` asserts the
+ * checkpoint exists.
  *
  * Scale knobs: SVARD_MIXES (default 5; paper scale 120 via
  * SVARD_FULL=1), SVARD_REQS requests per core (default 6000),

@@ -10,10 +10,10 @@
  *
  * The {attack case x provider x target row} grid runs through the
  * experiment engine's adversarial sweep (SVARD_THREADS workers,
- * deterministic per-cell seeds). `--out`/`--cache`/`--resume` (or
- * SVARD_OUT / SVARD_CACHE / SVARD_RESUME) stream the defended cells
- * to a sink and checkpoint both reference and defended runs, so an
- * interrupted sweep resumes with only its missing cells.
+ * deterministic per-cell seeds). `--out`/`--cache`/`--resume` stream
+ * the defended cells to a sink and checkpoint both reference and
+ * defended runs, so an interrupted sweep resumes with only its missing
+ * cells.
  */
 #include <chrono>
 #include <cstdio>
