@@ -219,82 +219,35 @@ buildProfile(const dram::ModuleSpec &spec,
              const std::vector<RowResult> &results, uint32_t num_bins)
 {
     SVARD_ASSERT(!results.empty(), "no characterization results");
-    const auto &labels = dram::testedHammerCounts();
-
-    // Reuse fromModel's binning scheme: bins keyed to tested hammer
-    // counts, safe bound = previous tested count, weak-end merge to
-    // fit num_bins.
-    std::vector<double> bounds;
-    for (size_t i = 0; i < labels.size(); ++i)
-        bounds.push_back(i == 0
-                             ? 0.75 * static_cast<double>(labels[0])
-                             : static_cast<double>(labels[i - 1]));
-    std::vector<uint32_t> bin_of_label(labels.size());
-    std::vector<double> merged;
-    if (num_bins >= labels.size()) {
-        merged = bounds;
-        for (size_t i = 0; i < labels.size(); ++i)
-            bin_of_label[i] = static_cast<uint32_t>(i);
-    } else {
-        const size_t excess = labels.size() - num_bins;
-        merged.push_back(bounds[0]);
-        bin_of_label[0] = 0;
-        for (size_t i = 1; i < labels.size(); ++i) {
-            if (i <= excess) {
-                bin_of_label[i] = 0;
-            } else {
-                bin_of_label[i] = static_cast<uint32_t>(merged.size());
-                merged.push_back(bounds[i]);
-            }
-        }
-    }
-    // The tested-count list is sorted, so HC_first -> index is one
-    // binary search (the per-row linear scan this replaces was O(rows
-    // x labels) across a characterized module).
-    auto label_index = [&](int64_t hc) {
-        const auto it =
-            std::lower_bound(labels.begin(), labels.end(), hc);
-        if (it == labels.end() || *it != hc)
-            SVARD_PANIC("HC_first not a tested hammer count");
-        return static_cast<size_t>(it - labels.begin());
-    };
-
-    core::VulnProfile prof(spec.label + "-measured", spec.banks,
-                           spec.rowsPerBank, std::move(merged));
-
     // Tested rows per bank, sorted by physical row (the profile's key
     // space) for interpolation.
-    std::map<uint32_t, std::vector<std::pair<uint32_t, uint8_t>>> tested;
+    std::map<uint32_t, std::vector<std::pair<uint32_t, int64_t>>> tested;
     for (const auto &r : results)
-        tested[r.bank].push_back(
-            {r.physRow,
-             static_cast<uint8_t>(bin_of_label[label_index(r.hcFirst)])});
+        tested[r.bank].push_back({r.physRow, r.hcFirst});
     for (auto &[bank, rows] : tested)
         std::sort(rows.begin(), rows.end());
 
-    // Untested banks fall back to bank (tested banks' union would be
-    // unsafe to fabricate); use the first tested bank's rows.
+    // An untested bank borrows the first tested bank's rows (a union
+    // of the tested banks would be unsafe to fabricate).
     const auto &fallback = tested.begin()->second;
-    for (uint32_t bank = 0; bank < spec.banks; ++bank) {
-        const auto &rows =
-            tested.count(bank) ? tested.at(bank) : fallback;
-        size_t cursor = 0;
-        for (uint32_t r = 0; r < spec.rowsPerBank; ++r) {
-            while (cursor + 1 < rows.size() &&
-                   rows[cursor + 1].first <= r)
-                ++cursor;
-            // Nearest tested row (cursor points at the last <= r).
-            uint8_t bin = rows[cursor].second;
-            if (cursor + 1 < rows.size()) {
-                const uint32_t d_lo = r - rows[cursor].first;
-                const uint32_t d_hi = rows[cursor + 1].first - r;
-                if (d_hi < d_lo)
-                    bin = rows[cursor + 1].second;
-            }
-            prof.setBin(bank, r, bin);
-        }
-    }
-    return prof;
+    return core::VulnProfile::fromTestedCounts(
+        spec.label + "-measured", spec.banks, spec.rowsPerBank, num_bins,
+        [&](uint32_t bank, uint32_t r) {
+            const auto found = tested.find(bank);
+            const auto &rows =
+                found != tested.end() ? found->second : fallback;
+            // Nearest tested row, the lower one on a tie; rows before
+            // the first tested row take that row's count.
+            const auto next = std::upper_bound(
+                rows.begin(), rows.end(), r,
+                [](uint32_t row, const auto &t) { return row < t.first; });
+            if (next == rows.begin())
+                return next->second;
+            const auto prev = next - 1;
+            if (next != rows.end() && next->first - r < r - prev->first)
+                return next->second;
+            return prev->second;
+        });
 }
 
 } // namespace svard::charz

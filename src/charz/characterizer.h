@@ -133,11 +133,13 @@ class Characterizer
 };
 
 /**
- * Build a Svärd vulnerability profile from characterization results.
- * Rows the sweep skipped inherit the bin of the nearest tested row in
- * the same bank (a deployment would characterize every row; subsampled
- * sweeps use this interpolation and stay safe only statistically —
- * fromModel() gives the exact full-characterization profile).
+ * Build a Svärd vulnerability profile from characterization results,
+ * binned by VulnProfile::fromTestedCounts like the oracle profile.
+ * Rows the sweep skipped inherit the HC_first of the nearest tested
+ * row in the same bank (a deployment would characterize every row;
+ * subsampled sweeps use this interpolation and stay safe only
+ * statistically — fromModel() gives the exact full-characterization
+ * profile).
  */
 core::VulnProfile buildProfile(const dram::ModuleSpec &spec,
                                const std::vector<RowResult> &results,

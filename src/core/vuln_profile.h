@@ -6,11 +6,16 @@
  * *safe* HC_first lower bound — the largest tested hammer count at
  * which no row of the bin flipped. Defenses configured from a bin's
  * bound therefore keep the paper's security guarantees (Sec. 6.3).
+ *
+ * A profile is an immutable value, so any number of threads may read
+ * one without coordination.
  */
 #ifndef SVARD_CORE_VULN_PROFILE_H
 #define SVARD_CORE_VULN_PROFILE_H
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +30,10 @@ namespace svard::core {
  * translate interface addresses through the reverse-engineered in-DRAM
  * mapping before consulting the profile, exactly as the paper's
  * methodology does for hammering.)
+ *
+ * Immutable: the bins live in one flat bank-major array behind a
+ * shared pointer, and the occupied-bin range is computed once, in the
+ * constructor. scaledTo() copies only the bin bounds.
  */
 class VulnProfile
 {
@@ -34,26 +43,42 @@ class VulnProfile
      * @param banks number of banks
      * @param rows_per_bank rows per bank
      * @param bin_bounds safe HC_first lower bound per bin, ascending
+     * @param bins bin id of every row, bank-major
+     *        (`bank * rows_per_bank + row`); each below bin_bounds.size()
      */
     VulnProfile(std::string label, uint32_t banks, uint32_t rows_per_bank,
-                std::vector<double> bin_bounds);
+                std::vector<double> bin_bounds, std::vector<uint8_t> bins);
+
+    /**
+     * The one binning scheme of every profile builder: one bin per
+     * tested hammer count, whose safe bound is the previous tested
+     * count (no flips were observed there; the weakest bin backs off to
+     * 3/4 of its count). To fit `num_bins`, bins merge from the weak
+     * end upward into the weakest (safest) bound — merging strong bins
+     * would forfeit Svärd's benefit where it is largest.
+     *
+     * @param tested_hc_first a row's HC_first, one of
+     *        dram::testedHammerCounts() (as quantizeHc() returns)
+     * @param num_bins 1..16
+     */
+    static VulnProfile fromTestedCounts(
+        std::string label, uint32_t banks, uint32_t rows_per_bank,
+        uint32_t num_bins,
+        const std::function<int64_t(uint32_t bank, uint32_t row)>
+            &tested_hc_first);
 
     /**
      * Build a profile directly from the fault model (oracle profile):
      * every row's continuous HC_first is quantized to the tested
-     * hammer counts and the bin bound is the previous tested count
-     * (the largest count observed safe). This matches what a complete
-     * characterization run measures; the charz library produces the
-     * same structure from actual Alg. 1 measurements.
+     * hammer counts and binned by fromTestedCounts(). This matches what
+     * a complete characterization run measures; the charz library
+     * bins actual Alg. 1 measurements the same way.
      *
      * @param num_bins at most 16; tested-hammer-count bins are merged
      *        from the weak end upward to fit.
      */
     static VulnProfile fromModel(const fault::VulnerabilityModel &model,
                                  uint32_t num_bins = 14);
-
-    /** Assign one row's bin (builder API used by the charz pipeline). */
-    void setBin(uint32_t bank, uint32_t row, uint8_t bin);
 
     uint8_t binOf(uint32_t bank, uint32_t row) const;
 
@@ -66,15 +91,16 @@ class VulnProfile
      * HC_first"; bins below the module minimum stay empty and must not
      * anchor the profile's scaling).
      */
-    double minThreshold() const;
+    double minThreshold() const { return binBounds_[minOccupied_]; }
 
     /** Largest occupied bin bound. */
-    double maxThreshold() const;
+    double maxThreshold() const { return binBounds_[maxOccupied_]; }
 
     /**
      * Scaled copy for future-chip evaluation (paper Sec. 7.1): all bin
      * bounds multiplied so the minimum bound equals
-     * `target_min_hc_first`, preserving the distribution's shape.
+     * `target_min_hc_first`, preserving the distribution's shape. The
+     * copy shares this profile's bins.
      */
     VulnProfile scaledTo(double target_min_hc_first) const;
 
@@ -107,13 +133,9 @@ class VulnProfile
     uint32_t banks_;
     uint32_t rowsPerBank_;
     std::vector<double> binBounds_;
-    std::vector<std::vector<uint8_t>> bins_; ///< [bank][row]
-    // Occupied-bin range, maintained incrementally by setBin (freshly
-    // constructed profiles have every row in bin 0).
-    mutable uint8_t minOccupied_ = 0;
-    mutable uint8_t maxOccupied_ = 0;
-    mutable bool occupancyDirty_ = false;
-    void refreshOccupancy() const;
+    std::shared_ptr<const std::vector<uint8_t>> bins_; ///< bank-major
+    uint8_t minOccupied_ = 0; ///< lowest bin holding a row
+    uint8_t maxOccupied_ = 0; ///< highest bin holding a row
 };
 
 } // namespace svard::core

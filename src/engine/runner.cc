@@ -175,29 +175,21 @@ buildProfiles(const std::vector<sim::SimConfig> &geoms,
     return out;
 }
 
-/** `base` scaled to a worst-case threshold, its lazy occupancy settled
- *  here so concurrently running cells can share it read-only. */
-std::shared_ptr<const core::VulnProfile>
-sharedScaled(const core::VulnProfile &base, double threshold)
-{
-    auto scaled =
-        std::make_shared<core::VulnProfile>(base.scaledTo(threshold));
-    scaled->minThreshold(); // settle the lazy occupancy
-    return scaled;
-}
-
 /** A cell's threshold provider, fresh per cell (its budget memo
- *  mutates): Svärd over the shared scaled profile of its module, or
- *  the uniform worst case when the provider names none. */
+ *  mutates): Svärd over its module's profile scaled to the cell's
+ *  threshold (an O(bins) copy sharing the module's bins), or the
+ *  uniform worst case when the provider names none. */
 std::shared_ptr<const core::ThresholdProvider>
-cellProvider(const ProfileMap &scaled, uint32_t geom,
+cellProvider(const ProfileMap &profiles, uint32_t geom,
              const std::string &label, double threshold,
              uint32_t rows_per_bank)
 {
     if (label.empty())
         return std::make_shared<core::UniformThreshold>(threshold,
                                                         rows_per_bank);
-    return std::make_shared<core::Svard>(scaled.at({geom, label}));
+    return std::make_shared<core::Svard>(
+        std::make_shared<const core::VulnProfile>(
+            profiles.at({geom, label})->scaledTo(threshold)));
 }
 
 /** Alone-IPC baseline record of one benchmark (the IPC rides in
@@ -511,14 +503,8 @@ ExperimentRunner::ensureBaselines()
     if (baselinesReady_)
         return;
     obs::Span base_span("sweep", "baselines");
-    // Phase 0: module profiles, and one shared scaled profile per
-    // (geometry, label, threshold) configuration.
+    // Phase 0: module profiles (each cell scales its own copy).
     profiles_ = buildProfiles(geoms_, spec_.providers, spec_.threads);
-    scaledProfiles_.resize(spec_.thresholds.size());
-    for (const auto &[key, profile] : profiles_)
-        for (size_t t = 0; t < spec_.thresholds.size(); ++t)
-            scaledProfiles_[t][key] =
-                sharedScaled(*profile, spec_.thresholds[t]);
 
     // Phase 1: per-mix traces (seeded by the base seed only, so one
     // generation serves every geometry and defense configuration).
@@ -668,8 +654,8 @@ ExperimentRunner::simulateCell(size_t i)
     }
     out.metrics = runMixCell(
         c.geom, c.mix, out.defense,
-        cellProvider(scaledProfiles_[c.threshold], c.geom, label,
-                     out.threshold, cfg.rowsPerBank),
+        cellProvider(profiles_, c.geom, label, out.threshold,
+                     cfg.rowsPerBank),
         out.seed, recal_duty);
     const sim::MixMetrics &m = out.metrics;
     const sim::MixMetrics &base = mixBase_[c.geom][c.mix];
@@ -920,14 +906,12 @@ runAdversarialSweep(const AdversarialSpec &adv,
             ref[m.cell.defense].push_back(m.metrics.weightedSpeedup);
     };
 
-    // Module profiles, keyed {0, label}, scaled to the threshold after
-    // the baselines (the phase order fault drills count on).
+    // Module profiles, keyed {0, label}, built before the baselines
+    // (the phase order fault drills count on).
     ProfileMap profiles;
     auto prepare = [&] {
         profiles = buildProfiles({cfg}, adv.providers, adv.threads);
         resolve_refs();
-        for (auto &[key, profile] : profiles)
-            profile = sharedScaled(*profile, adv.threshold);
     };
 
     auto execute = [&](size_t i) {

@@ -153,14 +153,9 @@ class ExperimentRunner
     /** (geometry, module label) -> profile. */
     using ProfileMap = std::map<std::pair<uint32_t, std::string>,
                                 std::shared_ptr<const core::VulnProfile>>;
-    ProfileMap profiles_; ///< built before sharding; read-only afterwards
-
-    /** profiles_ scaled to each threshold (by axis index), also
-     *  prebuilt: the cells sharing a provider configuration share one
-     *  immutable profile (occupancy pre-refreshed) instead of each
-     *  copying and rescaling megabytes of bin data. Svard instances
-     *  stay per-cell — their budget memos mutate. */
-    std::vector<ProfileMap> scaledProfiles_;
+    /** Built before sharding; each cell scales its module's profile
+     *  to its threshold, a copy that shares the bins. */
+    ProfileMap profiles_;
 
     /** Per-mix core traces, generated once and copied into each cell
      *  (traces depend only on the base seed, not the geometry).

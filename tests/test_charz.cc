@@ -139,6 +139,53 @@ TEST(Characterizer, BuildProfileInterpolatesAndStaysOrdered)
     EXPECT_LT(bin_of, prof.numBins());
 }
 
+TEST(Characterizer, BuildProfileFillsLeadingRowsFromFirstSample)
+{
+    // Rows below the first tested row have only one neighbouring
+    // sample; taking the second one gave rows 0..99 a 12x too-high
+    // (unsafe) bound.
+    const auto &spec = dram::moduleByLabel("H1");
+    std::vector<RowResult> results(2);
+    results[0].bank = results[1].bank = 1;
+    results[0].physRow = 100;
+    results[0].hcFirst = 8 * 1024;
+    results[1].physRow = 1000;
+    results[1].hcFirst = 56 * 1024;
+    const auto prof = buildProfile(spec, results);
+    for (uint32_t row : {0u, 1u, 99u, 100u, 550u}) {
+        EXPECT_EQ(unsigned{prof.binOf(1, row)}, 3u) << row;
+        EXPECT_DOUBLE_EQ(prof.thresholdOf(1, row), 4096.0) << row;
+    }
+    for (uint32_t row : {551u, 1000u, spec.rowsPerBank - 1}) {
+        EXPECT_EQ(unsigned{prof.binOf(1, row)}, 10u) << row;
+        EXPECT_DOUBLE_EQ(prof.thresholdOf(1, row), 49152.0) << row;
+    }
+}
+
+TEST(Characterizer, BuildProfileBinsLikeFromModel)
+{
+    // One binning scheme, two builders: measurements that agree with
+    // the model everywhere give the oracle profile's bins and bounds.
+    Rig rig("H1");
+    const uint32_t bank = 2;
+    std::vector<RowResult> results(rig.spec.rowsPerBank);
+    for (uint32_t row = 0; row < rig.spec.rowsPerBank; ++row) {
+        results[row].bank = bank;
+        results[row].physRow = row;
+        results[row].hcFirst = fault::VulnerabilityModel::quantizeHc(
+            rig.model->hcFirst(bank, row));
+    }
+    for (uint32_t bins : {14u, 8u}) {
+        const auto measured = buildProfile(rig.spec, results, bins);
+        const auto oracle =
+            core::VulnProfile::fromModel(*rig.model, bins);
+        ASSERT_EQ(measured.binBounds(), oracle.binBounds()) << bins;
+        for (uint32_t row = 0; row < rig.spec.rowsPerBank; ++row)
+            ASSERT_EQ(measured.binOf(bank, row), oracle.binOf(bank, row))
+                << bins << " bins, row " << row;
+    }
+}
+
 namespace {
 
 /** Field-exact RowResult comparison (doubles compared bit-for-bit). */

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/svard.h"
 #include "core/vuln_profile.h"
 #include "dram/rowmap.h"
@@ -109,6 +111,32 @@ TEST(VulnProfile, ScaledToPreservesShape)
         EXPECT_EQ(scaled.binOf(0, row), prof.binOf(0, row));
 }
 
+TEST(VulnProfile, ScaledCopyNeedsNoSettlingBeforeSharing)
+{
+    // A scaled profile is read by many concurrently running cells; with
+    // no prior call, every thread must see the serial answers (the
+    // TSan CI job runs this test).
+    auto model = makeModel("S0");
+    const auto scaled = std::make_shared<const VulnProfile>(
+        VulnProfile::fromModel(*model).scaledTo(64.0));
+    constexpr size_t kReaders = 8;
+    std::vector<std::array<double, 3>> seen(kReaders);
+    parallelFor(kReaders, 4, [&](size_t i) {
+        const uint32_t row = static_cast<uint32_t>(i * 4099);
+        seen[i] = {scaled->minThreshold(), scaled->maxThreshold(),
+                   scaled->thresholdOf(static_cast<uint32_t>(i), row)};
+    });
+    for (size_t i = 0; i < kReaders; ++i) {
+        const uint32_t row = static_cast<uint32_t>(i * 4099);
+        EXPECT_EQ(seen[i][0], scaled->minThreshold()) << i;
+        EXPECT_EQ(seen[i][1], scaled->maxThreshold()) << i;
+        EXPECT_EQ(seen[i][2],
+                  scaled->thresholdOf(static_cast<uint32_t>(i), row))
+            << i;
+    }
+    EXPECT_DOUBLE_EQ(scaled->minThreshold(), 64.0);
+}
+
 TEST(VulnProfile, MetadataBitsMatchesFourBitsPerRow)
 {
     auto model = makeModel("S0"); // 16 banks x 64K rows
@@ -161,14 +189,10 @@ TEST(ThresholdProvider, AggressorBudgetClampsAtBothArrayEdges)
     // Hand-built profile so every neighbor has a distinct threshold:
     // a wraparound or out-of-bounds neighbor lookup at either edge
     // would change the budget observably.
-    VulnProfile prof("edges", 1, 8, {10.0, 100.0, 1000.0});
-    prof.setBin(0, 0, 0);  // 10
-    prof.setBin(0, 1, 2);  // 1000
-    prof.setBin(0, 2, 1);  // 100
-    prof.setBin(0, 3, 2);  // 1000
-    prof.setBin(0, 6, 1);  // 100
-    prof.setBin(0, 7, 0);  // 10
-    Svard svard(std::make_shared<VulnProfile>(prof));
+    // Rows 0..7 -> thresholds 10, 1000, 100, 1000, 10, 10, 100, 10.
+    Svard svard(std::make_shared<VulnProfile>(
+        "edges", 1, 8, std::vector<double>{10.0, 100.0, 1000.0},
+        std::vector<uint8_t>{0, 2, 1, 2, 0, 0, 1, 0}));
 
     // Row 0 disturbs only row 1 (no row "-1" to consult).
     EXPECT_DOUBLE_EQ(svard.aggressorBudget(0, 0), 1000.0);
@@ -181,8 +205,9 @@ TEST(ThresholdProvider, AggressorBudgetClampsAtBothArrayEdges)
 
 TEST(ThresholdProvider, ProviderBankCountsExposeProfileGeometry)
 {
-    VulnProfile prof("geom", 4, 16, {32.0});
-    Svard svard(std::make_shared<VulnProfile>(prof));
+    Svard svard(std::make_shared<VulnProfile>(
+        "geom", 4, 16, std::vector<double>{32.0},
+        std::vector<uint8_t>(4 * 16, 0)));
     EXPECT_EQ(svard.banks(), 4u);
     // Uniform providers are bank-agnostic (0 = unconstrained).
     UniformThreshold uni(64.0, 16);

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "defense/aqua.h"
@@ -356,11 +357,10 @@ TEST(Registry, FoldedBanksHitTheRightProfileBank)
     // banksPerRank = 2, flat banks 2/3 must fold onto profile banks
     // 0/1 — the seed's hardcoded % 16 would index the profile out of
     // its bank range instead.
-    VulnProfile prof("fold", 2, 64, {8.0, 4096.0});
-    for (uint32_t row = 0; row < 64; ++row)
-        prof.setBin(1, row, 1);
-    auto svard =
-        std::make_shared<Svard>(std::make_shared<VulnProfile>(prof));
+    std::vector<uint8_t> bins(2 * 64, 0);
+    std::fill(bins.begin() + 64, bins.end(), 1); // bank 1
+    auto svard = std::make_shared<Svard>(std::make_shared<VulnProfile>(
+        "fold", 2, 64, std::vector<double>{8.0, 4096.0}, std::move(bins)));
     const DefenseContext ctx(svard, 1, /*banks_per_rank=*/2);
 
     auto weak = makeDefenseByName("graphene", ctx);

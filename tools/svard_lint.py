@@ -54,7 +54,8 @@ Escapes, in order of preference:
   1. Inline, same line or the line above the finding:
          // svard-lint: allow(<rule-id>) <reason>
   2. Per-rule path allowlist with rationale: tools/svard_lint_allow.txt
-     (src-has-caller entries name one function: <header>:<name>)
+     (src-has-caller entries name one function: <header>:<name>).
+     A whole-tree run reports every entry that excuses no finding.
 
 Usage:
     tools/svard_lint.py               lint src/, bench/ and examples/
@@ -470,17 +471,18 @@ def lint_file(abspath: str, relpath: str,
     return findings
 
 
-def stale_symbol_entries(allowlist: list[tuple[str, str]],
-                         suppressed: list[Finding]):
-    """Allowlist entries naming one function that no longer excuse a
-    finding (the function gained a caller or is gone): they would
-    excuse a later, unrelated function of the same name."""
-    used = {f"{f.path}:{f.symbol}" for f in suppressed if f.symbol}
-    with open(ALLOWLIST_PATH, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    rel = os.path.relpath(ALLOWLIST_PATH, REPO).replace(os.sep, "/")
+def stale_entries(allowlist: list[tuple[str, str]],
+                  suppressed: list[Finding], lines: list[str],
+                  rel: str):
+    """Allowlist entries that no longer excuse a finding. A symbol entry
+    (`<header>:<name>`) whose function gained a caller or is gone would
+    excuse a later, unrelated function of the same name; a path-glob
+    entry whose files lost the pattern would excuse its return."""
     for rule, glob in allowlist:
-        if ":" not in glob or glob in used:
+        if any(f.rule == rule and
+               (f"{f.path}:{f.symbol}" == glob if ":" in glob
+                else fnmatch.fnmatch(f.path, glob))
+               for f in suppressed):
             continue
         line = next((i + 1 for i, l in enumerate(lines)
                      if l.split("#", 1)[0].split() == [rule, glob]), 1)
@@ -505,7 +507,10 @@ def run_lint(paths: list[str]) -> int:
         relpath = os.path.relpath(abspath, REPO).replace(os.sep, "/")
         findings.extend(lint_file(abspath, relpath, allowlist, suppressed))
     if not paths:
-        findings.extend(stale_symbol_entries(allowlist, suppressed))
+        with open(ALLOWLIST_PATH, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        rel = os.path.relpath(ALLOWLIST_PATH, REPO).replace(os.sep, "/")
+        findings.extend(stale_entries(allowlist, suppressed, lines, rel))
     for f in findings:
         print(f)
     n = len(files)
@@ -737,6 +742,38 @@ FIXTURE_CALLERS = {
 }
 
 
+# The allowlist the stale-entry check is run against, over the
+# STALE_FIXTURES files: each rule has one entry that excuses a finding
+# and one that excuses none (the two the check must report).
+FIXTURE_ALLOW = [
+    ("no-wallclock", "src/obs/*"),
+    ("no-wallclock", "src/sim/*"),
+    ("src-has-caller", "src/core/fixture.h:orphan"),
+    ("src-has-caller", "src/core/fixture.h:renamed"),
+]
+STALE_FIXTURES = [
+    Fixture("src/obs/fixture.cc",
+            "auto t = std::chrono::steady_clock::now();\n", []),
+    Fixture("src/core/fixture.h",
+            SRC_GUARD + "namespace svard {\nint orphan(int x);\n}\n"
+            "#endif\n", []),
+]
+STALE_EXPECT = ["src/sim/*", "src/core/fixture.h:renamed"]
+
+
+def lint_fixture(fx: Fixture, allowlist: list[tuple[str, str]],
+                 suppressed: list[Finding] | None = None) -> list[Finding]:
+    import tempfile
+    with tempfile.NamedTemporaryFile(
+            "w", suffix=os.path.basename(fx.name), delete=False) as tmp:
+        tmp.write(fx.content)
+        tmp_path = tmp.name
+    try:
+        return lint_file(tmp_path, fx.name, allowlist, suppressed)
+    finally:
+        os.unlink(tmp_path)
+
+
 def self_test() -> int:
     global _ci_text, _readme_text, _caller_names
     _ci_text = FIXTURE_CI
@@ -744,19 +781,10 @@ def self_test() -> int:
     _caller_names = {rel: set(USE_RE.findall(text))
                      for rel, text in FIXTURE_CALLERS.items()}
     failures = 0
-    import tempfile
     for i, fx in enumerate(FIXTURES):
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=os.path.basename(fx.name),
-                delete=False) as tmp:
-            tmp.write(fx.content)
-            tmp_path = tmp.name
-        try:
-            # Empty allowlist: self-test exercises rules and inline
-            # escapes only, independent of the tree's allow file.
-            found = lint_file(tmp_path, fx.name, [])
-        finally:
-            os.unlink(tmp_path)
+        # Empty allowlist: these fixtures exercise rules and inline
+        # escapes only, independent of the tree's allow file.
+        found = lint_fixture(fx, [])
         got = sorted(f.rule for f in found)
         want = sorted(fx.expect)
         if got != want:
@@ -765,7 +793,19 @@ def self_test() -> int:
                   f"{want or 'clean'}, got {got or 'clean'}")
             for f in found:
                 print(f"    {f}")
-    total = len(FIXTURES)
+    suppressed = []
+    for fx in STALE_FIXTURES:
+        if lint_fixture(fx, FIXTURE_ALLOW, suppressed):
+            failures += 1
+            print(f"self-test FAIL [stale] {fx.name}: not excused")
+    lines = [f"{rule} {glob}" for rule, glob in FIXTURE_ALLOW]
+    stale = [f.message.split("'")[1] for f in
+             stale_entries(FIXTURE_ALLOW, suppressed, lines, "allow.txt")]
+    if stale != STALE_EXPECT:
+        failures += 1
+        print(f"self-test FAIL [stale]: expected {STALE_EXPECT}, "
+              f"got {stale}")
+    total = len(FIXTURES) + 1
     if failures:
         print(f"svard_lint --self-test: {failures}/{total} fixtures "
               f"FAILED", file=sys.stderr)
