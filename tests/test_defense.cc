@@ -377,6 +377,24 @@ TEST(Registry, FoldedBanksHitTheRightProfileBank)
     }
     EXPECT_GT(weak_ref, 0u);    // budget 8: refreshes by 16 ACTs
     EXPECT_EQ(strong_ref, 0u);  // budget 4096: untouched
+
+    // A geometry wider than the profile folds twice: with
+    // banksPerRank = 4, flat banks 6/7 are rank banks 2/3, which lie
+    // past the profile's two banks and must reach profile banks 0/1.
+    const DefenseContext wide(svard, 1, /*banks_per_rank=*/4);
+    auto weak4 = makeDefenseByName("graphene", wide);
+    auto strong4 = makeDefenseByName("graphene", wide);
+    weak_ref = strong_ref = 0;
+    for (int i = 0; i < 16; ++i) {
+        acts.clear();
+        weak4->onActivate(/*flat bank*/ 6, 30, 0, acts); // -> bank 0
+        weak_ref += acts.size();
+        acts.clear();
+        strong4->onActivate(/*flat bank*/ 7, 30, 0, acts); // -> bank 1
+        strong_ref += acts.size();
+    }
+    EXPECT_GT(weak_ref, 0u);
+    EXPECT_EQ(strong_ref, 0u);
 }
 
 // ---------------------------------------------------------------

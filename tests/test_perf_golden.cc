@@ -37,6 +37,7 @@
 #include "common/rng.h"
 #include "core/svard.h"
 #include "core/vuln_profile.h"
+#include "defense/registry.h"
 #include "dram/module_spec.h"
 #include "dram/subarray.h"
 #include "fault/vuln_model.h"
@@ -207,36 +208,95 @@ const GoldenCell kGolden[] = {
     // clang-format on
 };
 
+/**
+ * Cells in which Svärd acts for every registry defense. At kGolden's
+ * threshold 512, uniform and Svärd-S0 share a fingerprint for every
+ * defense but PARA, so those cells cannot tell a Svärd that never
+ * changes a threshold from one that works. Here the threshold is 128,
+ * core 0 runs the RRS hammer, and Svärd reads module H1's profile:
+ * the rows the counting defenses (AQUA, RRS, Graphene) act on sit
+ * above H1's floor bin, which S0's do not.
+ */
+constexpr double kActingThreshold = 128.0;
+
+struct ActingCell
+{
+    const char *defense;
+    const char *provider; ///< "uniform" or "svard" (Svärd-H1)
+    uint64_t fingerprint; ///< statsFingerprint of the run
+};
+
+const ActingCell kGoldenSvardActs[] = {
+    // clang-format off
+    {"aqua", "uniform", 0x4bcb6005192dfd05ULL},
+    {"aqua", "svard", 0xafa7acc56f5b5b87ULL},
+    {"blockhammer", "uniform", 0x6d291f7c1ff99a78ULL},
+    {"blockhammer", "svard", 0x087b6cfa0efa9f01ULL},
+    {"graphene", "uniform", 0x301ef6144191a5d0ULL},
+    {"graphene", "svard", 0x4d054447da42c54eULL},
+    {"hydra", "uniform", 0x575ec3f6ac7671a6ULL},
+    {"hydra", "svard", 0x10a8a490ab8f84d5ULL},
+    {"para", "uniform", 0x91301aeda53fd541ULL},
+    {"para", "svard", 0xb8bfc276635b9bfbULL},
+    {"rrs", "uniform", 0xf0a75f8558998708ULL},
+    {"rrs", "svard", 0xcc8b4837e07b0f45ULL},
+    // clang-format on
+};
+
 class GoldenStatsTest : public ::testing::Test
 {
   protected:
-    static std::shared_ptr<const core::VulnProfile> &
-    s0Profile()
+    /** `label`'s profile on the simulated geometry, its floor bin
+     *  scaled to `threshold`. */
+    static std::shared_ptr<const core::VulnProfile>
+    buildProfile(const char *label, double threshold)
     {
-        static std::shared_ptr<const core::VulnProfile> prof = [] {
-            sim::SimConfig cfg;
-            const auto &spec = dram::moduleByLabel("S0");
-            auto sa = std::make_shared<dram::SubarrayMap>(spec);
-            fault::VulnerabilityModel model(spec, sa);
-            return std::make_shared<core::VulnProfile>(
-                core::VulnProfile::fromModel(model)
-                    .resampledTo(cfg.banksPerRank(), cfg.rowsPerBank)
-                    .scaledTo(kThreshold));
-        }();
-        return prof;
+        sim::SimConfig cfg;
+        const auto &spec = dram::moduleByLabel(label);
+        auto sa = std::make_shared<dram::SubarrayMap>(spec);
+        fault::VulnerabilityModel model(spec, sa);
+        return std::make_shared<core::VulnProfile>(
+            core::VulnProfile::fromModel(model)
+                .resampledTo(cfg.banksPerRank(), cfg.rowsPerBank)
+                .scaledTo(threshold));
     }
 
     static std::shared_ptr<const core::ThresholdProvider>
     makeProvider(const std::string &kind, const sim::SimConfig &cfg)
     {
+        static const auto s0 = buildProfile("S0", kThreshold);
         if (kind == "uniform")
             return std::make_shared<core::UniformThreshold>(
                 kThreshold, cfg.rowsPerBank);
-        return std::make_shared<core::Svard>(s0Profile());
+        return std::make_shared<core::Svard>(s0);
+    }
+
+    /** A kGoldenSvardActs cell's run. */
+    static sim::RunResult
+    runActingCell(const std::string &defense, const std::string &kind)
+    {
+        static const auto h1 = buildProfile("H1", kActingThreshold);
+        const sim::SimConfig cfg;
+        std::shared_ptr<const core::ThresholdProvider> provider;
+        if (kind == "uniform")
+            provider = std::make_shared<core::UniformThreshold>(
+                kActingThreshold, cfg.rowsPerBank);
+        else
+            provider = std::make_shared<core::Svard>(h1);
+        return runCell(defense.c_str(), std::move(provider), 1, kAdvRrs);
     }
 
     static sim::RunResult
     runCell(const char *defense, const char *provider,
+            uint32_t channels, uint32_t trace_kind)
+    {
+        return runCell(defense, makeProvider(provider, sim::SimConfig{}),
+                       channels, trace_kind);
+    }
+
+    static sim::RunResult
+    runCell(const char *defense,
+            std::shared_ptr<const core::ThresholdProvider> provider,
             uint32_t channels, uint32_t trace_kind)
     {
         sim::SimConfig cfg;
@@ -265,7 +325,7 @@ class GoldenStatsTest : public ::testing::Test
                     sim::coreTraceOffset(kSeed, c)));
         }
         sim::System sys(cfg, std::move(traces), kReqs, defense,
-                        makeProvider(provider, cfg), kSeed);
+                        std::move(provider), kSeed);
         return sys.run();
     }
 };
@@ -309,6 +369,45 @@ TEST_F(GoldenStatsTest, StatsBitIdenticalAcrossHotPathRewrites)
             << g.defense << "/" << g.provider << " ch=" << g.channels
             << " trace=" << g.trace << "\n  " << describeStats(r);
     }
+}
+
+TEST_F(GoldenStatsTest, SvardActingCellsPinned)
+{
+    const bool dump = std::getenv("SVARD_DUMP_GOLDEN") != nullptr;
+    for (const ActingCell &g : kGoldenSvardActs) {
+        const sim::RunResult r = runActingCell(g.defense, g.provider);
+        if (dump)
+            std::printf("    {\"%s\", \"%s\", 0x%016llxULL},\n",
+                        g.defense, g.provider,
+                        static_cast<unsigned long long>(
+                            statsFingerprint(r)));
+        else
+            EXPECT_EQ(statsFingerprint(r), g.fingerprint)
+                << g.defense << "/" << g.provider << "\n  "
+                << describeStats(r);
+    }
+    if (dump)
+        GTEST_SKIP() << "golden dump mode";
+}
+
+/** On the acting cells, Svärd must change every registry defense's
+ *  stats: a provider that ignored the profile would pass every pin
+ *  above that predates it, and fail here. */
+TEST_F(GoldenStatsTest, SvardMovesEveryDefenseOnActingCells)
+{
+    size_t pinned = 0;
+    for (const std::string &name : defense::defenseNames()) {
+        if (name == "none")
+            continue;
+        EXPECT_NE(statsFingerprint(runActingCell(name, "uniform")),
+                  statsFingerprint(runActingCell(name, "svard")))
+            << name << ": Svärd-H1 left every stat as uniform's";
+        for (const ActingCell &g : kGoldenSvardActs)
+            pinned += name == g.defense;
+    }
+    // Each registry defense has its uniform and its Svärd cell pinned.
+    EXPECT_EQ(pinned, std::size(kGoldenSvardActs));
+    EXPECT_EQ(pinned, 2 * (defense::defenseNames().size() - 1));
 }
 
 /** ControllerStats::tfawStalls of every kGolden cell, in kGolden
