@@ -35,7 +35,8 @@ class FlatTable
             cap <<= 1;
         initialCap_ = cap;
         // The slot array is allocated on first insert: empty tables are
-        // free, which matters now that every RowData embeds one.
+        // free, so a defense or device that never tracks a row pays
+        // nothing for its tables.
     }
 
     size_t size() const { return size_; }

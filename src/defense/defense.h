@@ -12,7 +12,8 @@
  * Every defense consults a core::ThresholdProvider for the HC_first
  * threshold to enforce. The provider is the Svärd integration point
  * (paper Fig. 11): UniformThreshold reproduces the defense's baseline
- * configuration; core::Svard supplies per-row thresholds.
+ * configuration; core::Svard supplies per-row thresholds. Either is an
+ * immutable table lookup, so one provider may serve many defenses.
  *
  * Graphene, AQUA and RRS share one mechanism, RowCountDefense: count a
  * row's ACTs in the refresh window and act once the count reaches a
@@ -152,30 +153,19 @@ class Defense
         return threshold_->victimThreshold(foldBank(bank), row);
     }
 
-    /** Activation budget of an aggressor row. Served from the
-     *  provider's flat per-(bank,row) memo: one load per ACT in
-     *  steady state instead of two virtual victimThreshold calls. */
+    /** Activation budget of an aggressor row (bank folded to profile). */
     double
     aggressorBudget(uint32_t bank, uint32_t row) const
     {
-        return threshold_->aggressorBudgetMemo(foldBank(bank), row);
+        return threshold_->aggressorBudget(foldBank(bank), row);
     }
 
     /**
-     * Profiles cover one rank's banks; fold flat bank indices into
-     * the configured banks-per-rank, then into the provider's own
-     * bank space when it is narrower (e.g. a profile characterized on
-     * fewer banks than the simulated geometry exposes).
+     * Profiles cover one rank's banks: fold flat bank indices into the
+     * configured banks-per-rank. The provider folds once more when its
+     * profile has fewer banks still.
      */
-    uint32_t
-    foldBank(uint32_t bank) const
-    {
-        uint32_t folded = bank % banksPerRank_;
-        const uint32_t provider_banks = threshold_->banks();
-        if (provider_banks != 0 && folded >= provider_banks)
-            folded %= provider_banks;
-        return folded;
-    }
+    uint32_t foldBank(uint32_t bank) const { return bank % banksPerRank_; }
 
     std::shared_ptr<const core::ThresholdProvider> threshold_;
     DefenseStats stats_;

@@ -175,10 +175,10 @@ buildProfiles(const std::vector<sim::SimConfig> &geoms,
     return out;
 }
 
-/** A cell's threshold provider, fresh per cell (its budget memo
- *  mutates): Svärd over its module's profile scaled to the cell's
- *  threshold (an O(bins) copy sharing the module's bins), or the
- *  uniform worst case when the provider names none. */
+/** A cell's threshold provider: Svärd over its module's profile
+ *  scaled to the cell's threshold (an O(bins) copy sharing the
+ *  module's bins), or the uniform worst case when the provider names
+ *  none. */
 std::shared_ptr<const core::ThresholdProvider>
 cellProvider(const ProfileMap &profiles, uint32_t geom,
              const std::string &label, double threshold,

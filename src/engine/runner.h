@@ -158,10 +158,7 @@ class ExperimentRunner
     ProfileMap profiles_;
 
     /** Per-mix core traces, generated once and copied into each cell
-     *  (traces depend only on the base seed, not the geometry).
-     *  Providers, by contrast, stay per-cell: each fills a mutable
-     *  aggressor-budget memo, so sharing one instance across
-     *  concurrently-running cells would race. */
+     *  (traces depend only on the base seed, not the geometry). */
     std::vector<std::vector<std::vector<sim::TraceEntry>>> mixTraces_;
     std::vector<std::vector<double>> aloneIpc_;         ///< [geom][bench]
     std::vector<std::vector<sim::MixMetrics>> mixBase_; ///< [geom][mix]

@@ -414,8 +414,8 @@ TEST(HashStream, StringFoldMatchesTheByteAtATimeDefinition)
 
 TEST(FlatTable, EmptyTableAllocatesNothingUntilFirstInsert)
 {
-    // RowData embeds a FlatTable per DRAM row; an untouched row must
-    // cost no slot-array allocation.
+    // Defenses and the device hold tables that may never see a row;
+    // an untouched table must cost no slot-array allocation.
     FlatTable<uint64_t> t(64);
     EXPECT_EQ(t.capacity(), 0u);
     EXPECT_EQ(t.find(42), nullptr);

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "common/parallel.h"
 #include "core/svard.h"
 #include "core/vuln_profile.h"
+#include "defense/registry.h"
 #include "dram/rowmap.h"
 
 namespace svard::core {
@@ -24,6 +26,18 @@ makeModel(const std::string &label)
     const auto &spec = dram::moduleByLabel(label);
     auto map = std::make_shared<dram::SubarrayMap>(spec);
     return std::make_shared<fault::VulnerabilityModel>(spec, map);
+}
+
+/** The smallest victim threshold over every row a provider serves:
+ *  its profile's minimum. */
+double
+lowestThreshold(const ThresholdProvider &provider)
+{
+    double lowest = std::numeric_limits<double>::infinity();
+    for (uint32_t b = 0; b < provider.banks(); ++b)
+        for (uint32_t r = 0; r < provider.rowsPerBank(); ++r)
+            lowest = std::min(lowest, provider.victimThreshold(b, r));
+    return lowest;
 }
 
 TEST(VulnProfile, BinBoundIsSafeLowerBoundOfTrueHcFirst)
@@ -111,27 +125,58 @@ TEST(VulnProfile, ScaledToPreservesShape)
         EXPECT_EQ(scaled.binOf(0, row), prof.binOf(0, row));
 }
 
+/** Graphene's stats after `acts` ACTs over `provider`: rows 1000 +
+ *  2k (k < 8) of flat banks 0..31 in turn, so every row reaches a
+ *  budget of 64 and the weaker ones draw refreshes. */
+defense::DefenseStats
+grapheneStats(std::shared_ptr<const ThresholdProvider> provider,
+              uint32_t acts)
+{
+    auto graphene = defense::makeDefenseByName(
+        "graphene", defense::DefenseContext(std::move(provider), 1,
+                                            /*banks_per_rank=*/16));
+    std::vector<defense::PreventiveAction> out;
+    for (uint32_t i = 0; i < acts; ++i) {
+        out.clear();
+        graphene->onActivate(i % 32, 1000 + 2 * ((i / 32) % 8), 0, out);
+    }
+    return graphene->stats();
+}
+
 TEST(VulnProfile, ScaledCopyNeedsNoSettlingBeforeSharing)
 {
     // A scaled profile is read by many concurrently running cells; with
     // no prior call, every thread must see the serial answers (the
-    // TSan CI job runs this test).
+    // TSan CI job runs this test). So is one provider over it: each
+    // reader's own Graphene instance reads the shared Svärd table.
     auto model = makeModel("S0");
     const auto scaled = std::make_shared<const VulnProfile>(
         VulnProfile::fromModel(*model).scaledTo(64.0));
+    const auto shared = std::make_shared<const Svard>(scaled);
     constexpr size_t kReaders = 8;
+    constexpr uint32_t kActs = 32 * 8 * 256;
     std::vector<std::array<double, 3>> seen(kReaders);
+    std::vector<defense::DefenseStats> stats(kReaders);
     parallelFor(kReaders, 4, [&](size_t i) {
         const uint32_t row = static_cast<uint32_t>(i * 4099);
         seen[i] = {scaled->minThreshold(), scaled->maxThreshold(),
                    scaled->thresholdOf(static_cast<uint32_t>(i), row)};
+        stats[i] = grapheneStats(shared, kActs);
     });
+    const defense::DefenseStats serial = grapheneStats(
+        std::make_shared<const Svard>(scaled), kActs);
+    EXPECT_EQ(serial.activationsObserved, kActs);
+    EXPECT_GT(serial.preventiveRefreshes, 0u);
     for (size_t i = 0; i < kReaders; ++i) {
         const uint32_t row = static_cast<uint32_t>(i * 4099);
         EXPECT_EQ(seen[i][0], scaled->minThreshold()) << i;
         EXPECT_EQ(seen[i][1], scaled->maxThreshold()) << i;
         EXPECT_EQ(seen[i][2],
                   scaled->thresholdOf(static_cast<uint32_t>(i), row))
+            << i;
+        EXPECT_EQ(stats[i].activationsObserved, kActs) << i;
+        EXPECT_EQ(stats[i].preventiveRefreshes,
+                  serial.preventiveRefreshes)
             << i;
     }
     EXPECT_DOUBLE_EQ(scaled->minThreshold(), 64.0);
@@ -154,7 +199,7 @@ TEST(Svard, LookupMatchesProfile)
     Svard svard(prof);
     EXPECT_DOUBLE_EQ(svard.victimThreshold(3, 77),
                      prof->thresholdOf(3, 77));
-    EXPECT_DOUBLE_EQ(svard.worstCase(), prof->minThreshold());
+    EXPECT_DOUBLE_EQ(lowestThreshold(svard), prof->minThreshold());
 }
 
 TEST(Svard, AggressorBudgetIsMinOfNeighbors)
@@ -209,9 +254,9 @@ TEST(ThresholdProvider, ProviderBankCountsExposeProfileGeometry)
         "geom", 4, 16, std::vector<double>{32.0},
         std::vector<uint8_t>(4 * 16, 0)));
     EXPECT_EQ(svard.banks(), 4u);
-    // Uniform providers are bank-agnostic (0 = unconstrained).
+    // A uniform provider is one bank that every bank folds onto.
     UniformThreshold uni(64.0, 16);
-    EXPECT_EQ(uni.banks(), 0u);
+    EXPECT_EQ(uni.banks(), 1u);
 }
 
 TEST(UniformThreshold, IsTheNoSvardBaseline)
@@ -220,7 +265,7 @@ TEST(UniformThreshold, IsTheNoSvardBaseline)
     EXPECT_DOUBLE_EQ(uni.victimThreshold(0, 0), 4096.0);
     EXPECT_DOUBLE_EQ(uni.victimThreshold(15, 65535), 4096.0);
     EXPECT_DOUBLE_EQ(uni.aggressorBudget(7, 1234), 4096.0);
-    EXPECT_DOUBLE_EQ(uni.worstCase(), 4096.0);
+    EXPECT_DOUBLE_EQ(lowestThreshold(uni), 4096.0);
 }
 
 TEST(Svard, SvardNeverBelowNoSvardBaseline)

@@ -214,8 +214,8 @@ const GoldenCell kGolden[] = {
  * defense but PARA, so those cells cannot tell a Svärd that never
  * changes a threshold from one that works. Here the threshold is 128,
  * core 0 runs the RRS hammer, and Svärd reads module H1's profile:
- * the rows the counting defenses (AQUA, RRS, Graphene) act on sit
- * above H1's floor bin, which S0's do not.
+ * under S0's, the counting defenses (AQUA, RRS, Graphene) still give
+ * uniform's stats on every kGolden trace at 128.
  */
 constexpr double kActingThreshold = 128.0;
 
