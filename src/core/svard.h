@@ -22,7 +22,7 @@ namespace svard::core {
 
 /**
  * Per-row threshold oracle consulted by defenses on each activation:
- * a direct index into an immutable VulnProfile, so one provider may be
+ * a direct index into a const VulnProfile, so one provider may be
  * read by any number of threads. Thresholds are expressed in hammers
  * (activation pairs), matching HC_first's unit.
  */
@@ -59,8 +59,8 @@ class ThresholdProvider
         return budget;
     }
 
-    /** aggressorBudget under its former name, for callers outside
-     *  src/ that still use it. */
+    /** Same as aggressorBudget; the benchmark's lookup probe calls it
+     *  by this name. */
     double
     aggressorBudgetMemo(uint32_t bank, uint32_t row) const
     {

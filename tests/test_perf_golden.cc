@@ -391,8 +391,9 @@ TEST_F(GoldenStatsTest, SvardActingCellsPinned)
 }
 
 /** On the acting cells, Svärd must change every registry defense's
- *  stats: a provider that ignored the profile would pass every pin
- *  above that predates it, and fail here. */
+ *  stats. In kGolden only PARA's cells notice a provider whose
+ *  per-row thresholds never reach the defense; here every defense's
+ *  do. */
 TEST_F(GoldenStatsTest, SvardMovesEveryDefenseOnActingCells)
 {
     size_t pinned = 0;
