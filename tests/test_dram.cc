@@ -312,21 +312,25 @@ TEST(RowData, FlipBitIfOnlyFlipsMatchingBits)
 
 TEST(RowData, MismatchedBitsMatchDenseOracle)
 {
-    // The mismatch count must equal the byte-level truth. 5 and 131
-    // exercise the masked partial tail word (5 has no full word).
+    // The mismatch count must equal the byte-level truth, both for a
+    // row with no deltas (the whole-row shortcut) and after 300 flips
+    // (the word loop). 5 and 131 exercise the masked partial tail word
+    // (5 has no full word).
     for (uint32_t bytes : {5u, 64u, 131u, 8192u}) {
         RowData rd(bytes, 0x55);
         Rng rng(hashSeed({0x51D, bytes}));
-        for (int i = 0; i < 300; ++i)
-            rd.flipBit(static_cast<uint32_t>(rng.below(bytes * 8)));
-        for (uint8_t expected : {uint8_t(0x55), uint8_t(0x00),
-                                 uint8_t(0xFF), uint8_t(0xA5)}) {
-            const auto dense = rd.toBytes();
-            uint64_t truth = 0;
-            for (uint8_t b : dense)
-                truth += std::popcount(uint8_t(b ^ expected));
-            EXPECT_EQ(rd.mismatchedBits(expected), truth)
-                << "bytes=" << bytes;
+        for (int flips : {0, 300}) {
+            for (int i = 0; i < flips; ++i)
+                rd.flipBit(static_cast<uint32_t>(rng.below(bytes * 8)));
+            for (uint8_t expected : {uint8_t(0x55), uint8_t(0x00),
+                                     uint8_t(0xFF), uint8_t(0xA5)}) {
+                const auto dense = rd.toBytes();
+                uint64_t truth = 0;
+                for (uint8_t b : dense)
+                    truth += std::popcount(uint8_t(b ^ expected));
+                EXPECT_EQ(rd.mismatchedBits(expected), truth)
+                    << "bytes=" << bytes << " flips=" << flips;
+            }
         }
     }
 }
