@@ -405,33 +405,36 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
         return splitmix64(s);
     };
 
+    // Each flip lands on a charged cell: the stored value must match
+    // the cell's orientation. The first flip must land (see above:
+    // crossing the threshold implies a flipped bit), so it gets up to
+    // 256 attempts; with tf in (0.35, 0.65) each succeeds with >= ~35%
+    // probability, so the bound is unreachable in practice (~1e-50)
+    // and only keeps a pathological model from hanging the device.
+    // Later flips get 8: dropping one of many draws only dents the
+    // flip count, which is noise-dominated anyway.
+    //
     // Candidate draws are sequential and each acceptance depends on
     // the bits already flipped (flipBitIf reads the current bit), so
     // the RNG consumption, and with it the flip placement, is a pure
-    // function of the row's state and the stream.
+    // function of the row's state and the stream. The attempts run as
+    // one branch-free state machine: an accepted draw (`ok`, about
+    // half of them) or a spent budget moves on to the next flip by
+    // arithmetic, not by a data-dependent branch and break.
     uint64_t applied = 0;
-    for (uint64_t i = 0; i < n_flips; ++i) {
-        // Flip a charged cell: stored value must match orientation.
-        // The first flip must land (see above: crossing the threshold
-        // implies a flipped bit), so its placement retries until a
-        // charged cell is hit — with tf in (0.35, 0.65) each attempt
-        // succeeds with >= ~35% probability, so the 256-attempt bound
-        // is unreachable in practice (~1e-50); it exists so a
-        // pathological model cannot hang the device. Subsequent flips
-        // keep the short rejection loop: dropping one of many draws
-        // only dents the flip count, which is noise-dominated anyway.
-        const int max_attempts = (i == 0) ? 256 : 8;
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-            const uint32_t bit = static_cast<uint32_t>(rng_.below(bits));
-            const bool true_cell =
-                (orientationHash(bit) >> 11) *
-                    (1.0 / 9007199254740992.0) <
-                tf;
-            if (rd.flipBitIf(bit, true_cell)) {
-                ++applied;
-                break;
-            }
-        }
+    uint64_t flip = 0;     // index of the flip being placed
+    uint32_t attempt = 0;  // attempts spent on it so far
+    while (flip < n_flips) {
+        const uint32_t bit = static_cast<uint32_t>(rng_.below(bits));
+        const bool true_cell =
+            (orientationHash(bit) >> 11) * (1.0 / 9007199254740992.0) <
+            tf;
+        const uint64_t ok = rd.flipBitIf(bit, true_cell);
+        applied += ok;
+        const uint32_t budget = flip == 0 ? 256 : 8;
+        const uint64_t next = ok | (++attempt == budget);
+        flip += next;
+        attempt &= static_cast<uint32_t>(next - 1);
     }
     if (applied > 0) {
         stats_.bitflipsInjected += applied;

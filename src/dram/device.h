@@ -211,7 +211,10 @@ class DramDevice
      * row) and reset its accumulator. Past the row's threshold it
      * draws a flip count from the BER model and places each flip in
      * turn with RowData::flipBitIf, straight into the row's word
-     * array.
+     * array. The placement attempts run as one branch-free loop: a
+     * landed flip or a spent retry budget advances the flip index by
+     * arithmetic, so no branch depends on whether a draw hit a
+     * charged cell.
      */
     void realize(uint32_t bank, uint32_t phys_row);
 

@@ -9,19 +9,18 @@
  * single XOR on its word.
  *
  * A row equal to its fill stores no words: the array is allocated on
- * the first exception, and setFill() empties it (keeping its
- * capacity). A row with any exception costs rowBytes, whatever the
- * number of differing words. The device keeps a RowData only for the
- * rows a run writes or reads, and a characterization workspace touches
- * a few rows (a victim and its aggressors), so a full 128K-row bank
- * is never materialized. Near the 12% BER cap a disturbed row has
+ * the first exception or flipBitIf(), and setFill() empties it
+ * (keeping its capacity). A row with any exception costs rowBytes,
+ * whatever the number of differing words. The device keeps a RowData
+ * only for the rows a run writes or reads, and a characterization
+ * workspace touches a few rows (a victim and its aggressors), so a
+ * full 128K-row bank is never materialized. Near the 12% BER cap a disturbed row has
  * every word touched, so the dense array is also the smallest
  * container for it.
  */
 #ifndef SVARD_DRAM_ROWDATA_H
 #define SVARD_DRAM_ROWDATA_H
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -88,20 +87,21 @@ class RowData
     }
 
     /**
-     * Flip the bit only if it currently stores `expected`; returns
-     * whether it flipped. One word read instead of the bitAt +
-     * flipBit pair the fault-injection loop would otherwise do.
+     * Flip the bit only if it currently stores `expected`; returns 1
+     * if it flipped, else 0. Branch-free: the word is XORed with the
+     * match shifted into place, so a miss is a XOR with 0, and
+     * DramDevice::realize adds the result to its counters instead of
+     * branching on it. It allocates the delta array even on a miss;
+     * an all-zero array reads the same as an empty one.
      */
-    bool
+    uint64_t
     flipBitIf(uint32_t bit_index, bool expected)
     {
-        const uint64_t mask = uint64_t(1) << (bit_index & 63);
-        const uint64_t delta =
-            deltas_.empty() ? 0 : deltas_[bit_index >> 6];
-        if ((((fillWord() ^ delta) & mask) != 0) != expected)
-            return false;
-        deltaRef(bit_index >> 6) ^= mask;
-        return true;
+        const unsigned shift = bit_index & 63;
+        uint64_t &d = deltaRef(bit_index >> 6);
+        const uint64_t ok = (((fillWord() ^ d) >> shift) & 1) == expected;
+        d ^= ok << shift;
+        return ok;
     }
 
     /** The fill byte repeated across a 64-bit word. */
@@ -120,13 +120,12 @@ class RowData
         const uint32_t full_words = bytes_ / 8;
         const uint64_t tail = (uint64_t(1) << ((bytes_ & 7) * 8)) - 1;
         if (deltas_.empty())
-            return uint64_t(std::popcount(base)) * full_words +
-                   std::popcount(base & tail);
+            return bitCount(base) * full_words + bitCount(base & tail);
         uint64_t count = 0;
         for (uint32_t w = 0; w < full_words; ++w)
-            count += std::popcount(base ^ deltas_[w]);
+            count += bitCount(base ^ deltas_[w]);
         if (tail != 0)
-            count += std::popcount((base ^ deltas_[full_words]) & tail);
+            count += bitCount((base ^ deltas_[full_words]) & tail);
         return count;
     }
 
@@ -166,6 +165,20 @@ class RowData
     }
 
   private:
+    /**
+     * Set bits in `x`, by SWAR byte sums. std::popcount compiles to a
+     * libgcc call (__popcountdi2) when the target has no popcount
+     * instruction, as baseline x86-64 has none; this stays inline.
+     */
+    static uint64_t
+    bitCount(uint64_t x)
+    {
+        x -= (x >> 1) & 0x5555555555555555ULL;
+        x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+        x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+        return (x * 0x0101010101010101ULL) >> 56;
+    }
+
     static uint64_t
     repeatByte(uint8_t b)
     {
