@@ -418,9 +418,9 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
     // the bits already flipped (flipBitIf reads the current bit), so
     // the RNG consumption, and with it the flip placement, is a pure
     // function of the row's state and the stream. The attempts run as
-    // one branch-free state machine: an accepted draw (`ok`, about
-    // half of them) or a spent budget moves on to the next flip by
-    // arithmetic, not by a data-dependent branch and break.
+    // one branch-free state machine: a landed flip (`ok`) or a spent
+    // budget moves on to the next flip by arithmetic. About half the
+    // draws land, so a branch on `ok` would mispredict often.
     uint64_t applied = 0;
     uint64_t flip = 0;     // index of the flip being placed
     uint32_t attempt = 0;  // attempts spent on it so far

@@ -14,9 +14,9 @@
  * whatever the number of differing words. The device keeps a RowData
  * only for the rows a run writes or reads, and a characterization
  * workspace touches a few rows (a victim and its aggressors), so a
- * full 128K-row bank is never materialized. Near the 12% BER cap a disturbed row has
- * every word touched, so the dense array is also the smallest
- * container for it.
+ * full 128K-row bank is never materialized. Near the 12% BER cap a
+ * disturbed row has every word touched, so the dense array is also
+ * the smallest container for it.
  */
 #ifndef SVARD_DRAM_ROWDATA_H
 #define SVARD_DRAM_ROWDATA_H
@@ -88,11 +88,10 @@ class RowData
 
     /**
      * Flip the bit only if it currently stores `expected`; returns 1
-     * if it flipped, else 0. Branch-free: the word is XORed with the
-     * match shifted into place, so a miss is a XOR with 0, and
-     * DramDevice::realize adds the result to its counters instead of
-     * branching on it. It allocates the delta array even on a miss;
-     * an all-zero array reads the same as an empty one.
+     * if it flipped, else 0. Branch-free, so DramDevice::realize can
+     * add the result to its counters instead of branching on a
+     * roughly 50/50 outcome. It allocates the delta array even on a
+     * miss; an all-zero array reads the same as an empty one.
      */
     uint64_t
     flipBitIf(uint32_t bit_index, bool expected)

@@ -69,9 +69,10 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
-// Out of line: inlined into a caller, GCC sees the pairing new/delete
-// and warns that `free` releases `operator new` memory
-// (-Wmismatched-new-delete), although this `operator new` is malloc.
+// Out of line: inlined into a caller, GCC pairs them with `new` and
+// warns that `free` releases `operator new` memory
+// (-Wmismatched-new-delete), although the `operator new` above is
+// malloc.
 [[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
 [[gnu::noinline]] void
