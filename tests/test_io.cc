@@ -560,6 +560,32 @@ ioSpec(unsigned threads)
     return spec;
 }
 
+TEST(FormatPins, FingerprintsCsvAndRecordBytesStayPinned)
+{
+    // Cell fingerprints key every cache and checkpoint, and the CSV
+    // and SVC4 bytes are what figures and resumes read back: a change
+    // to any of them orphans existing files. Pinned from resolved cell
+    // metadata alone (no simulation), so a refactor that moves these
+    // bytes fails here before any figure digest notices.
+    engine::ExperimentRunner runner(ioSpec(1));
+    ASSERT_EQ(runner.prepareCells(), 8u);
+    const auto &cells = runner.resolvedCells();
+    const std::string csv = tmpPath("pins.csv");
+    {
+        io::CsvSink sink(csv);
+        for (const auto &r : cells)
+            sink.write(r);
+        sink.flush();
+    }
+    const auto hashOf = [](const std::string &bytes) {
+        return HashStream().mix(std::string_view(bytes)).value();
+    };
+    EXPECT_EQ(runner.specFingerprint(), 0x46578a9d69187fc2ULL);
+    EXPECT_EQ(hashOf(slurp(csv)), 0x72128a1e22a379f1ULL);
+    EXPECT_EQ(hashOf(io::encodeRecord(cells[5])), 0x435e498ac4911b1bULL);
+    std::remove(csv.c_str());
+}
+
 TEST(SweepCache, KilledAndResumedSweepIsBitIdenticalToUninterrupted)
 {
     const std::string ref_csv = tmpPath("resume_ref.csv");
