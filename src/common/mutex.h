@@ -24,7 +24,6 @@
 #ifndef SVARD_COMMON_MUTEX_H
 #define SVARD_COMMON_MUTEX_H
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -113,15 +112,6 @@ class CondVar
 
     /** Atomically release `lk`, sleep, and reacquire before return. */
     void wait(UniqueLock &lk) { cv_.wait(lk.lk_); }
-
-    /** Timed wait; like wait() but wakes at `deadline` at the latest. */
-    template <class ClockT, class Dur>
-    std::cv_status
-    wait_until(UniqueLock &lk,
-               const std::chrono::time_point<ClockT, Dur> &deadline)
-    {
-        return cv_.wait_until(lk.lk_, deadline);
-    }
 
     void notify_one() { cv_.notify_one(); }
     void notify_all() { cv_.notify_all(); }

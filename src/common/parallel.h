@@ -8,11 +8,18 @@
  * engine's sharded sweeps rely on).
  *
  * The pool is created on first use and its threads persist across
- * parallelFor calls, so sweep cells no longer pay a thread-spawn per
- * batch (the engine issues one batch per baseline phase plus one per
- * grid). Workers claim contiguous index chunks from a shared atomic
- * cursor; chunking only changes which worker runs an index, never
- * whether it runs, so the exactly-once contract is preserved.
+ * parallelFor calls (the engine issues one batch per baseline phase
+ * plus one per grid). Fresh threads per call, chunked the same way,
+ * give the same outputs and throughput within noise but cost memory:
+ * on a 4-vCPU host, svard_bench's median peak RSS over three
+ * repetitions grew from 30.4 to 35.6 MB on fig12-grid and from 27.3
+ * to 33.7 MB on fig13-adversarial, past that workload's 20% bound
+ * (equal at one repetition). The growth is glibc malloc arenas under
+ * thread churn: with MALLOC_ARENA_MAX=1 both read 22.6 MB on fig13.
+ *
+ * Workers claim contiguous index chunks from a shared atomic cursor;
+ * chunking only changes which worker runs an index, never whether it
+ * runs, so the exactly-once contract is preserved.
  */
 #ifndef SVARD_COMMON_PARALLEL_H
 #define SVARD_COMMON_PARALLEL_H
@@ -219,7 +226,9 @@ class ParallelPool
  * debugging and for determinism comparisons against sharded runs.
  * Inline or pooled, an exception does not stop the job: every other
  * index still runs exactly once, and the first exception is then
- * rethrown on the calling thread.
+ * rethrown on the calling thread. `n` may be 0 (a resume with every
+ * cell cached): `workers` is then 0 too, so the inline branch must
+ * come before anything that divides by it.
  */
 inline void
 parallelFor(size_t n, unsigned threads,

@@ -50,14 +50,9 @@ CountingBloomFilter::clear()
 
 BlockHammer::BlockHammer(
     std::shared_ptr<const core::ThresholdProvider> thr)
-    : BlockHammer(std::move(thr), Params{})
-{}
-
-BlockHammer::BlockHammer(
-    std::shared_ptr<const core::ThresholdProvider> thr, Params params)
-    : Defense(std::move(thr)), params_(params),
-      cbf_{{params.cbfCounters, params.cbfHashes, 0xB10C1},
-           {params.cbfCounters, params.cbfHashes, 0xB10C2}}
+    : Defense(std::move(thr)),
+      cbf_{{kCbfCounters, kCbfHashes, 0xB10C1},
+           {kCbfCounters, kCbfHashes, 0xB10C2}}
 {}
 
 void
@@ -68,7 +63,7 @@ BlockHammer::onActivate(uint32_t bank, uint32_t row, dram::Tick now,
 
     // Swap the filter pair every half refresh window (RowBlocker's
     // time-interleaving): counts older than a full window expire.
-    const dram::Tick half = params_.refreshWindow / 2;
+    const dram::Tick half = kRefreshWindow / 2;
     if (now - lastSwap_ >= half) {
         active_ ^= 1;
         cbf_[active_].clear();
@@ -78,7 +73,7 @@ BlockHammer::onActivate(uint32_t bank, uint32_t row, dram::Tick now,
 
     const uint64_t k = rowKey(bank, row);
     const double budget = aggressorBudget(bank, row);
-    const double blacklist_at = params_.blacklistFraction * budget;
+    const double blacklist_at = kBlacklistFraction * budget;
     // One index computation serves both the estimate and the later
     // insert into the active filter (same key, same seed, same
     // indices); only the draining filter hashes again.
@@ -103,7 +98,7 @@ BlockHammer::onActivate(uint32_t bank, uint32_t row, dram::Tick now,
         const double remaining =
             std::max(budget - static_cast<double>(estimate), 1.0);
         const dram::Tick window_left = std::max<dram::Tick>(
-            params_.refreshWindow - (now - lastSwap_), 1);
+            kRefreshWindow - (now - lastSwap_), 1);
         const dram::Tick min_interval = static_cast<dram::Tick>(
             static_cast<double>(window_left) / remaining);
         nextAllowed_.refOrInsert(k) = now + min_interval;
@@ -130,7 +125,7 @@ BlockHammer::isBlacklisted(uint32_t bank, uint32_t row) const
     size_t idx[CountingBloomFilter::kMaxHashes];
     cbf_[active_].indicesOf(rowKey(bank, row), idx);
     return cbf_[active_].estimateAt(idx) >=
-           params_.blacklistFraction * budget;
+           kBlacklistFraction * budget;
 }
 
 } // namespace svard::defense

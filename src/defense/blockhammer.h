@@ -53,19 +53,15 @@ class CountingBloomFilter
 class BlockHammer : public Defense
 {
   public:
-    struct Params
-    {
-        size_t cbfCounters = 1024;
-        int cbfHashes = 3;
-        /** Fraction of the threshold at which a row is blacklisted. */
-        double blacklistFraction = 0.5;
-        dram::Tick refreshWindow = 64LL * 1000 * 1000 * 1000; // 64 ms
-    };
+    static constexpr size_t kCbfCounters = 1024;
+    static constexpr int kCbfHashes = 3;
+    /** Fraction of the threshold at which a row is blacklisted. */
+    static constexpr double kBlacklistFraction = 0.5;
+    static constexpr dram::Tick kRefreshWindow =
+        64LL * 1000 * 1000 * 1000; // 64 ms
 
     explicit BlockHammer(
         std::shared_ptr<const core::ThresholdProvider> thr);
-    BlockHammer(std::shared_ptr<const core::ThresholdProvider> thr,
-                Params params);
 
     const char *name() const override { return "BlockHammer"; }
 
@@ -85,7 +81,6 @@ class BlockHammer : public Defense
     bool isBlacklisted(uint32_t bank, uint32_t row) const;
 
   private:
-    Params params_;
     // Time-interleaved filter pair: one active, one draining, swapped
     // every half refresh window so stale counts expire.
     CountingBloomFilter cbf_[2];

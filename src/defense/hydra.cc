@@ -5,15 +5,10 @@
 namespace svard::defense {
 
 Hydra::Hydra(std::shared_ptr<const core::ThresholdProvider> thr)
-    : Hydra(std::move(thr), Params{})
-{}
-
-Hydra::Hydra(std::shared_ptr<const core::ThresholdProvider> thr,
-             Params params)
-    : Defense(std::move(thr)), params_(params),
+    : Defense(std::move(thr)),
       // 4x headroom keeps the map under its load limit with a full
       // RCC plus the tombstones evictions leave between rehashes.
-      rccNodes_(params.rccEntries), rccMap_(4 * params.rccEntries)
+      rccNodes_(kRccEntries), rccMap_(4 * kRccEntries)
 {}
 
 void
@@ -43,7 +38,7 @@ Hydra::rccLinkFront(uint32_t n)
         rccTail_ = n;
 }
 
-bool
+void
 Hydra::rccAccess(uint64_t row_key, uint32_t bank,
                  std::vector<PreventiveAction> &out)
 {
@@ -54,10 +49,8 @@ Hydra::rccAccess(uint64_t row_key, uint32_t bank,
             rccUnlink(n);
             rccLinkFront(n);
         }
-        ++rccHits_;
-        return true;
+        return;
     }
-    ++rccMisses_;
     // Miss: fetch the counter line from the DRAM-resident RCT.
     out.push_back({PreventiveAction::Kind::MetadataAccess, bank, 0, 0,
                    0});
@@ -78,7 +71,6 @@ Hydra::rccAccess(uint64_t row_key, uint32_t bank,
     rccNodes_[n].key = row_key;
     rccLinkFront(n);
     rccMap_.refOrInsert(row_key) = n;
-    return false;
 }
 
 void
@@ -92,15 +84,14 @@ Hydra::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
     if (!perRowGroups_.contains(gk)) {
         const uint32_t gcount = ++gct_.refOrInsert(gk);
         if (static_cast<double>(gcount) <
-            params_.groupFraction * budget)
+            kGroupFraction * budget)
             return;
         // Group crossed its share of the threshold: switch the whole
         // group to exact per-row tracking, seeded with the group count
         // (conservative: every row inherits the group's count).
         perRowGroups_.refOrInsert(gk) = 1;
-        const uint32_t base =
-            (row / params_.rowsPerGroup) * params_.rowsPerGroup;
-        for (uint32_t r = 0; r < params_.rowsPerGroup; ++r)
+        const uint32_t base = (row / kRowsPerGroup) * kRowsPerGroup;
+        for (uint32_t r = 0; r < kRowsPerGroup; ++r)
             rct_.refOrInsert(rowKey(bank, base + r)) = gcount;
     }
 
@@ -108,7 +99,7 @@ Hydra::onActivate(uint32_t bank, uint32_t row, dram::Tick /* now */,
     rccAccess(rk, bank, out);
     uint32_t &count = rct_.refOrInsert(rk);
     if (static_cast<double>(++count) >=
-        params_.refreshFraction * budget) {
+        kRefreshFraction * budget) {
         refreshNeighbors(bank, row, out);
         count = 0;
     }

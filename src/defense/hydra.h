@@ -29,19 +29,14 @@ namespace svard::defense {
 class Hydra : public Defense
 {
   public:
-    struct Params
-    {
-        uint32_t rowsPerGroup = 128;
-        /** Fraction of threshold at which a group goes per-row. */
-        double groupFraction = 0.4;
-        /** Fraction of threshold at which a row's neighbors refresh. */
-        double refreshFraction = 0.5;
-        size_t rccEntries = 4096;
-    };
+    static constexpr uint32_t kRowsPerGroup = 128;
+    /** Fraction of threshold at which a group goes per-row. */
+    static constexpr double kGroupFraction = 0.4;
+    /** Fraction of threshold at which a row's neighbors refresh. */
+    static constexpr double kRefreshFraction = 0.5;
+    static constexpr size_t kRccEntries = 4096;
 
     explicit Hydra(std::shared_ptr<const core::ThresholdProvider> thr);
-    Hydra(std::shared_ptr<const core::ThresholdProvider> thr,
-          Params params);
 
     const char *name() const override { return "Hydra"; }
 
@@ -59,21 +54,17 @@ class Hydra : public Defense
                     rct_.rehashes() + rccMap_.rehashes();
     }
 
-    uint64_t rccMisses() const { return rccMisses_; }
-    uint64_t rccHits() const { return rccHits_; }
-
   private:
     uint64_t
     groupKey(uint32_t bank, uint32_t row) const
     {
-        return rowKey(bank, row / params_.rowsPerGroup);
+        return rowKey(bank, row / kRowsPerGroup);
     }
 
-    /** Access the RCC; returns true on hit, emits traffic on miss. */
-    bool rccAccess(uint64_t row_key, uint32_t bank,
+    /** Access the RCC; a miss emits the counter traffic. */
+    void rccAccess(uint64_t row_key, uint32_t bank,
                    std::vector<PreventiveAction> &out);
 
-    Params params_;
     FlatTable<uint32_t> gct_;
     FlatTable<uint8_t> perRowGroups_; ///< membership set
     FlatTable<uint32_t> rct_; ///< DRAM-resident counts
@@ -97,8 +88,6 @@ class Hydra : public Defense
     uint32_t rccHead_ = kNil;
     uint32_t rccTail_ = kNil;
     uint32_t rccUsed_ = 0;
-    uint64_t rccMisses_ = 0;
-    uint64_t rccHits_ = 0;
 };
 
 } // namespace svard::defense

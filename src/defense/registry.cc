@@ -31,15 +31,6 @@ seeded(const DefenseContext &ctx)
 }
 
 std::unique_ptr<Defense>
-blockHammer(const DefenseContext &ctx)
-{
-    BlockHammer::Params p;
-    p.blacklistFraction =
-        ctx.param("blacklist_fraction", p.blacklistFraction);
-    return std::make_unique<BlockHammer>(ctx.provider, p);
-}
-
-std::unique_ptr<Defense>
 none(const DefenseContext &)
 {
     return nullptr;
@@ -54,7 +45,7 @@ struct Entry
 /** Sorted by name, so defenseNames() is sorted too. */
 constexpr Entry kDefenses[] = {
     {"aqua", unseeded<Aqua>},
-    {"blockhammer", blockHammer},
+    {"blockhammer", unseeded<BlockHammer>},
     {"graphene", unseeded<Graphene>},
     {"hydra", unseeded<Hydra>},
     {"none", none},
@@ -98,8 +89,11 @@ makeDefenseByName(const std::string &name, const DefenseContext &ctx)
     const Entry *e = findDefense(name);
     if (e == nullptr) {
         std::string known;
-        for (const Entry &k : kDefenses)
-            known += (known.empty() ? "" : ", ") + std::string(k.name);
+        for (const Entry &k : kDefenses) {
+            if (!known.empty())
+                known += ", ";
+            known += k.name;
+        }
         throw std::invalid_argument("unknown defense \"" + name +
                                     "\" (known: " + known + ")");
     }

@@ -8,7 +8,10 @@
  * DefenseContext carrying the threshold provider, the deterministic
  * seed, and the DRAM geometry under test. Construction threads the
  * geometry into Defense::setBanksPerRank so bank folding follows the
- * simulated module instead of a hardcoded constant.
+ * simulated module instead of a hardcoded constant. The context
+ * carries no tunables: each defense runs at the one published
+ * configuration its class constants hold, as in the paper's Figs.
+ * 12-13.
  *
  * The names form a closed, sorted table: "aqua", "blockhammer",
  * "graphene", "hydra", "none", "para", "rrs". Lookups are
@@ -17,7 +20,6 @@
 #ifndef SVARD_DEFENSE_REGISTRY_H
 #define SVARD_DEFENSE_REGISTRY_H
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,9 +28,6 @@
 #include "sim/config.h"
 
 namespace svard::defense {
-
-/** Named defense parameters (registry-driven parameter sweeps). */
-using DefenseParams = std::map<std::string, double>;
 
 /** Everything a defense factory needs to stand up an instance. */
 struct DefenseContext
@@ -50,30 +49,16 @@ struct DefenseContext
     /** Geometry-aware context for a simulated system configuration. */
     DefenseContext(const sim::SimConfig &cfg,
                    std::shared_ptr<const core::ThresholdProvider> thr,
-                   uint64_t rng_seed = 1,
-                   DefenseParams defense_params = {})
+                   uint64_t rng_seed = 1)
         : provider(std::move(thr)), seed(rng_seed),
-          banksPerRank(cfg.banksPerRank()),
-          params(std::move(defense_params))
+          banksPerRank(cfg.banksPerRank())
     {}
-
-    /** Named parameter with a factory-chosen fallback. Factories use
-     *  this to expose tunables by name (e.g. BlockHammer's
-     *  "blacklist_fraction") so sweep specs can vary them without new
-     *  plumbing per defense. */
-    double
-    param(const std::string &name, double fallback) const
-    {
-        const auto it = params.find(name);
-        return it == params.end() ? fallback : it->second;
-    }
 
     std::shared_ptr<const core::ThresholdProvider> provider;
     uint64_t seed = 1;
     /** Banks per rank of the simulated geometry; 0 = not yet set
      *  (construction must fill it in before factory use). */
     uint32_t banksPerRank = 0;
-    DefenseParams params;
 };
 
 /** Whether `name` names a defense (case-insensitive). */

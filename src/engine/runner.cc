@@ -447,8 +447,6 @@ ExperimentRunner::resolveCellMeta(const SweepCell &c,
     out->driftPolicy = ds.policy;
     out->driftEpochs = ds.epochs;
     out->guardband = ds.guardband;
-    out->params.assign(spec_.defenseParams.begin(),
-                       spec_.defenseParams.end());
 
     const ProviderSpec &prov = spec_.providers[c.provider];
     const sim::WorkloadMix &mix = spec_.mixes[c.mix];
@@ -465,9 +463,9 @@ ExperimentRunner::resolveCellMeta(const SweepCell &c,
     h.mix(mix.name).mix(mix.benchIdx.size());
     for (uint32_t b : mix.benchIdx)
         h.mix(b);
-    h.mix(out->params.size());
-    for (const auto &[name, value] : out->params)
-        h.mix(name).mix(value);
+    // The retired defense-parameter bag's (always empty) size: kept
+    // so fingerprints, and every cache keyed by them, stay valid.
+    h.mix(uint64_t{0});
     // Canonicalized drift entry: the default axis hashes exactly like
     // an explicit static entry, so a spec that never mentions drift
     // and one that spells out {"none","none",0,0} share fingerprints.
@@ -490,7 +488,7 @@ ExperimentRunner::runMixCell(
     // sharing a mix run concurrently.
     sim::System sys(cfg, mixTraces_[mix],
                     spec_.requestsPerCore, defense_name,
-                    std::move(provider), seed, spec_.defenseParams);
+                    std::move(provider), seed);
     const auto &alone = aloneIpc_[geom];
     return sim::computeMixMetrics(
         sys.run(), spec_.mixes[mix],

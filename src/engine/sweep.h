@@ -14,10 +14,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/config.h"
@@ -129,14 +127,6 @@ struct SweepSpec
     unsigned threads = 0;
 
     /**
-     * Defense parameter bag applied to every cell's DefenseContext
-     * (registry-driven sweeps, e.g. {"blacklist_fraction", 0.25} for
-     * BlockHammer). Recorded per cell and part of the cache
-     * fingerprint, so editing a parameter invalidates cached cells.
-     */
-    std::map<std::string, double> defenseParams;
-
-    /**
      * Optional streaming sink: finished cells are emitted in final
      * enumeration order as soon as every predecessor has completed,
      * so a paper-scale sweep can be tailed while it runs and the
@@ -205,8 +195,6 @@ struct CellResult
     std::string driftPolicy = "none";
     uint32_t driftEpochs = 0;
     double guardband = 0.0;
-    /** Defense parameter bag the cell ran under (sorted by name). */
-    std::vector<std::pair<std::string, double>> params{};
     sim::MixMetrics metrics{};    ///< raw paper metrics
     sim::MixMetrics normalized{}; ///< vs. same-geometry/mix no-defense run
     DriftMetrics drift{};         ///< escapes / recals (static: zeros)

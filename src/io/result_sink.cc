@@ -60,7 +60,7 @@ checkFlush(std::FILE *f, const std::string &path)
         throwWriteError(path);
 }
 
-/** CSV/params fields use ',', '|', '=' as separators; reject rows
+/** CSV fields use ',', '|', '=' as separators; reject rows
  *  that would be unparseable rather than emit a corrupt file. Throws
  *  (not aborts): on a worker/writer thread this must surface through
  *  the engine's error latch like any other sink failure. */
@@ -311,16 +311,7 @@ appendCsvRow(std::string &out, const engine::CellResult &r)
     num(r.drift.escapeRate);
     u64(r.drift.recalibrations);
     num(r.drift.recalCost);
-    // The params bag: "name=value|name=value".
-    for (size_t i = 0; i < r.params.size(); ++i) {
-        const auto &[name, value] = r.params[i];
-        checkFieldClean(name);
-        if (i)
-            out.push_back('|');
-        out += name;
-        out.push_back('=');
-        appendDouble(out, value);
-    }
+    // The retired params column stays in the header, always empty.
     out.push_back('\n');
 }
 
@@ -419,7 +410,7 @@ readCsvResults(const std::string &path)
     std::string s;
     bool first = true;
     // Unbounded line length: the reader must accept any row the
-    // writer emitted (param bags make rows arbitrarily long).
+    // writer emitted (labels make rows arbitrarily long).
     while (std::getline(in, s)) {
         while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
             s.pop_back();
@@ -473,17 +464,8 @@ readCsvResults(const std::string &path)
         r.drift.escapeRate = num(19);
         r.drift.recalibrations = u64(20);
         r.drift.recalCost = num(21);
-        if (!fields[22].empty())
-            for (const auto &kv : splitOn(fields[22], '|')) {
-                const size_t eq = kv.find('=');
-                if (eq == std::string::npos)
-                    throw std::runtime_error("malformed params in \"" +
-                                             path + "\": " + kv);
-                const std::string name = kv.substr(0, eq);
-                r.params.emplace_back(
-                    name, parseDouble(kv.substr(eq + 1), path,
-                                      "params." + name));
-            }
+        if (!fields[22].empty()) // the retired params column
+            throw badField(path, columns[22], fields[22]);
         out.push_back(std::move(r));
     }
     return out;
@@ -521,11 +503,7 @@ encodeCellResult(const engine::CellResult &r)
     putU64(b, r.drift.recalibrations);
     putF64(b, r.drift.escapeRate);
     putF64(b, r.drift.recalCost);
-    putU32(b, static_cast<uint32_t>(r.params.size()));
-    for (const auto &[name, value] : r.params) {
-        putStr(b, name);
-        putF64(b, value);
-    }
+    putU32(b, 0); // the retired params count
     putF64(b, r.metrics.weightedSpeedup);
     putF64(b, r.metrics.harmonicSpeedup);
     putF64(b, r.metrics.maxSlowdown);
@@ -536,13 +514,11 @@ encodeCellResult(const engine::CellResult &r)
 }
 
 /** Inverse of encodeCellResult, decoding in place into `*r` (a
- *  reused CellResult keeps its string and params capacity); false on
- *  a malformed payload, with `*r` then partly overwritten. */
+ *  reused CellResult keeps its string capacity); false on a
+ *  malformed payload, with `*r` then partly overwritten. */
 bool
 decodeCellResult(std::string_view payload, engine::CellResult *r)
 {
-    // Each params entry takes at least a name length and a value.
-    constexpr size_t kMinParamBytes = 4 + 8;
     Cursor c{payload};
     uint32_t nparams = 0;
     if (!c.getU32(&r->cell.geom) || !c.getU32(&r->cell.defense) ||
@@ -558,12 +534,8 @@ decodeCellResult(std::string_view payload, engine::CellResult *r)
         !c.getU64(&r->drift.recalibrations) ||
         !c.getF64(&r->drift.escapeRate) ||
         !c.getF64(&r->drift.recalCost) || !c.getU32(&nparams) ||
-        nparams > c.remaining() / kMinParamBytes)
+        nparams != 0) // the retired params count
         return false;
-    r->params.resize(nparams);
-    for (auto &[name, value] : r->params)
-        if (!c.getStr(&name) || !c.getF64(&value))
-            return false;
     return c.getF64(&r->metrics.weightedSpeedup) &&
            c.getF64(&r->metrics.harmonicSpeedup) &&
            c.getF64(&r->metrics.maxSlowdown) &&

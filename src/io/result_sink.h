@@ -116,7 +116,7 @@ struct RecordReadStats
     uint32_t resyncs = 0;
 };
 
-/** Bytes of the smallest SVC4 record (empty strings, no params), so
+/** Bytes of the smallest SVC4 record (empty strings), so
  *  a file of N bytes holds at most N / kMinRecordBytes records. */
 inline constexpr uint64_t kMinRecordBytes = 200;
 

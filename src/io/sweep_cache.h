@@ -18,7 +18,7 @@
  * restores. The in-memory index is an open-addressing hash table from
  * (seed, fingerprint) to the cell's outcome (`metrics`, `normalized`
  * and `drift`, 80 bytes), sized from the file length on open. A
- * hit's identity fields (coordinates, labels, params) are the ones
+ * hit's identity fields (coordinates and labels) are the ones
  * the caller already resolved to compute the key, so lookup() fills
  * only the outcome fields and leaves the rest of `*out` untouched.
  *

@@ -101,7 +101,7 @@ System::System(const SimConfig &cfg,
                std::vector<std::vector<TraceEntry>> traces,
                size_t primary, const std::string &defense_name,
                std::shared_ptr<const core::ThresholdProvider> provider,
-               uint64_t seed, const defense::DefenseParams &params)
+               uint64_t seed)
     : cfg_(cfg), mapper_(cfg)
 {
     for (uint32_t c = 0; c < cfg_.channels; ++c) {
@@ -111,8 +111,7 @@ System::System(const SimConfig &cfg,
             c == 0 ? seed : hashSeed({seed, c, 0xC4A77E1ULL});
         ownedDefenses_.push_back(defense::makeDefenseByName(
             defense_name,
-            defense::DefenseContext(cfg_, provider, chan_seed,
-                                    params)));
+            defense::DefenseContext(cfg_, provider, chan_seed)));
         defenses_.push_back(ownedDefenses_.back().get());
     }
     build(std::move(traces), primary);

@@ -58,14 +58,13 @@ class System
     /**
      * Registry construction: one defense instance per channel, built
      * from `defense_name` over `provider` with per-channel seeds, so
-     * counters and RNG streams do not alias across channels. `params`
-     * is forwarded into every channel's DefenseContext.
+     * counters and RNG streams do not alias across channels.
      */
     System(const SimConfig &cfg,
            std::vector<std::vector<TraceEntry>> traces, size_t primary,
            const std::string &defense_name,
            std::shared_ptr<const core::ThresholdProvider> provider,
-           uint64_t seed, const defense::DefenseParams &params = {});
+           uint64_t seed);
 
     /** Run to completion of all cores' measured phases. */
     RunResult run();

@@ -124,7 +124,7 @@ adversarialHydraTrace(size_t n, uint64_t seed, const SimConfig &cfg)
     Rng rng(seed);
     std::vector<TraceEntry> trace;
     trace.reserve(n);
-    constexpr uint64_t kRows = 8192; // > rccEntries (4096)
+    constexpr uint64_t kRows = 8192; // > Hydra::kRccEntries (4096)
     const uint64_t row_stride = MopMapper::rowStrideBytes(cfg);
     for (size_t i = 0; i < n; ++i) {
         const uint64_t row = i % kRows;

@@ -25,8 +25,6 @@
 
 #include "common/log.h"
 #include "common/rng.h"
-#include "defense/blockhammer.h"
-#include "defense/registry.h"
 #include "engine/runner.h"
 #include "fault_inject/fault_inject.h"
 #include "io/async_sink.h"
@@ -95,8 +93,6 @@ makeRow(uint32_t i)
     r.driftPolicy = "periodic:8";
     r.driftEpochs = 12 + i;
     r.guardband = 0.1 / (i + 3);
-    r.params = {{"blacklist_fraction", 0.1 + i / 7.0},
-                {"q", 1e-17 * (i + 1)}};
     r.metrics.weightedSpeedup = 1.0 / 3.0 + i;
     r.metrics.harmonicSpeedup = 0.1 * (i + 1);
     r.metrics.maxSlowdown = std::sqrt(2.0) * (i + 1);
@@ -131,7 +127,6 @@ expectRowsEqual(const engine::CellResult &a,
     EXPECT_EQ(a.driftPolicy, b.driftPolicy);
     EXPECT_EQ(a.driftEpochs, b.driftEpochs);
     EXPECT_EQ(a.guardband, b.guardband);
-    EXPECT_EQ(a.params, b.params);
     EXPECT_EQ(a.metrics.weightedSpeedup, b.metrics.weightedSpeedup);
     EXPECT_EQ(a.metrics.harmonicSpeedup, b.metrics.harmonicSpeedup);
     EXPECT_EQ(a.metrics.maxSlowdown, b.metrics.maxSlowdown);
@@ -241,6 +236,9 @@ TEST(ResultSink, CsvReaderRejectsMalformedNumericFields)
     std::istringstream cols(row);
     for (std::string f; std::getline(cols, f, ',');)
         fields.push_back(f);
+    // getline drops the empty params column after the last ','.
+    ASSERT_EQ(row.back(), ',');
+    fields.emplace_back();
     ASSERT_EQ(fields.size(), 23u);
 
     struct Case
@@ -258,6 +256,7 @@ TEST(ResultSink, CsvReaderRejectsMalformedNumericFields)
         {0, "0.0.0.0.0.4294967296", "coords"},      // 2^32: too big
         {0, " 1.2.3.4.5.6", "coords"},              // leading blank
         {0, "1.2.3.4.5", "coords"},                 // five parts
+        {22, "blacklist_fraction=0.5", "params"},   // retired column
     };
     for (const Case &c : cases) {
         std::vector<std::string> bad = fields;
@@ -303,19 +302,17 @@ TEST(ResultSink, RecordReaderDropsTruncatedTailRecord)
     expectRowsEqual(rows[1], makeRow(1));
 }
 
-TEST(ResultSink, RecordReaderDropsAParamsCountItsPayloadCannotHold)
+TEST(ResultSink, RecordReaderDropsANonZeroParamsCount)
 {
-    // A record whose checksum matches but whose params count claims
-    // more entries than its payload has bytes for is dropped before
-    // anything is sized from that count.
-    engine::CellResult r = makeRow(1);
-    r.params.clear();
+    // The params count is a retired field, always written as 0: a
+    // record whose checksum matches but whose count is not 0 is
+    // dropped.
     const std::string path = tmpPath("nparams.svc");
     writeRecordFile(path, {makeRow(0)});
     const size_t second = std::filesystem::file_size(path);
-    writeRecordFile(path, {makeRow(0), r});
+    writeRecordFile(path, {makeRow(0), makeRow(1)});
     std::string bytes = slurp(path);
-    // The second frame ends with the count, no params, six metric
+    // The second frame ends with the count, six metric
     // doubles and the little-endian checksum of its payload, which
     // follows a 24-byte header.
     const size_t count_at = bytes.size() - 8 - 6 * 8 - 4;
@@ -444,9 +441,6 @@ TEST(CsvBatching, RowWithASeparatorThrowsAndLeavesNoPartialRow)
         sink.write(makeRow(0));
         engine::CellResult bad = makeRow(1);
         bad.driftPolicy = "periodic,8";
-        EXPECT_THROW(sink.write(bad), std::runtime_error);
-        bad = makeRow(1);
-        bad.params.emplace_back("a|b", 1.0);
         EXPECT_THROW(sink.write(bad), std::runtime_error);
         sink.write(makeRow(2));
         sink.flush();
@@ -747,19 +741,14 @@ TEST(SweepCache, HitsSkipExecutionAndSpecEditsInvalidateOnlyChanges)
     for (size_t i = 0; i < 4; ++i)
         expectRowsEqual(cold_results[i], grown_results[i]);
 
-    // Editing the defense parameter bag changes every cell's inputs:
-    // nothing may hit the stale cache entries.
-    engine::SweepSpec reparam = base();
-    reparam.defenseParams["blacklist_fraction"] = 0.75;
-    engine::ExperimentRunner changed(std::move(reparam));
-    const auto changed_results = changed.run();
+    // Editing the trace length changes every cell's inputs: nothing
+    // may hit the stale cache entries.
+    engine::SweepSpec longer = base();
+    longer.requestsPerCore += 1;
+    engine::ExperimentRunner changed(std::move(longer));
+    changed.run();
     EXPECT_EQ(changed.executedCells(), 4u);
     EXPECT_EQ(changed.cachedCells(), 0u);
-    // The parameter bag is recorded on every result row.
-    ASSERT_EQ(changed_results[0].params.size(), 1u);
-    EXPECT_EQ(changed_results[0].params[0].first,
-              "blacklist_fraction");
-    EXPECT_EQ(changed_results[0].params[0].second, 0.75);
 }
 
 TEST(SweepCache, HitFillsOnlyTheOutcomeFields)
@@ -773,7 +762,6 @@ TEST(SweepCache, HitFillsOnlyTheOutcomeFields)
     // The caller's resolved identity fields survive a hit untouched.
     engine::CellResult caller = makeRow(7);
     caller.geometry = "caller-geometry";
-    caller.params = {{"caller_param", 2.5}};
     const engine::CellResult before = caller;
     ASSERT_TRUE(cache.lookup(stored.seed, stored.fingerprint, &caller));
     engine::CellResult want = before;
@@ -1266,52 +1254,6 @@ TEST(SweepCache, ConcurrentSinkFailureDoesNotRaceEmission)
     spec.sink = std::make_shared<FailLate>();
     engine::ExperimentRunner runner(std::move(spec));
     EXPECT_THROW(runner.run(), std::runtime_error);
-}
-
-// -----------------------------------------------------------------
-// Defense parameter bag through the registry
-// -----------------------------------------------------------------
-
-TEST(DefenseParams, BlockhammerBlacklistFractionIsTunableByName)
-{
-    auto provider =
-        std::make_shared<core::UniformThreshold>(64.0, 128 * 1024);
-
-    defense::DefenseContext eager(provider, 1, 16);
-    eager.params["blacklist_fraction"] = 0.05;
-    defense::DefenseContext lax(provider, 1, 16);
-    lax.params["blacklist_fraction"] = 0.95;
-
-    auto d_eager = defense::makeDefenseByName("blockhammer", eager);
-    auto d_lax = defense::makeDefenseByName("blockhammer", lax);
-    auto *bh_eager =
-        dynamic_cast<defense::BlockHammer *>(d_eager.get());
-    auto *bh_lax = dynamic_cast<defense::BlockHammer *>(d_lax.get());
-    ASSERT_NE(bh_eager, nullptr);
-    ASSERT_NE(bh_lax, nullptr);
-
-    std::vector<defense::PreventiveAction> actions;
-    for (int k = 0; k < 20; ++k) {
-        bh_eager->onActivate(0, 100, k * 1000, actions);
-        bh_lax->onActivate(0, 100, k * 1000, actions);
-    }
-    // 20 activations cross 5% of a 64-activation budget but stay far
-    // under 95%: only the eager configuration blacklists the row.
-    EXPECT_TRUE(bh_eager->isBlacklisted(0, 100));
-    EXPECT_FALSE(bh_lax->isBlacklisted(0, 100));
-}
-
-TEST(DefenseParams, UnknownParamsFallBackToDefaults)
-{
-    auto provider =
-        std::make_shared<core::UniformThreshold>(64.0, 128 * 1024);
-    defense::DefenseContext ctx(provider, 1, 16);
-    ctx.params["unrelated_knob"] = 123.0;
-    EXPECT_EQ(ctx.param("blacklist_fraction", 0.5), 0.5);
-    EXPECT_EQ(ctx.param("unrelated_knob", 0.0), 123.0);
-    // Factories must tolerate unknown names (forward compatibility).
-    auto d = defense::makeDefenseByName("blockhammer", ctx);
-    ASSERT_NE(d, nullptr);
 }
 
 } // namespace
