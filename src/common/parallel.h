@@ -11,11 +11,11 @@
  * parallelFor calls (the engine issues one batch per baseline phase
  * plus one per grid). Fresh threads per call, chunked the same way,
  * give the same outputs and throughput within noise but cost memory:
- * on a 4-vCPU host, svard_bench's median peak RSS over three
- * repetitions grew from 30.4 to 35.6 MB on fig12-grid and from 27.3
- * to 33.7 MB on fig13-adversarial, past that workload's 20% bound
- * (equal at one repetition). The growth is glibc malloc arenas under
- * thread churn: with MALLOC_ARENA_MAX=1 both read 22.6 MB on fig13.
+ * in three alternating 30 s svard_bench pairs on a 4-vCPU host,
+ * median peak RSS read 30.6 MB pooled vs 38.6 MB per-call on
+ * fig12-grid and 26.1 vs 37.3 MB on fig13-adversarial, past both
+ * workloads' 20% bound. The growth is glibc malloc arenas under
+ * thread churn: with MALLOC_ARENA_MAX=1, fig13 read 23.1 vs 24.7 MB.
  *
  * Workers claim contiguous index chunks from a shared atomic cursor;
  * chunking only changes which worker runs an index, never whether it

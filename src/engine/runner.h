@@ -129,7 +129,7 @@ class ExperimentRunner
      * without executing it, and its cache fingerprint: a hash of the
      * seed and every input that shapes its result (geometry + timing,
      * request count, defense name, threshold value, provider, workload
-     * mix, parameter bag, drift entry). Two runs compute the same
+     * mix, drift entry). Two runs compute the same
      * fingerprint for a cell iff the cell would simulate identically,
      * which is what makes the sweep cache safe across spec edits.
      */

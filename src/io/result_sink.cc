@@ -60,8 +60,9 @@ checkFlush(std::FILE *f, const std::string &path)
         throwWriteError(path);
 }
 
-/** CSV fields use ',', '|', '=' as separators; reject rows
- *  that would be unparseable rather than emit a corrupt file. Throws
+/** CSV fields are ','-separated, and '|' and '=' stay reserved (the
+ *  params column's separators); reject rows that would be
+ *  unparseable rather than emit a corrupt file. Throws
  *  (not aborts): on a worker/writer thread this must surface through
  *  the engine's error latch like any other sink failure. */
 void
