@@ -177,7 +177,7 @@ TEST(Hydra, RccThrashingGeneratesMetadataTraffic)
     std::vector<PreventiveAction> acts;
     uint64_t metadata = 0;
     // Cycle through more distinct hot rows than the RCC holds, so
-    // every access evicts.
+    // the RCC keeps missing and evicting.
     constexpr uint32_t kRows = 2 * Hydra::kRccEntries;
     for (int round = 0; round < 3; ++round) {
         for (uint32_t row = 0; row < kRows; ++row) {
