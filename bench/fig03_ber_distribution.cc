@@ -30,14 +30,13 @@ main()
         // ten-iteration methodology does.
         auto opt = benchCharzOptions(rig.spec, /*quick_wcdp=*/false);
         opt.iterations = static_cast<int>(envInt("SVARD_ITERS", 3));
+        const auto results = rig.charz.characterizeModule(opt);
         std::vector<double> all_rows;
         for (uint32_t bank : opt.banks) {
-            auto bank_opt = opt;
-            bank_opt.banks = {bank};
-            const auto results = rig.charz.characterizeBank(bank, bank_opt);
             std::vector<double> bers;
             for (const auto &r : results)
-                if (r.ber128k > 0.0 && r.numAggressors == 2)
+                if (r.bank == bank && r.ber128k > 0.0 &&
+                    r.numAggressors == 2)
                     bers.push_back(r.ber128k);
             all_rows.insert(all_rows.end(), bers.begin(), bers.end());
             const BoxStats bs = boxStats(bers);

@@ -33,15 +33,13 @@ main()
         // Per-(bank, bucket) mean of interior-row BER (subarray-edge
         // rows receive one-sided disturbance and belong to Fig. 3's
         // low whisker, not the location curve).
+        const auto results = rig.charz.characterizeModule(opt);
         std::vector<std::array<double, kBuckets>> bank_means;
         for (uint32_t bank : opt.banks) {
-            auto bank_opt = opt;
-            bank_opt.banks = {bank};
-            const auto results =
-                rig.charz.characterizeBank(bank, bank_opt);
             std::array<std::vector<double>, kBuckets> buckets;
             for (const auto &r : results) {
-                if (r.ber128k <= 0.0 || r.numAggressors != 2)
+                if (r.bank != bank || r.ber128k <= 0.0 ||
+                    r.numAggressors != 2)
                     continue;
                 int b = static_cast<int>(r.relativeLocation * kBuckets);
                 if (b >= kBuckets)

@@ -29,13 +29,12 @@ main()
         std::map<int64_t, std::vector<double>> per_bank_fraction;
         int64_t module_min = labels_hc.back();
 
+        const auto results = rig.charz.characterizeModule(opt);
         for (uint32_t bank : opt.banks) {
-            auto bank_opt = opt;
-            bank_opt.banks = {bank};
-            const auto results =
-                rig.charz.characterizeBank(bank, bank_opt);
             CategoricalHistogram hist(labels_hc);
             for (const auto &r : results) {
+                if (r.bank != bank)
+                    continue;
                 hist.add(r.hcFirst);
                 module_min = std::min(module_min, r.hcFirst);
             }

@@ -29,7 +29,7 @@ main()
         ModuleRig rig(label);
         auto opt = benchCharzOptions(rig.spec);
         opt.banks = {1};
-        const auto results = rig.charz.characterizeBank(1, opt);
+        const auto results = rig.charz.characterizeModule(opt);
 
         double min_hc = 1e18;
         for (const auto &r : results)

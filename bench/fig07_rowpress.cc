@@ -37,7 +37,7 @@ main()
         for (int i = 0; i < 3; ++i) {
             auto o = opt;
             o.tAggOn = t_ons[i];
-            const auto results = rig.charz.characterizeBank(1, o);
+            const auto results = rig.charz.characterizeModule(o);
             auto &bucket =
                 per_mfr[dram::vendorLetter(rig.spec.vendor)][i];
             for (const auto &r : results)

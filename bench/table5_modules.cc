@@ -31,7 +31,7 @@ main()
         // the module minimum even under subsampling.
         opt.extraRows = {rig.device.mapping().toLogical(
             rig.model->weakestRow(1))};
-        const auto results = rig.charz.characterizeBank(1, opt);
+        const auto results = rig.charz.characterizeModule(opt);
 
         std::vector<double> hcs;
         for (const auto &r : results)

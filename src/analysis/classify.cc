@@ -56,16 +56,6 @@ ConfusionMatrix::weightedF1() const
     return acc / static_cast<double>(total_);
 }
 
-std::vector<int64_t>
-ConfusionMatrix::classes() const
-{
-    std::vector<int64_t> out;
-    out.reserve(actualCounts_.size());
-    for (const auto &[cls, count] : actualCounts_)
-        out.push_back(cls);
-    return out;
-}
-
 double
 binaryFeatureF1(const std::vector<uint8_t> &feature,
                 const std::vector<int64_t> &classes)

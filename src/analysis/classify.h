@@ -37,9 +37,6 @@ class ConfusionMatrix
      */
     double weightedF1() const;
 
-    /** All class labels seen as actuals. */
-    std::vector<int64_t> classes() const;
-
     uint64_t total() const { return total_; }
 
   private:

@@ -39,7 +39,6 @@ class TemperatureController
         target_ = target_c;
         prevErr_ = target_ - plant_;
     }
-    double target() const { return target_; }
 
     /** Advance the control loop by dt seconds. */
     void step(double dt_s);

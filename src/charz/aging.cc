@@ -48,22 +48,21 @@ agingExperiment(const dram::ModuleSpec &spec, const CharzOptions &opt)
     Characterizer aged(aged_dev);
 
     // The transition matrix is defined over the strided sample only;
-    // characterizeBank would also append opt.extraRows, so drop them.
-    CharzOptions bank_opt = opt;
-    bank_opt.extraRows.clear();
+    // characterizeModule would also append opt.extraRows, so drop them.
+    CharzOptions sample = opt;
+    sample.extraRows.clear();
 
+    // Both sweeps enumerate the same (bank, row) list in the same
+    // bank-major order, whatever the worker count, so pairing is
+    // positional.
+    const auto before = fresh.characterizeModule(sample);
+    const auto after = aged.characterizeModule(sample);
+    SVARD_ASSERT(before.size() == after.size(),
+                 "aging sweeps disagree on row sampling");
     AgingResult out;
-    for (uint32_t bank : opt.banks) {
-        // Both sweeps enumerate the same rows in the same order (and
-        // shard them over bank_opt.threads), so pairing is positional.
-        const auto before = fresh.characterizeBank(bank, bank_opt);
-        const auto after = aged.characterizeBank(bank, bank_opt);
-        SVARD_ASSERT(before.size() == after.size(),
-                     "aging sweeps disagree on row sampling");
-        for (size_t i = 0; i < before.size(); ++i) {
-            ++out.transitions[{before[i].hcFirst, after[i].hcFirst}];
-            ++out.beforeTotals[before[i].hcFirst];
-        }
+    for (size_t i = 0; i < before.size(); ++i) {
+        ++out.transitions[{before[i].hcFirst, after[i].hcFirst}];
+        ++out.beforeTotals[before[i].hcFirst];
     }
     return out;
 }

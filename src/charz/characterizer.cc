@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <utility>
 
 #include "bender/test_session.h"
 #include "common/log.h"
@@ -136,7 +137,6 @@ Characterizer::characterizeRow(uint32_t bank, uint32_t victim,
     dram::DramDevice workspace(
         device_.spec(), device_.subarraysShared(), device_.modelShared(),
         hashSeed({kRowWorkspaceTag, bank, victim}));
-    workspace.setDisturbanceEnabled(device_.disturbanceEnabled());
     bender::TestSession session(workspace);
     uint64_t measurements = 0;
     RowResult out =
@@ -150,22 +150,22 @@ Characterizer::characterizeRow(uint32_t bank, uint32_t victim,
     return out;
 }
 
-void
-Characterizer::collectBankRows(uint32_t bank, uint32_t rows_per_bank,
-                               const CharzOptions &opt,
-                               std::vector<RowTask> &out)
-{
-    for (uint32_t r = 0; r < rows_per_bank; r += opt.rowStep)
-        out.push_back({bank, r});
-    for (uint32_t r : opt.extraRows)
-        if (r % opt.rowStep != 0)
-            out.push_back({bank, r});
-}
-
 std::vector<RowResult>
-Characterizer::runTasks(const std::vector<RowTask> &tasks,
-                        const CharzOptions &opt)
+Characterizer::characterizeModule(const CharzOptions &opt)
 {
+    SVARD_ASSERT(opt.rowStep >= 1, "rowStep must be >= 1");
+    // One flat (bank, victim) task pool across all banks, bank-major,
+    // so a straggler bank does not idle the other workers.
+    std::vector<std::pair<uint32_t, uint32_t>> tasks;
+    for (uint32_t bank : opt.banks) {
+        for (uint32_t r = 0; r < device_.spec().rowsPerBank;
+             r += opt.rowStep)
+            tasks.push_back({bank, r});
+        for (uint32_t r : opt.extraRows)
+            if (r % opt.rowStep != 0)
+                tasks.push_back({bank, r});
+    }
+
     static const obs::MetricId rows_ctr = obs::counter("charz.rows");
     static const obs::MetricId row_wall =
         obs::histogram("charz.row_wall_us");
@@ -174,11 +174,12 @@ Characterizer::runTasks(const std::vector<RowTask> &tasks,
     obs::ProgressMeter progress("charz", tasks.size(), "rows");
     std::vector<RowResult> out(tasks.size());
     parallelFor(tasks.size(), opt.threads, [&](size_t i) {
+        const auto [bank, victim] = tasks[i];
         obs::Span row_span("charz", "row");
-        row_span.arg("bank", static_cast<uint64_t>(tasks[i].bank));
-        row_span.arg("row", static_cast<uint64_t>(tasks[i].victim));
+        row_span.arg("bank", static_cast<uint64_t>(bank));
+        row_span.arg("row", static_cast<uint64_t>(victim));
         const auto start = std::chrono::steady_clock::now();
-        out[i] = characterizeRow(tasks[i].bank, tasks[i].victim, opt);
+        out[i] = characterizeRow(bank, victim, opt);
         obs::add(rows_ctr);
         obs::observe(
             row_wall,
@@ -190,28 +191,6 @@ Characterizer::runTasks(const std::vector<RowTask> &tasks,
     });
     progress.finish();
     return out;
-}
-
-std::vector<RowResult>
-Characterizer::characterizeBank(uint32_t bank, const CharzOptions &opt)
-{
-    SVARD_ASSERT(opt.rowStep >= 1, "rowStep must be >= 1");
-    std::vector<RowTask> tasks;
-    collectBankRows(bank, device_.spec().rowsPerBank, opt, tasks);
-    return runTasks(tasks, opt);
-}
-
-std::vector<RowResult>
-Characterizer::characterizeModule(const CharzOptions &opt)
-{
-    SVARD_ASSERT(opt.rowStep >= 1, "rowStep must be >= 1");
-    // One flat task pool across all banks: row order (and thus result
-    // order) matches the per-bank loops, but a straggler bank no
-    // longer idles the other workers.
-    std::vector<RowTask> tasks;
-    for (uint32_t bank : opt.banks)
-        collectBankRows(bank, device_.spec().rowsPerBank, opt, tasks);
-    return runTasks(tasks, opt);
 }
 
 core::VulnProfile

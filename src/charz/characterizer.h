@@ -10,9 +10,9 @@
  * model) whose RNG stream is seeded by hash(module seed, bank, row).
  * That makes every RowResult a pure function of its coordinates —
  * independent of which rows were measured before it and of how many
- * threads the sweep uses — which is what lets characterizeBank /
- * characterizeModule shard rows across the common/parallel.h pool
- * while staying bit-identical at any thread count.
+ * threads the sweep uses — which is what lets characterizeModule shard
+ * rows across the common/parallel.h pool while staying bit-identical
+ * at any thread count.
  */
 #ifndef SVARD_CHARZ_CHARACTERIZER_H
 #define SVARD_CHARZ_CHARACTERIZER_H
@@ -55,8 +55,8 @@ struct CharzOptions
     bool quickWcdp = false;
 
     /**
-     * Worker threads for characterizeBank/characterizeModule (0 =
-     * hardware concurrency). Results are bit-identical at any value:
+     * Worker threads for characterizeModule (0 = hardware
+     * concurrency). Results are bit-identical at any value:
      * every row runs on its own deterministically-seeded workspace.
      */
     unsigned threads = 1;
@@ -95,13 +95,13 @@ class Characterizer
     RowResult characterizeRow(uint32_t bank, uint32_t victim,
                               const CharzOptions &opt);
 
-    /** Characterize a bank per the options' row sampling, sharding
-     *  rows over opt.threads workers. */
-    std::vector<RowResult> characterizeBank(uint32_t bank,
-                                            const CharzOptions &opt);
-
-    /** Full module sweep: all banks in the options, one shared row
-     *  pool across banks (better load balance than per-bank batches). */
+    /**
+     * The Alg. 1 sweep: every bank in opt.banks per the options' row
+     * sampling (rows 0, rowStep, 2*rowStep, ..., then opt.extraRows
+     * off that stride), sharded over opt.threads workers from one
+     * shared row pool. Results come bank-major in opt.banks order, so
+     * a caller can group them by RowResult::bank.
+     */
     std::vector<RowResult> characterizeModule(const CharzOptions &opt);
 
     /**
@@ -115,19 +115,6 @@ class Characterizer
     }
 
   private:
-    /** One (bank, victim) work item of a sharded sweep. */
-    struct RowTask
-    {
-        uint32_t bank;
-        uint32_t victim;
-    };
-
-    std::vector<RowResult> runTasks(const std::vector<RowTask> &tasks,
-                                    const CharzOptions &opt);
-    static void collectBankRows(uint32_t bank, uint32_t rows_per_bank,
-                                const CharzOptions &opt,
-                                std::vector<RowTask> &out);
-
     dram::DramDevice &device_;
     std::atomic<uint64_t> berMeasurements_{0};
 };

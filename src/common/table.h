@@ -27,7 +27,6 @@ class Table
     /** Print the table aligned to the given stream (default stdout). */
     void print(std::FILE *out = stdout) const;
 
-    const std::string &title() const { return title_; }
     size_t rows() const { return rows_.size(); }
 
     /** Format helper: fixed-precision double. */

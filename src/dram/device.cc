@@ -32,13 +32,6 @@ DramDevice::DramDevice(const ModuleSpec &spec,
     SVARD_ASSERT(subarrays_ != nullptr, "device needs a subarray map");
 }
 
-DramDevice::DramDevice(const ModuleSpec &spec,
-                       std::shared_ptr<const DisturbanceModel> model,
-                       uint64_t seed)
-    : DramDevice(spec, std::make_shared<SubarrayMap>(spec),
-                 std::move(model), seed)
-{}
-
 void
 DramDevice::activate(uint32_t bank, uint32_t row, Tick now)
 {
@@ -64,14 +57,11 @@ DramDevice::precharge(uint32_t bank, Tick now)
     BankState &bs = bankState_[bank];
     SVARD_ASSERT(bs.open, "PRE to a closed bank");
     const Tick t_on = std::max<Tick>(now - bs.actTime, 0);
-    if (disturbanceEnabled_) {
-        uint32_t neigh[2];
-        const uint32_t n = subarrays_->disturbedNeighbors(bs.physRow,
-                                                          neigh);
-        for (uint32_t i = 0; i < n; ++i)
-            pending_.refOrInsert(key(bank, neigh[i])) +=
-                memoActWeight(bank, neigh[i], t_on);
-    }
+    uint32_t neigh[2];
+    const uint32_t n = subarrays_->disturbedNeighbors(bs.physRow, neigh);
+    for (uint32_t i = 0; i < n; ++i)
+        pending_.refOrInsert(key(bank, neigh[i])) +=
+            memoActWeight(bank, neigh[i], t_on);
     bs.open = false;
     ++stats_.precharges;
 }
@@ -94,7 +84,6 @@ DramDevice::refreshAllRows(Tick /* now */)
     // Everything left is zero/negative accumulation, behaviorally
     // absent; the O(1) clear also purges the erase tombstones.
     pending_.clear();
-    ++stats_.refreshes;
 }
 
 void
@@ -114,14 +103,12 @@ DramDevice::hammer(uint32_t bank, uint32_t row, uint64_t count, Tick t_on)
     // The first activation restores the hammered row itself; repeated
     // activations of the same row keep it restored throughout.
     realize(bank, phys);
-    if (disturbanceEnabled_) {
-        uint32_t neigh[2];
-        const uint32_t n = subarrays_->disturbedNeighbors(phys, neigh);
-        for (uint32_t i = 0; i < n; ++i)
-            pending_.refOrInsert(key(bank, neigh[i])) +=
-                static_cast<double>(count) *
-                memoActWeight(bank, neigh[i], t_on);
-    }
+    uint32_t neigh[2];
+    const uint32_t n = subarrays_->disturbedNeighbors(phys, neigh);
+    for (uint32_t i = 0; i < n; ++i)
+        pending_.refOrInsert(key(bank, neigh[i])) +=
+            static_cast<double>(count) *
+            memoActWeight(bank, neigh[i], t_on);
     stats_.activates += count;
     stats_.precharges += count;
 }
@@ -133,22 +120,6 @@ DramDevice::writeRowFill(uint32_t bank, uint32_t row, uint8_t fill)
     rowRef(bank, phys).setFill(fill);
     // A full-row write recharges every cell: pending disturbance wiped.
     pending_.erase(key(bank, phys));
-}
-
-void
-DramDevice::writeByte(uint32_t bank, uint32_t row, uint32_t byte_index,
-                      uint8_t value)
-{
-    const uint32_t phys = mapping_.toPhysical(row);
-    rowRef(bank, phys).writeByte(byte_index, value);
-}
-
-uint8_t
-DramDevice::readByte(uint32_t bank, uint32_t row, uint32_t byte_index)
-{
-    const uint32_t phys = mapping_.toPhysical(row);
-    realize(bank, phys);
-    return rowRef(bank, phys).readByte(byte_index);
 }
 
 uint64_t
@@ -172,7 +143,6 @@ bool
 DramDevice::rowClone(uint32_t bank, uint32_t src_row, uint32_t dst_row,
                      Tick /* now */)
 {
-    ++stats_.rowClones;
     const uint32_t src = mapping_.toPhysical(src_row);
     const uint32_t dst = mapping_.toPhysical(dst_row);
     realize(bank, src);
@@ -353,7 +323,7 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
         return;
     const double hammers = *slot;
     pending_.erase(key(bank, phys_row));
-    if (!disturbanceEnabled_ || hammers <= 0.0)
+    if (hammers <= 0.0)
         return;
 
     // Fast path: even at worst-case severity the row is below its
@@ -436,10 +406,7 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
         flip += next;
         attempt &= static_cast<uint32_t>(next - 1);
     }
-    if (applied > 0) {
-        stats_.bitflipsInjected += applied;
-        ++stats_.rowsFlipped;
-    }
+    stats_.bitflipsInjected += applied;
 }
 
 } // namespace svard::dram

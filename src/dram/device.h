@@ -31,15 +31,12 @@
 
 namespace svard::dram {
 
-/** Aggregate device statistics. */
+/** Command and bitflip counts since construction. */
 struct DeviceStats
 {
     uint64_t activates = 0;       ///< ACT commands executed
     uint64_t precharges = 0;      ///< PRE commands executed
-    uint64_t refreshes = 0;       ///< full-device refreshes
     uint64_t bitflipsInjected = 0;///< read-disturbance bitflips realized
-    uint64_t rowsFlipped = 0;     ///< realize events that flipped >= 1 bit
-    uint64_t rowClones = 0;       ///< RowClone attempts
 };
 
 /**
@@ -56,11 +53,6 @@ class DramDevice
   public:
     DramDevice(const ModuleSpec &spec,
                std::shared_ptr<const SubarrayMap> subarrays,
-               std::shared_ptr<const DisturbanceModel> model,
-               uint64_t seed = 1);
-
-    /** Convenience: builds the subarray map internally. */
-    DramDevice(const ModuleSpec &spec,
                std::shared_ptr<const DisturbanceModel> model,
                uint64_t seed = 1);
 
@@ -100,13 +92,6 @@ class DramDevice
 
     /** Fill the open row with a repeating data-pattern byte. */
     void writeRowFill(uint32_t bank, uint32_t row, uint8_t fill);
-
-    /** Write one byte of a row. */
-    void writeByte(uint32_t bank, uint32_t row, uint32_t byte_index,
-                   uint8_t value);
-
-    /** Read one byte of a row (after realizing pending disturbance). */
-    uint8_t readByte(uint32_t bank, uint32_t row, uint32_t byte_index);
 
     /**
      * Count bits in the row that differ from the expected repeating
@@ -160,10 +145,6 @@ class DramDevice
 
     /** Accumulated effective hammers pending on a *logical* row. */
     double pendingHammers(uint32_t bank, uint32_t row) const;
-
-    /** Disable/enable disturbance injection (interference control). */
-    void setDisturbanceEnabled(bool on) { disturbanceEnabled_ = on; }
-    bool disturbanceEnabled() const { return disturbanceEnabled_; }
 
   private:
     struct BankState
@@ -243,7 +224,6 @@ class DramDevice
     RowMapping mapping_;
     TimingParams timing_;
     Rng rng_;
-    bool disturbanceEnabled_ = true;
 
     std::vector<BankState> bankState_;
     FlatTable<RowData> rows_;

@@ -36,7 +36,6 @@ class RowMapping
     uint32_t toPhysical(uint32_t logical_row) const;
     uint32_t toLogical(uint32_t physical_row) const;
 
-    Scheme scheme() const { return scheme_; }
     uint32_t rows() const { return rows_; }
 
   private:

@@ -9,10 +9,10 @@
  *  - Workers append each finished cell immediately, so killing a
  *    sweep at any point leaves a valid checkpoint — re-running with
  *    the same cache path resumes with only the missing cells.
- *  - The fingerprint hashes the cell's *resolved* inputs (geometry,
- *    defense name, threshold value, provider, workload, parameter
- *    bag, request count), so editing a spec invalidates exactly the
- *    cells whose inputs changed.
+ *  - The fingerprint hashes the cell's *resolved* inputs (geometry
+ *    and timing, request count, defense name, threshold value,
+ *    provider, workload mix, drift entry), so editing a spec
+ *    invalidates exactly the cells whose inputs changed.
  *
  * The file holds whole records; memory holds only what a hit
  * restores. The in-memory index is an open-addressing hash table from

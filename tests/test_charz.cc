@@ -101,6 +101,29 @@ TEST(Characterizer, IterationsNeverRaiseRecordedWorstCase)
     }
 }
 
+namespace {
+
+/** Field-exact RowResult comparison (doubles compared bit-for-bit). */
+void
+expectIdentical(const std::vector<RowResult> &a,
+                const std::vector<RowResult> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].bank, b[i].bank) << i;
+        EXPECT_EQ(a[i].logicalRow, b[i].logicalRow) << i;
+        EXPECT_EQ(a[i].physRow, b[i].physRow) << i;
+        EXPECT_EQ(a[i].relativeLocation, b[i].relativeLocation) << i;
+        EXPECT_EQ(a[i].wcdp, b[i].wcdp) << i;
+        EXPECT_EQ(a[i].ber128k, b[i].ber128k) << i;
+        EXPECT_EQ(a[i].hcFirst, b[i].hcFirst) << i;
+        EXPECT_EQ(a[i].flippedAtMaxCount, b[i].flippedAtMaxCount) << i;
+        EXPECT_EQ(a[i].numAggressors, b[i].numAggressors) << i;
+    }
+}
+
+} // anonymous namespace
+
 TEST(Characterizer, BankSweepRespectsSampling)
 {
     Rig rig("S3");
@@ -108,15 +131,27 @@ TEST(Characterizer, BankSweepRespectsSampling)
     opt.rowStep = 4096;
     opt.quickWcdp = true;
     opt.extraRows = {5};
-    const auto results = rig.charz.characterizeBank(1, opt);
-    EXPECT_EQ(results.size(), rig.spec.rowsPerBank / 4096 + 1);
-    std::set<uint32_t> rows;
-    for (const auto &r : results) {
-        EXPECT_EQ(r.bank, 1u);
-        rows.insert(r.logicalRow);
+    opt.banks = {1, 4};
+    const auto results = rig.charz.characterizeModule(opt);
+    const size_t per_bank = rig.spec.rowsPerBank / 4096 + 1;
+    ASSERT_EQ(results.size(), opt.banks.size() * per_bank);
+    // Bank-major in opt.banks order, and each bank's slice is what a
+    // one-bank sweep of that bank returns.
+    for (size_t b = 0; b < opt.banks.size(); ++b) {
+        const std::vector<RowResult> slice(
+            results.begin() + b * per_bank,
+            results.begin() + (b + 1) * per_bank);
+        std::set<uint32_t> rows;
+        for (const auto &r : slice) {
+            EXPECT_EQ(r.bank, opt.banks[b]);
+            rows.insert(r.logicalRow);
+        }
+        EXPECT_TRUE(rows.count(5));
+        EXPECT_TRUE(rows.count(0));
+        CharzOptions one = opt;
+        one.banks = {opt.banks[b]};
+        expectIdentical(slice, rig.charz.characterizeModule(one));
     }
-    EXPECT_TRUE(rows.count(5));
-    EXPECT_TRUE(rows.count(0));
 }
 
 TEST(Characterizer, BuildProfileInterpolatesAndStaysOrdered)
@@ -186,29 +221,6 @@ TEST(Characterizer, BuildProfileBinsLikeFromModel)
     }
 }
 
-namespace {
-
-/** Field-exact RowResult comparison (doubles compared bit-for-bit). */
-void
-expectIdentical(const std::vector<RowResult> &a,
-                const std::vector<RowResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].bank, b[i].bank) << i;
-        EXPECT_EQ(a[i].logicalRow, b[i].logicalRow) << i;
-        EXPECT_EQ(a[i].physRow, b[i].physRow) << i;
-        EXPECT_EQ(a[i].relativeLocation, b[i].relativeLocation) << i;
-        EXPECT_EQ(a[i].wcdp, b[i].wcdp) << i;
-        EXPECT_EQ(a[i].ber128k, b[i].ber128k) << i;
-        EXPECT_EQ(a[i].hcFirst, b[i].hcFirst) << i;
-        EXPECT_EQ(a[i].flippedAtMaxCount, b[i].flippedAtMaxCount) << i;
-        EXPECT_EQ(a[i].numAggressors, b[i].numAggressors) << i;
-    }
-}
-
-} // anonymous namespace
-
 TEST(Characterizer, ModuleSweepBitIdenticalAcrossThreadCounts)
 {
     // Every row runs on its own hash(seed, bank, row)-seeded
@@ -247,10 +259,11 @@ TEST(Characterizer, RowResultsAreHistoryIndependent)
     const auto again = rig.charz.characterizeRow(1, 300, opt);
     expectIdentical({first}, {again});
 
-    // And the bank sweep returns exactly what per-row calls return.
+    // And a one-bank sweep returns exactly what per-row calls return.
     CharzOptions sweep = opt;
     sweep.rowStep = rig.spec.rowsPerBank / 4;
-    const auto bank_results = rig.charz.characterizeBank(1, sweep);
+    sweep.banks = {1};
+    const auto bank_results = rig.charz.characterizeModule(sweep);
     for (const auto &r : bank_results) {
         const auto lone = rig.charz.characterizeRow(1, r.logicalRow, opt);
         expectIdentical({r}, {lone});

@@ -450,17 +450,6 @@ TEST_F(DeviceTest, MassiveHammeringFlipsBits)
     EXPECT_GT(device_.stats().bitflipsInjected, 0u);
 }
 
-TEST_F(DeviceTest, DisturbanceDisableSuppressesFlips)
-{
-    device_.setDisturbanceEnabled(false);
-    const uint32_t victim = interiorVictim();
-    const uint32_t phys = device_.mapping().toPhysical(victim);
-    for (uint32_t n : subarrays_->disturbedNeighbors(phys))
-        device_.hammer(0, device_.mapping().toLogical(n), 512 * 1024,
-                       36 * kPsPerNs);
-    EXPECT_EQ(device_.countMismatchedBits(0, victim, 0x00), 0u);
-}
-
 TEST_F(DeviceTest, RefreshWipesSubThresholdDisturbance)
 {
     const uint32_t victim = interiorVictim();
